@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResolutionError
 from .specfun import QuadratureRule, bessel_j_table, bessel_zeros_row, gauss_legendre
 
 BASIS_FORMAT = "stokes-besov-basis/1"
@@ -114,9 +113,6 @@ def build_basis(n_max: int = DEFAULT_N_MAX, k_max: int = DEFAULT_K_MAX) -> Basis
     for n in range(n_max + 1):
         rows[n] = bessel_zeros_row(n, k_max)
     lam_rows = rows * rows
-    # store the zero as sqrt(lambda) so that a cache round trip (which keeps
-    # lambda only) reproduces bit-identical derived values
-    zero_rows = np.sqrt(lam_rows)
 
     ns, ps, ks = [], [], []
     for n in range(n_max + 1):
@@ -131,7 +127,8 @@ def build_basis(n_max: int = DEFAULT_N_MAX, k_max: int = DEFAULT_K_MAX) -> Basis
     lam = lam_rows[ns, ks - 1]
     order = np.lexsort((ks, ps, ns, lam))
     ns, ps, ks, lam = ns[order], ps[order], ks[order], lam[order]
-    zero = zero_rows[ns, ks - 1]
+    # the zero as sqrt(lambda), as _assemble rebuilds it from a cache
+    zero = np.sqrt(lam)
 
     # ||psi||^2 = (2 pi if n == 0 else pi) * J_{n+1}(j)^2 / 2
     jnext = np.empty(lam.size)
@@ -141,22 +138,35 @@ def build_basis(n_max: int = DEFAULT_N_MAX, k_max: int = DEFAULT_K_MAX) -> Basis
             jnext[sel] = bessel_j_table(n + 1, zero[sel])[n + 1]
     ang_factor = np.where(ns == 0, 2.0 * np.pi, np.pi)
     stream = np.sqrt(0.5 * ang_factor) * np.abs(jnext)
-    vel = zero * stream
+    return _assemble(n_max, k_max, ns, ps, ks, lam, stream)
 
-    modes = tuple(
-        EigenMode(int(n), _PARITY_NAME[p], int(k), float(l), float(z), float(s), float(v))
-        for n, p, k, l, z, s, v in zip(ns, ps, ks, lam, zero, stream, vel)
-    )
+
+def _assemble(n_max: int, k_max: int, ns, ps, ks, lam, stream) -> Basis:
+    """Basis from per-mode (n, parity code, k, lambda, ||psi||) arrays in
+    eigenvalue order.  Every derived quantity comes from lambda and ||psi||
+    alone (zero = sqrt(lambda), ||u|| = zero * ||psi||), so build_basis and
+    load_basis produce bit-identical bases."""
+    zero = np.sqrt(lam)
+    vel = zero * stream
+    zeros_rows = np.empty((n_max + 1, k_max))
     group_index = {}
     for n in range(n_max + 1):
         for p in (COS, SIN) if n > 0 else (COS,):
             sel = np.nonzero((ns == n) & (ps == p))[0]
+            if sel.size != k_max:
+                raise ValueError("basis cache group size mismatch")
             sel = sel[np.argsort(ks[sel])]
             group_index[(n, p)] = sel
+            if p == COS:
+                zeros_rows[n] = zero[sel]
+    modes = tuple(
+        EigenMode(int(n), _PARITY_NAME[p], int(k), float(l), float(z), float(s), float(v))
+        for n, p, k, l, z, s, v in zip(ns, ps, ks, lam, zero, stream, vel)
+    )
     return Basis(
         n_max=n_max, k_max=k_max, modes=modes, lam=lam, zero=zero,
         angular=ns, parity=ps, radial=ks, stream_norm=stream,
-        velocity_norm=vel, zeros_rows=zero_rows, group_index=group_index,
+        velocity_norm=vel, zeros_rows=zeros_rows, group_index=group_index,
     )
 
 
@@ -566,26 +576,4 @@ def load_basis(path) -> Basis:
     ks = np.array([r["k"] for r in recs])
     lam = np.array([r["lambda"] for r in recs], dtype=float)
     stream = np.array([r["stream_norm"] for r in recs], dtype=float)
-    zero = np.sqrt(lam)
-    vel = zero * stream
-
-    zeros_rows = np.empty((n_max + 1, k_max))
-    group_index = {}
-    for n in range(n_max + 1):
-        for p in (COS, SIN) if n > 0 else (COS,):
-            sel = np.nonzero((ns == n) & (ps == p))[0]
-            if sel.size != k_max:
-                raise ValueError("basis cache group size mismatch")
-            sel = sel[np.argsort(ks[sel])]
-            group_index[(n, p)] = sel
-            if p == COS:
-                zeros_rows[n] = zero[sel]
-    modes = tuple(
-        EigenMode(int(n), _PARITY_NAME[p], int(k), float(l), float(z), float(s), float(v))
-        for n, p, k, l, z, s, v in zip(ns, ps, ks, lam, zero, stream, vel)
-    )
-    return Basis(
-        n_max=n_max, k_max=k_max, modes=modes, lam=lam, zero=zero,
-        angular=ns, parity=ps, radial=ks, stream_norm=stream,
-        velocity_norm=vel, zeros_rows=zeros_rows, group_index=group_index,
-    )
+    return _assemble(n_max, k_max, ns, ps, ks, lam, stream)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckFailure, ConfigError, NumericalError, ResolutionError
+from .errors import ConfigError, NumericalError, ResolutionError
 from .specfun import bessel_zero, beta_function
 from .basis import (
     Basis,
@@ -34,7 +34,7 @@ from .basis import (
     save_basis,
     synthesize,
 )
-from .dyadic import DEFAULT_PARTITION, active_bands, apply_band
+from .dyadic import DEFAULT_PARTITION, active_bands
 from .norms import (
     INF,
     BesovIndex,
@@ -46,7 +46,6 @@ from .norms import (
 )
 from .semigroup import (
     heat_apply,
-    kernel_matrix,
     kernel_tail_threshold,
     scan_besov_bounded,
     scan_gradient,
@@ -137,7 +136,6 @@ class RunConfig:
     angular_count: int = 256
     basis_cache: str = ""
     p: float = 4.0
-    q: float = INF
     T: float = 0.5
     mesh_count: int = 64
     gamma: float = 3.0
@@ -156,7 +154,6 @@ class RunConfig:
         d["data"] = self.data.as_dict()
         d["embed_widths"] = list(self.embed_widths)
         d["checks"] = list(self.checks)
-        d["q"] = None if math.isinf(self.q) else self.q
         return d
 
 
@@ -230,7 +227,6 @@ def load_config(path=None, overrides=None) -> RunConfig:
             ("grid", "radial_order", _parse_int, "radial_order"),
             ("grid", "angular_count", _parse_int, "angular_count"),
             ("solver", "p", _parse_float, "p"),
-            ("solver", "q", _parse_float, "q"),
             ("solver", "t_final", _parse_float, "T"),
             ("solver", "mesh_count", _parse_int, "mesh_count"),
             ("solver", "gamma", _parse_float, "gamma"),
@@ -504,6 +500,7 @@ class VerifyContext:
         self.config = config
         self._bases = {}
         self._grids = {}
+        self._kernel_values = {}
 
     def basis(self, n_max=None, k_max=None) -> Basis:
         key = (self.config.n_max if n_max is None else n_max,
@@ -521,6 +518,18 @@ class VerifyContext:
         if key not in self._grids:
             self._grids[key] = build_grid(*key)
         return self._grids[key]
+
+    def kernel_values(self, basis: Basis, seed: int):
+        """Mode values at the two halves of _kernel_points(seed), built once
+        per truncation and seed: kernel-gaussian and kernel-drift share the
+        default truncation's pair."""
+        key = (basis.cache_key, seed)
+        if key not in self._kernel_values:
+            pts = _kernel_points(seed)
+            n_pairs = pts.shape[0] // 2
+            self._kernel_values[key] = (mode_values_at(basis, pts[:n_pairs]),
+                                        mode_values_at(basis, pts[n_pairs:]))
+        return self._kernel_values[key]
 
     def random_fields(self, basis: Basis, count: int, seed: int,
                       decay: float = 0.05):
@@ -785,15 +794,16 @@ def _check_continuity(ctx: VerifyContext) -> CheckResult:
                        note="Besov norm ratio at t = 1e-9 vs t = 0")
 
 
-def _fit_gaussian_constant(basis: Basis, grid_points: np.ndarray,
+def _fit_gaussian_constant(ctx: VerifyContext, basis: Basis, seed: int,
                            t_values) -> float:
     """Smallest C with |K_t(x,y)|_F <= C t^{-1} exp(-|x-y|^2 / (C t))
-    over all sampled pairs and times; monotone in C, so bisection."""
-    n_pairs = grid_points.shape[0] // 2
-    xs = grid_points[:n_pairs]
-    ys = grid_points[n_pairs:]
-    vals_x = mode_values_at_cached(basis, xs)
-    vals_y = mode_values_at_cached(basis, ys)
+    over the _kernel_points(seed) pairs and all times; monotone in C, so
+    bisection."""
+    pts = _kernel_points(seed)
+    n_pairs = pts.shape[0] // 2
+    xs = pts[:n_pairs]
+    ys = pts[n_pairs:]
+    vals_x, vals_y = ctx.kernel_values(basis, seed)
     dist2 = np.sum((xs - ys) ** 2, axis=1)
     frob = []
     for t in t_values:
@@ -819,17 +829,6 @@ def _fit_gaussian_constant(basis: Basis, grid_points: np.ndarray,
     return hi
 
 
-_MODE_VALUE_CACHE = {}
-
-
-def mode_values_at_cached(basis: Basis, points: np.ndarray) -> np.ndarray:
-    key = (basis.cache_key, points.shape[0],
-           hash(points.tobytes()))
-    if key not in _MODE_VALUE_CACHE:
-        _MODE_VALUE_CACHE[key] = mode_values_at(basis, points)
-    return _MODE_VALUE_CACHE[key]
-
-
 def _kernel_points(seed: int, n_pairs: int = 200) -> np.ndarray:
     rng = np.random.default_rng(seed)
     r = np.sqrt(rng.uniform(0.0, 0.9, size=2 * n_pairs))
@@ -839,23 +838,24 @@ def _kernel_points(seed: int, n_pairs: int = 200) -> np.ndarray:
 
 def _check_kernel_gaussian(ctx: VerifyContext) -> CheckResult:
     basis = ctx.basis()
-    pts = _kernel_points(ctx.config.seed + 5)
+    seed = ctx.config.seed + 5
     t_lo = max(0.02, 1.2 * kernel_tail_threshold(basis))
     t_values = np.exp(np.linspace(math.log(t_lo), math.log(0.2), 5))
-    c = _fit_gaussian_constant(basis, pts, t_values)
+    c = _fit_gaussian_constant(ctx, basis, seed, t_values)
+    n_pairs = len(ctx.kernel_values(basis, seed)[0])
     return CheckResult("kernel-gaussian", c, 50.0, c <= 50.0,
-                       note=f"fitted C over {pts.shape[0] // 2} pairs, "
+                       note=f"fitted C over {n_pairs} pairs, "
                             f"t in [{t_lo:.4g}, 0.2]")
 
 
 def _check_kernel_drift(ctx: VerifyContext) -> CheckResult:
-    pts = _kernel_points(ctx.config.seed + 5)
     cs = []
     for trunc in ((16, 16), (32, 32)):
         basis = ctx.basis(*trunc)
         t_lo = max(0.02, 1.2 * kernel_tail_threshold(basis))
         t_values = np.exp(np.linspace(math.log(t_lo), math.log(0.2), 5))
-        cs.append(_fit_gaussian_constant(basis, pts, t_values))
+        cs.append(_fit_gaussian_constant(ctx, basis, ctx.config.seed + 5,
+                                         t_values))
     drift = abs(cs[1] - cs[0]) / cs[0]
     return CheckResult("kernel-drift", drift, 0.25, drift <= 0.25,
                        note=f"C: {cs[0]:.4f} -> {cs[1]:.4f}")
@@ -1210,8 +1210,8 @@ def trajectory_rows(traj: Trajectory, u0: SpectralField,
     alpha = 0.5 * (1.0 - config.d / config.p)
     idx = BesovIndex(critical_index(config.p, config.d), config.p, INF)
     grid = config.grid
-    for i, (t, f) in enumerate(zip(traj.times, traj.fields)):
-        mild = evaluate_at(traj, u0, float(t), config)
+    mild_values = evaluate_at(traj, u0, traj.times, config)
+    for t, f, mild in zip(traj.times, traj.fields, mild_values):
         defect = (mild - f).l2()
         v = synthesize(f, grid)
         curl = curl_values(f, grid)
@@ -1229,8 +1229,8 @@ def trajectory_rows(traj: Trajectory, u0: SpectralField,
 
 def _solver_from_run(config: RunConfig, basis: Basis, grid: PolarGrid) -> SolverConfig:
     try:
-        return SolverConfig(basis=basis, grid=grid, p=config.p, q=config.q,
-                            T=config.T, mesh_count=config.mesh_count,
+        return SolverConfig(basis=basis, grid=grid, p=config.p, T=config.T,
+                            mesh_count=config.mesh_count,
                             gamma=config.gamma, picard_tol=config.picard_tol,
                             max_picard=config.max_picard)
     except ValueError as exc:

@@ -24,7 +24,7 @@ for cross-validation; divergence and blow-up are reported, never raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class SolverConfig:
     p: float
     T: float
     mesh_count: int
-    q: float = math.inf
     d: int = 2
     gamma: float = 3.0
     picard_tol: float = 1e-9
@@ -53,8 +52,6 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.d < self.p < math.inf):
             raise ValueError("solver requires d < p < inf")
-        if not (float(self.q) >= 1.0):
-            raise ValueError("q must lie in [1, inf]")
         if not (self.T > 0.0):
             raise ValueError("horizon T must be positive")
         if self.mesh_count < 1:
@@ -263,8 +260,19 @@ def etd_timestep(u0: SpectralField, dt: float, steps: int,
                       f"etd2/dt={dt!r}", blowup_time=blowup)
 
 
-def evaluate_at(traj: Trajectory, u0: SpectralField, t: float,
-                config: SolverConfig) -> SpectralField:
+def _mild_forcing(traj: Trajectory, config: SolverConfig):
+    """The one forcing matrix and Duhamel sweep of a mesh trajectory: the
+    mesh times, N(u) at every mesh field, and its mesh-point integrals."""
+    times = config.mesh()
+    if not np.array_equal(traj.times, times):
+        raise ValueError("trajectory is not sampled on the config mesh")
+    ws = NonlinearWorkspace(config.basis, config.grid, config.dealias)
+    forcing = _forcing_matrix(traj.fields, ws)
+    return times, forcing, _duhamel_sweep(forcing, times, config.basis.lam)
+
+
+def evaluate_at(traj: Trajectory, u0: SpectralField, t,
+                config: SolverConfig):
     """Mild evaluation of a mesh trajectory at an arbitrary time in [0, T]:
 
         u(t) = e^{-tA} u0 - integral_0^t e^{-(t-s)A} N(u)(s) ds
@@ -272,40 +280,38 @@ def evaluate_at(traj: Trajectory, u0: SpectralField, t: float,
     with N(u) interpolated linearly between its mesh samples.  Exact for the
     interpolant (partial-cell exponential moments), so mesh points reproduce
     the stored fields and off-mesh times carry only interpolation error.
+
+    t is a scalar (one SpectralField back) or a 1-D array of times (a tuple
+    of SpectralFields, one per time, all from one forcing evaluation).
     """
-    times = config.mesh()
-    if not np.array_equal(traj.times, times):
-        raise ValueError("trajectory is not sampled on the config mesh")
-    t = float(t)
-    if not (0.0 <= t <= times[-1]):
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError("evaluation times must be a scalar or a 1-D array")
+    if not np.all((ts >= 0.0) & (ts <= config.T)):
         raise ValueError("evaluation time outside the trajectory horizon")
+    times, forcing, swept = _mild_forcing(traj, config)
     lam = config.basis.lam
-    ws = NonlinearWorkspace(config.basis, config.grid, config.dealias)
-    forcing = _forcing_matrix(traj.fields, ws)
-    j = int(np.searchsorted(times, t, side="right") - 1)
-    if j >= times.size - 1:          # t == T
-        j = times.size - 2
-    swept = _duhamel_sweep(forcing[:j + 1], times[:j + 1], lam)
-    acc = swept[j]
-    h = t - times[j]
-    if h > 0.0:
-        cell_w = times[j + 1] - times[j]
-        g_right = forcing[j] + (forcing[j + 1] - forcing[j]) * (h / cell_w)
-        z = lam * h
-        a, b = _decay_weights(z)
-        acc = np.exp(-z) * acc + (a * forcing[j] + b * g_right) / lam
-    return SpectralField(config.basis, heat_apply(u0, t).coeffs - acc)
+    out = []
+    for tv in ts.ravel():
+        tv = float(tv)
+        j = int(np.searchsorted(times, tv, side="right") - 1)
+        j = min(j, times.size - 2)       # t == T lies in the last cell
+        acc = swept[j]
+        h = tv - times[j]
+        if h > 0.0:
+            cell_w = times[j + 1] - times[j]
+            g_right = forcing[j] + (forcing[j + 1] - forcing[j]) * (h / cell_w)
+            z = lam * h
+            a, b = _decay_weights(z)
+            acc = np.exp(-z) * acc + (a * forcing[j] + b * g_right) / lam
+        out.append(SpectralField(config.basis, heat_apply(u0, tv).coeffs - acc))
+    return out[0] if ts.ndim == 0 else tuple(out)
 
 
 def residual(traj: Trajectory, u0: SpectralField, config: SolverConfig) -> float:
     """Plug-in defect of the integral equation over the mesh, in L^2,
     relative to the trajectory's own solution-space norm."""
-    times = config.mesh()
-    if not np.array_equal(traj.times, times):
-        raise ValueError("trajectory is not sampled on the config mesh")
-    ws = NonlinearWorkspace(config.basis, config.grid, config.dealias)
-    forcing = _forcing_matrix(traj.fields, ws)
-    swept = _duhamel_sweep(forcing, times, config.basis.lam)
+    times, _, swept = _mild_forcing(traj, config)
     worst = 0.0
     for i, t in enumerate(times):
         defect = traj.fields[i].coeffs - heat_apply(u0, t).coeffs + swept[i]

@@ -5,12 +5,10 @@ Everything is float64.  Accuracy targets, verified in the test suite against
 high-precision references: 1e-12 absolute for J_n over n <= 256, x <= 1e4;
 1e-11 absolute for zeros; 1e-12 relative for Beta on positive arguments.
 
-J_n is evaluated by the ascending power series where it is cancellation-safe
-and by a downward Miller recurrence normalized with the Neumann identity
-J_0 + 2*sum_k J_{2k} = 1 otherwise.  The series threshold is where the
-largest series term stays within ~1e3 of the result, which keeps the
-cancellation error below the 1e-12 budget; for large n near x = 2n the
-series loses all precision, so the recurrence takes over well before that.
+J_n is evaluated, scalar or array alike, by one table routine: the
+ascending power series for x <= 12, where its cancellation stays within the
+1e-12 budget for every order, and a downward Miller recurrence normalized
+with the Neumann identity J_0 + 2*sum_k J_{2k} = 1 above that.
 """
 
 from __future__ import annotations
@@ -44,31 +42,6 @@ def gauss_legendre(order: int) -> QuadratureRule:
         raise ValueError("quadrature order above 4096 is not supported")
     x, w = np.polynomial.legendre.leggauss(int(order))
     return QuadratureRule(nodes=(x + 1.0) / 2.0, weights=w / 2.0, order=int(order))
-
-
-def _series_ok(n: int, x: float) -> bool:
-    # Terms decrease monotonically once (x/2)^2 <= n+1; below x = 12 the
-    # cancellation stays within the error budget for every order.
-    return x <= _SERIES_X_MAX or 0.25 * x * x <= n + 1.0
-
-
-def _jn_series_scalar(n: int, x: float) -> float:
-    half = 0.5 * x
-    # leading term (x/2)^n / n!, built incrementally so large n underflows
-    # gracefully instead of overflowing in the numerator
-    term = 1.0
-    for q in range(1, n + 1):
-        term *= half / q
-    if term == 0.0:
-        return 0.0
-    total = term
-    z = half * half
-    for k in range(1, 400):
-        term *= -z / (k * (n + k))
-        total += term
-        if abs(term) <= 1e-18 * (abs(total) + 1e-300):
-            break
-    return total
 
 
 def _series_table(q_max: int, x: np.ndarray) -> np.ndarray:
@@ -157,9 +130,7 @@ def bessel_j(n: int, x) -> float:
         raise ValueError("bessel_j requires x >= 0")
     if xv == 0.0:
         return 1.0 if n == 0 else 0.0
-    if _series_ok(n, xv):
-        return _jn_series_scalar(int(n), xv)
-    return float(_miller_table(int(n), np.array([xv]))[n, 0])
+    return float(bessel_j_table(int(n), xv)[n, 0])
 
 
 def bessel_j_prime(n: int, x) -> float:

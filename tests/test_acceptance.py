@@ -22,8 +22,8 @@ from stokesbesov import (BesovIndex, SolverConfig, SpectralField,
 from stokesbesov.basis import boundary_traces
 from stokesbesov.harness import (DEFAULT_PARTITION, RunConfig, VerifyContext,
                                  _bernstein_stat, _fit_gaussian_constant,
-                                 _gram_deviation, _kernel_points,
-                                 _resolved_radius, _scan_samples,
+                                 _gram_deviation, _resolved_radius,
+                                 _scan_samples,
                                  embedding_experiment, run_experiment)
 from stokesbesov.semigroup import kernel_tail_threshold, loglog_slope
 
@@ -102,13 +102,12 @@ def test_criterion_04_smoothing_scans(ctx):
 
 def test_criterion_05_kernel_gaussian(ctx):
     started = time.perf_counter()
-    pts = _kernel_points(ctx.config.seed + 5)
     cs = []
     for trunc in ((16, 16), (32, 32)):
         basis = ctx.basis(*trunc)
         t_lo = max(0.02, 1.2 * kernel_tail_threshold(basis))
         t_values = np.exp(np.linspace(math.log(t_lo), math.log(0.2), 5))
-        c = _fit_gaussian_constant(basis, pts, t_values)
+        c = _fit_gaussian_constant(ctx, basis, ctx.config.seed + 5, t_values)
         assert math.isfinite(c) and c <= 50.0
         cs.append(c)
     assert abs(cs[1] - cs[0]) / cs[0] <= 0.25

@@ -6,16 +6,17 @@ import math
 import numpy as np
 import pytest
 
+import stokesbesov.solver
 from stokesbesov import (ConfigError, NumericalError, ResolutionError,
-                         SolverConfig, besov_norm, BesovIndex, critical_index,
-                         save_basis, synthesize, zero_field)
+                         SolverConfig, SpectralField, besov_norm, BesovIndex,
+                         critical_index, picard_solve, save_basis, synthesize,
+                         zero_field)
 from stokesbesov.cli import main
 from stokesbesov.harness import (DataSpec, RunConfig, embedding_experiment,
                                  generate_data, load_config, run_experiment,
-                                 smallness_bisection, weak_l2_proxy,
-                                 write_csv, _fmt, _sanitize)
-
-INF = math.inf
+                                 smallness_bisection, trajectory_rows,
+                                 weak_l2_proxy, write_csv, _fmt, _sanitize)
+from stokesbesov.solver import Trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +26,7 @@ def test_defaults():
     cfg = load_config()
     assert cfg.experiment == "verify"
     assert (cfg.n_max, cfg.k_max) == (32, 32)
-    assert cfg.p == 4.0 and cfg.q == INF
+    assert cfg.p == 4.0
     assert cfg.embed_widths == (0.4, 0.2, 0.1)
     assert cfg.data.kind == "single_mode"
     assert cfg.out_dir == "artifacts"
@@ -44,7 +45,6 @@ radial_order = 64
 angular_count = 128
 [solver]
 p = 5
-q = inf
 t_final = 0.25
 mesh_count = 12
 gamma = 2
@@ -68,7 +68,7 @@ dir = out_here
     assert cfg.seed == 11
     assert (cfg.n_max, cfg.k_max) == (8, 8)
     assert (cfg.radial_order, cfg.angular_count) == (64, 128)
-    assert (cfg.p, cfg.q, cfg.T, cfg.mesh_count, cfg.gamma) == (5.0, INF, 0.25, 12, 2.0)
+    assert (cfg.p, cfg.T, cfg.mesh_count, cfg.gamma) == (5.0, 0.25, 12, 2.0)
     assert cfg.data.kind == "band_random" and cfg.data.band == 3
     assert cfg.data.center == (0.1, -0.2)
     assert cfg.embed_widths == (0.3, 0.15)
@@ -236,6 +236,45 @@ def test_smallness_rejects_zero_direction(basis_88, grid_small):
                        mesh_count=16)
     with pytest.raises(ValueError):
         smallness_bisection(zero_field(basis_88), cfg)
+
+
+# ---------------------------------------------------------------------------
+# trajectory diagnostics
+
+def _small_solve(basis, grid, mesh=12):
+    cfg = SolverConfig(basis=basis, grid=grid, p=4.0, T=0.5, mesh_count=mesh)
+    u0 = 1e-2 * _two_mode_direction(basis)
+    traj, report = picard_solve(u0, cfg)
+    assert report.converged
+    return traj, u0, cfg
+
+
+def test_trajectory_rows_one_convection_per_mesh_point(basis_88, grid_small,
+                                                       monkeypatch):
+    # the defect column needs N(u) at each mesh field once, not once per row
+    traj, u0, cfg = _small_solve(basis_88, grid_small)
+    calls = []
+    counted = stokesbesov.solver.nonlinear_coeffs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(stokesbesov.solver, "nonlinear_coeffs", counting)
+    rows = trajectory_rows(traj, u0, cfg)
+    assert len(rows) == cfg.mesh_count + 1
+    assert 0 < len(calls) <= cfg.mesh_count + 1
+
+
+def test_trajectory_rows_flag_perturbed_row(basis_88, grid_small):
+    traj, u0, cfg = _small_solve(basis_88, grid_small)
+    assert [r[-1] for r in trajectory_rows(traj, u0, cfg)] == [1] * 13
+    bent = list(traj.fields)
+    bent[8] = SpectralField(basis_88, 1.01 * bent[8].coeffs)
+    bad = Trajectory(traj.times, tuple(bent), basis_88, grid_small, "bent")
+    flags = [r[-1] for r in trajectory_rows(bad, u0, cfg)]
+    assert flags[8] == 0
+    assert flags[:8] == [1] * 8
 
 
 # ---------------------------------------------------------------------------

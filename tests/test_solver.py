@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from stokesbesov import (BesovIndex, SolverConfig, SpectralField, besov_norm,
-                         critical_index, duhamel_apply, etd_timestep,
-                         evaluate_at, heat_apply, linear_trajectory,
-                         picard_solve, residual, trajectory_norm, zero_field)
+from stokesbesov import (BesovIndex, ConfigError, SolverConfig, SpectralField,
+                         besov_norm, critical_index, duhamel_apply,
+                         etd_timestep, evaluate_at, heat_apply,
+                         linear_trajectory, picard_solve, residual,
+                         trajectory_norm, zero_field)
+from stokesbesov.cli import main
+from stokesbesov.harness import load_config
 from stokesbesov.semigroup import loglog_slope
 from stokesbesov.solver import Trajectory
 
@@ -55,8 +58,17 @@ def test_config_validation(basis_88, grid_small):
         _cfg(basis_88, grid_small, mesh=0)
     with pytest.raises(ValueError):
         _cfg(basis_88, grid_small, gamma=0.5)
-    with pytest.raises(ValueError):
-        _cfg(basis_88, grid_small, q=0.5)
+
+
+def test_solver_q_key_rejected(tmp_path, capsys):
+    # the solution norm is the sup in time; a q entry would be ignored, so
+    # the config loader refuses it like any other unknown key
+    path = tmp_path / "q.ini"
+    path.write_text("[solver]\nq = 2\n")
+    with pytest.raises(ConfigError, match=r"unknown config key \[solver\] q"):
+        load_config(path)
+    assert main(["solve", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_linear_trajectory_zero_data(basis_88, grid_small):
@@ -217,6 +229,24 @@ def test_evaluate_at_nodes_and_origin(basis_88, grid_small):
     for i in (1, 12, 24):
         got = evaluate_at(traj, u0, times[i], cfg)
         assert np.max(np.abs(got.coeffs - traj.fields[i].coeffs)) < 1e-8
+
+
+def test_evaluate_at_array_matches_scalar(basis_88, grid_small):
+    u0 = _two_mode(basis_88, 1e-2)
+    cfg = _cfg(basis_88, grid_small, mesh=12)
+    traj, report = picard_solve(u0, cfg)
+    assert report.converged
+    mesh = cfg.mesh()
+    off = 0.5 * (mesh[:-1] + mesh[1:])
+    ts = np.concatenate([mesh, off, [0.3, cfg.T]])
+    many = evaluate_at(traj, u0, ts, cfg)
+    assert isinstance(many, tuple) and len(many) == ts.size
+    for t, got in zip(ts, many):
+        assert np.array_equal(got.coeffs, evaluate_at(traj, u0, t, cfg).coeffs)
+    with pytest.raises(ValueError):
+        evaluate_at(traj, u0, np.array([0.1, cfg.T + 0.1]), cfg)
+    with pytest.raises(ValueError):
+        evaluate_at(traj, u0, np.zeros((2, 2)), cfg)
 
 
 def test_evaluate_at_validation(basis_88, grid_small):
