@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -73,6 +74,7 @@ class Basis:
     velocity_norm: np.ndarray
     zeros_rows: np.ndarray            # (n_max+1, k_max), j_{n,k}
     group_index: dict                 # (n, parity_code) -> mode ids ordered by k
+    multipliers: dict = field(default_factory=dict, repr=False)   # dyadic rows
 
     @property
     def n_modes(self) -> int:
@@ -89,10 +91,6 @@ class Basis:
     @property
     def cache_key(self):
         return (self.n_max, self.k_max)
-
-    def groups(self):
-        for (n, p), idx in self.group_index.items():
-            yield n, p, idx
 
 
 def build_basis(n_max: int = DEFAULT_N_MAX, k_max: int = DEFAULT_K_MAX) -> Basis:
@@ -288,85 +286,139 @@ def build_grid(radial_order: int = DEFAULT_RADIAL_ORDER,
                      angular_count=int(angular_count))
 
 
-class ModeTables:
-    """Radial Bessel tables and angular trig tables for one (basis, grid) pair.
+@dataclass(frozen=True, eq=False)
+class Transform:
+    """One grid quantity as a fixed linear map of the stacked radial profiles.
 
-    radial[n] has shape (5, k_max, R) holding J_q(j_{n,k} r_i) for the signed
-    orders q = n-2 .. n+2 (J_{-q} = (-1)^q J_q folded in); every synthesis,
-    analysis, and gradient formula reads from these five rows.
+    Each term (shift, channel, trig, coef) adds, for every angular order n,
+    coef * J_{n+shift}(j r) * trig((n+shift) th) of the cosine mode (n, k)
+    to the channel; trig is COS or SIN, and a negative order folds as
+    cos(-m th) = cos(m th), sin(-m th) = -sin(m th).  The sine mode is the
+    cosine mode with cos -> sin and sin -> -cos in every term.  The
+    coefficients carry the per-mode factor scale(basis); shifts lists the
+    radial order offsets the terms read, ascending and evenly spaced.
+    """
+
+    shifts: tuple
+    channels: int
+    terms: tuple
+    scale: Callable
+
+    @property
+    def shift_rows(self) -> slice:
+        step = self.shifts[1] - self.shifts[0] if len(self.shifts) > 1 else 1
+        return slice(self.shifts[0] + 2, self.shifts[-1] + 3, step)
+
+
+# u_x + i u_y = i j J_{n+1} e^{i(n+1)th},  u_x - i u_y = i j J_{n-1} e^{i(n-1)th}
+VELOCITY = Transform(
+    shifts=(-1, 1), channels=2,
+    terms=((1, 0, SIN, -1.0), (-1, 0, SIN, -1.0), (1, 1, COS, 1.0), (-1, 1, COS, -1.0)),
+    scale=lambda b: b.zero / (2.0 * b.velocity_norm))
+
+# curl u = lambda psi
+CURL = Transform(shifts=(0,), channels=1, terms=((0, 0, COS, 1.0),),
+                 scale=lambda b: b.lam / b.velocity_norm)
+
+# channels G_xx = d_x u_x, G_yx = d_y u_x, G_xy = d_x u_y; for the cosine mode
+#   G_xx = Jpp sin((n+2)th) - Jmm sin((n-2)th)
+#   G_yx = -2 Jn cos(n th) - Jpp cos((n+2)th) - Jmm cos((n-2)th)
+#   G_xy =  2 Jn cos(n th) - Jpp cos((n+2)th) - Jmm cos((n-2)th)
+# times j^2/(4 ||u||)
+GRADIENT = Transform(
+    shifts=(-2, 0, 2), channels=3,
+    terms=((2, 0, SIN, 1.0), (-2, 0, SIN, -1.0),
+           (0, 1, COS, -2.0), (2, 1, COS, -1.0), (-2, 1, COS, -1.0),
+           (0, 2, COS, 2.0), (2, 2, COS, -1.0), (-2, 2, COS, -1.0)),
+    scale=lambda b: b.zero * b.zero / (4.0 * b.velocity_norm))
+
+
+class ModeTables:
+    """Stacked radial Bessel table and interleaved angular table for one
+    (basis, grid) pair; every transform is a contraction over these two.
+
+    radial has shape (n_max+1, 5, k_max, R) and holds J_q(j_{n,k} r_i) at the
+    signed orders q = n-2 .. n+2 (J_{-q} = (-1)^q J_q folded in).  angular
+    has shape (2 (n_max+3), A): row 2m is cos(m th) and row 2m+1 is
+    sin(m th), so the rows up to any angular order form a prefix.
+    Coefficients enter through the padded (n, parity, k) layout; slot maps
+    mode ids into it, and the absent n = 0 sine group stays zero.
     """
 
     def __init__(self, basis: Basis, grid: PolarGrid):
         self.basis = basis
         self.grid = grid
-        q_top = basis.n_max + 2
-        self.cosq = np.cos(np.outer(np.arange(q_top + 1), grid.thetas))
-        self.sinq = np.sin(np.outer(np.arange(q_top + 1), grid.thetas))
-        self._neg_sinq = -self.sinq
-        self.radial = []
-        self.scale_vel = []
-        self.scale_grad = []
+        orders = np.arange(basis.n_max + 3)
+        ang = np.empty((orders.size, 2, grid.angular_count))
+        ang[:, COS] = np.cos(np.outer(orders, grid.thetas))
+        ang[:, SIN] = np.sin(np.outer(orders, grid.thetas))
+        self.angular = ang.reshape(2 * orders.size, grid.angular_count)
+        self.radial = np.empty((basis.n_max + 1, 5, basis.k_max, grid.radial_order))
         for n in range(basis.n_max + 1):
-            zr = basis.zeros_rows[n]                       # (k_max,)
-            args = np.multiply.outer(zr, grid.radii)       # (k_max, R)
+            args = np.multiply.outer(basis.zeros_rows[n], grid.radii)
             tab = bessel_j_table(n + 2, args)              # (n+3, k_max, R)
-            block = np.empty((5,) + args.shape)
-            for off in range(-2, 3):
-                q = n + off
+            for s, q in enumerate(range(n - 2, n + 3)):
                 row = tab[abs(q)]
-                block[off + 2] = row if (q >= 0 or q % 2 == 0) else -row
-            self.radial.append(block)
-            idx = basis.group_index[(n, COS)]
-            vnorm = basis.velocity_norm[idx]
-            self.scale_vel.append(zr / (2.0 * vnorm))
-            self.scale_grad.append(zr * zr / (4.0 * vnorm))
+                self.radial[n, s] = row if (q >= 0 or q % 2 == 0) else -row
+        self.slot = (2 * basis.angular + basis.parity) * basis.k_max + basis.radial - 1
+        self._scatter = {}
 
-    def ang(self, m: int):
-        """cos(m th), sin(m th) rows for a signed angular index m."""
-        a = abs(m)
-        if m >= 0:
-            return self.cosq[a], self.sinq[a]
-        return self.cosq[a], self._neg_sinq[a]
+    def scatter(self, spec: Transform):
+        """Sign table of a transform, shape (channels, angular rows,
+        (n_max+1) * len(shifts) * 2) over the profiles ordered (n, shift,
+        parity), and the per-mode coefficient scale."""
+        hit = self._scatter.get(spec)
+        if hit is None:
+            n = np.arange(self.basis.n_max + 1)
+            table = np.zeros((spec.channels, self.angular.shape[0], n.size,
+                              len(spec.shifts), 2))
+            for shift, channel, trig, coef in spec.terms:
+                m = n + shift
+                for parity, t, c in ((COS, trig, coef),
+                                     (SIN, 1 - trig, coef if trig == COS else -coef)):
+                    sign = np.where((t == SIN) & (m < 0), -c, c)
+                    table[channel, 2 * np.abs(m) + t, n,
+                          spec.shifts.index(shift), parity] += sign
+            hit = (table.reshape(spec.channels, self.angular.shape[0], -1),
+                   spec.scale(self.basis))
+            self._scatter[spec] = hit
+        return hit
 
+    def forward(self, spec: Transform, coeffs: np.ndarray, out=None) -> np.ndarray:
+        """Channel values (channels, R, A) of a coefficient vector, written
+        to out when given.
 
-def _sin_sign(m: int) -> float:
-    return 1.0 if m >= 0 else -1.0
+        Orders above the highest one with a nonzero coefficient are cut off:
+        profiles, sign table and angular rows are all prefix slices.
+        """
+        table, scale = self.scatter(spec)
+        a = np.zeros((self.basis.n_max + 1, 2, self.basis.k_max))
+        a.reshape(-1)[self.slot] = coeffs * scale
+        live = np.flatnonzero(a.any(axis=(1, 2)))
+        cut = int(live[-1]) + 1 if live.size else 0
+        prof = np.matmul(a[:cut, None], self.radial[:cut, spec.shift_rows])
+        rows = min(table.shape[1], 2 * (cut + spec.shifts[-1])) if cut else 0
+        lines = np.matmul(table[:, :rows, :prof.size // self.grid.radial_order],
+                          prof.reshape(-1, self.grid.radial_order))
+        return np.matmul(lines.transpose(0, 2, 1), self.angular[:rows], out=out)
+
+    def adjoint(self, spec: Transform, values) -> np.ndarray:
+        """Quadrature transpose of forward: the coefficient vector of
+        sum over channels of the integral of values[c] times each mode's
+        channel c."""
+        table, scale = self.scatter(spec)
+        grid = self.grid
+        lines = np.stack([self.angular @ v.T for v in values])      # (C, rows, R)
+        lines *= grid.angular_weight * grid.radial_weights
+        prof = table.reshape(-1, table.shape[2]).T @ lines.reshape(-1, lines.shape[2])
+        prof = prof.reshape(self.basis.n_max + 1, len(spec.shifts), 2, -1)
+        out = np.matmul(prof, self.radial[:, spec.shift_rows].swapaxes(-1, -2))
+        return out.sum(axis=1).reshape(-1)[self.slot] * scale
 
 
 def synthesize(f: SpectralField, grid: PolarGrid) -> GridVectorField:
     """Evaluate a coefficient vector as a velocity field on the grid nodes."""
-    basis = f.basis
-    tab = grid.tables(basis)
-    q_top = basis.n_max + 2
-    R = grid.radial_order
-    # accumulate radial profiles per angular frequency, then one matmul
-    xc = np.zeros((q_top + 1, R))
-    xs = np.zeros((q_top + 1, R))
-    yc = np.zeros((q_top + 1, R))
-    ys = np.zeros((q_top + 1, R))
-    for n, p, idx in basis.groups():
-        a = f.coeffs[idx] * tab.scale_vel[n]
-        if not a.any():
-            continue
-        block = tab.radial[n]
-        pm = a @ block[1]      # J_{n-1} profile  (R,)
-        pp = a @ block[3]      # J_{n+1} profile
-        sm = _sin_sign(n - 1)
-        am = abs(n - 1)
-        if p == COS:
-            # u_x = -(j/2v) [Jp sin((n+1)th) + Jm sin((n-1)th)]
-            # u_y =  (j/2v) [Jp cos((n+1)th) - Jm cos((n-1)th)]
-            xs[n + 1] -= pp
-            xs[am] -= sm * pm
-            yc[n + 1] += pp
-            yc[am] -= pm
-        else:
-            xc[n + 1] += pp
-            xc[am] += pm
-            ys[n + 1] += pp
-            ys[am] -= sm * pm
-    ux = xc.T @ tab.cosq + xs.T @ tab.sinq
-    uy = yc.T @ tab.cosq + ys.T @ tab.sinq
+    ux, uy = grid.tables(f.basis).forward(VELOCITY, f.coeffs)
     return GridVectorField(grid, ux, uy)
 
 
@@ -377,27 +429,7 @@ def analyze(v: GridVectorField, basis: Basis, grid: PolarGrid) -> SpectralField:
     samples it returns the quadrature realization of the L^2-orthogonal
     projection (the divergence-free, tangent part that the truncation sees).
     """
-    tab = grid.tables(basis)
-    wth = grid.angular_weight
-    vxc = (v.ux @ tab.cosq.T) * wth      # (R, Q+1)
-    vxs = (v.ux @ tab.sinq.T) * wth
-    vyc = (v.uy @ tab.cosq.T) * wth
-    vys = (v.uy @ tab.sinq.T) * wth
-    wr = grid.radial_weights
-    out = np.zeros(basis.n_modes)
-    for n, p, idx in basis.groups():
-        block = tab.radial[n]
-        jm, jp = block[1], block[3]
-        sm = _sin_sign(n - 1)
-        am = abs(n - 1)
-        if p == COS:
-            gp = -vxs[:, n + 1] + vyc[:, n + 1]
-            gm = -sm * vxs[:, am] - vyc[:, am]
-        else:
-            gp = vxc[:, n + 1] + vys[:, n + 1]
-            gm = vxc[:, am] - sm * vys[:, am]
-        out[idx] = tab.scale_vel[n] * (jp @ (wr * gp) + jm @ (wr * gm))
-    return SpectralField(basis, out)
+    return SpectralField(basis, grid.tables(basis).adjoint(VELOCITY, (v.ux, v.uy)))
 
 
 def apply_stokes(f: SpectralField, power: float = 1.0) -> SpectralField:
@@ -408,80 +440,16 @@ def apply_stokes(f: SpectralField, power: float = 1.0) -> SpectralField:
 def field_gradient_values(f: SpectralField, grid: PolarGrid) -> np.ndarray:
     """Cartesian velocity gradient on the grid, shape (R, A, 2, 2) indexed as
     grad[..., component, derivative] (so grad[..., 0, 1] is d_y u_x)."""
-    basis = f.basis
-    tab = grid.tables(basis)
-    q_top = basis.n_max + 2
-    R = grid.radial_order
-    acc_c = np.zeros((3, q_top + 1, R))   # channels: G_xx, G_yx, G_xy
-    acc_s = np.zeros((3, q_top + 1, R))
-    for n, p, idx in basis.groups():
-        a = f.coeffs[idx] * tab.scale_grad[n]
-        if not a.any():
-            continue
-        block = tab.radial[n]
-        pmm = a @ block[0]    # J_{n-2}
-        pn = a @ block[2]     # J_n
-        ppp = a @ block[4]    # J_{n+2}
-        smm = _sin_sign(n - 2)
-        amm = abs(n - 2)
-        if p == COS:
-            # G_xx = (j^2/4v) [Jpp sin((n+2)th) - Jmm sin((n-2)th)]
-            acc_s[0, n + 2] += ppp
-            acc_s[0, amm] -= smm * pmm
-            # G_yx = -(j^2/4v) [2 Jn cos(n th) + Jpp cos((n+2)th) + Jmm cos((n-2)th)]
-            acc_c[1, n] -= 2.0 * pn
-            acc_c[1, n + 2] -= ppp
-            acc_c[1, amm] -= pmm
-            # G_xy =  (j^2/4v) [2 Jn cos(n th) - Jpp cos((n+2)th) - Jmm cos((n-2)th)]
-            acc_c[2, n] += 2.0 * pn
-            acc_c[2, n + 2] -= ppp
-            acc_c[2, amm] -= pmm
-        else:
-            acc_c[0, amm] += pmm
-            acc_c[0, n + 2] -= ppp
-            acc_s[1, n] -= 2.0 * pn
-            acc_s[1, n + 2] -= ppp
-            acc_s[1, amm] -= smm * pmm
-            acc_s[2, n] += 2.0 * pn
-            acc_s[2, n + 2] -= ppp
-            acc_s[2, amm] -= smm * pmm
-    gxx = acc_c[0].T @ tab.cosq + acc_s[0].T @ tab.sinq
-    gyx = acc_c[1].T @ tab.cosq + acc_s[1].T @ tab.sinq
-    gxy = acc_c[2].T @ tab.cosq + acc_s[2].T @ tab.sinq
-    out = np.empty(gxx.shape + (2, 2))
-    out[..., 0, 0] = gxx
-    out[..., 0, 1] = gyx
-    out[..., 1, 0] = gxy
-    out[..., 1, 1] = -gxx     # incompressibility: d_y u_y = -d_x u_x
-    return out
-
-
-def mode_gradient_values(basis: Basis, index: int, grid: PolarGrid) -> np.ndarray:
-    """Gradient tensor of a single eigenmode on the grid nodes."""
-    f = zero_field(basis)
-    f.coeffs[index] = 1.0
-    return field_gradient_values(f, grid)
+    out = np.empty((4,) + grid.shape)
+    grid.tables(f.basis).forward(GRADIENT, f.coeffs, out=out[:3])
+    np.negative(out[0], out=out[3])     # incompressibility: d_y u_y = -d_x u_x
+    return out.reshape((2, 2) + grid.shape).transpose(2, 3, 0, 1)
 
 
 def curl_values(f: SpectralField, grid: PolarGrid) -> np.ndarray:
     """Scalar vorticity on the grid: each mode contributes lambda psi / ||u||
     (with this stream-function sign convention curl u = +lambda psi)."""
-    basis = f.basis
-    tab = grid.tables(basis)
-    q_top = basis.n_max + 2
-    xc = np.zeros((q_top + 1, grid.radial_order))
-    xs = np.zeros((q_top + 1, grid.radial_order))
-    for n, p, idx in basis.groups():
-        scale = basis.lam[idx] / basis.velocity_norm[idx]
-        a = f.coeffs[idx] * scale
-        if not a.any():
-            continue
-        prof = a @ tab.radial[n][2]
-        if p == COS:
-            xc[n] += prof
-        else:
-            xs[n] += prof
-    return xc.T @ tab.cosq + xs.T @ tab.sinq
+    return grid.tables(f.basis).forward(CURL, f.coeffs)[0]
 
 
 def mode_values_at(basis: Basis, points: np.ndarray) -> np.ndarray:
@@ -502,7 +470,7 @@ def mode_values_at(basis: Basis, points: np.ndarray) -> np.ndarray:
             jm = tabn[n - 1]
         else:
             jm = -tabn[1]
-        sm = _sin_sign(n - 1)
+        sm = 1.0 if n >= 1 else -1.0       # sign of sin((n-1) th) folded to |n-1|
         am = abs(n - 1)
         cp_, sp_ = np.cos((n + 1) * th), np.sin((n + 1) * th)
         cm_, sm_ = np.cos(am * th), sm * np.sin(am * th)

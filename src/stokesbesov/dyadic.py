@@ -87,14 +87,27 @@ class DyadicPartition:
 DEFAULT_PARTITION = DyadicPartition()
 
 
+def _multiplier(basis: Basis, partition: DyadicPartition, j: int, widened: bool) -> np.ndarray:
+    """phi_j(sqrt(lambda)) (or the window Phi_j) over the basis; computed
+    once per (basis, partition, j) and kept on the basis."""
+    key = (partition, j, widened)
+    row = basis.multipliers.get(key)
+    if row is None:
+        freq = np.sqrt(basis.lam)
+        row = partition.window(j, freq) if widened else partition.phi(j, freq)
+        row.flags.writeable = False
+        basis.multipliers[key] = row
+    return row
+
+
 def apply_band(f: SpectralField, j: int, partition: DyadicPartition = DEFAULT_PARTITION) -> SpectralField:
     """phi_j(sqrt(A)) f: diagonal multiplier on the eigencoefficients."""
-    return SpectralField(f.basis, f.coeffs * partition.phi(j, np.sqrt(f.basis.lam)))
+    return SpectralField(f.basis, f.coeffs * _multiplier(f.basis, partition, j, False))
 
 
 def apply_window(f: SpectralField, j: int, partition: DyadicPartition = DEFAULT_PARTITION) -> SpectralField:
     """Phi_j(sqrt(A)) f, the widened companion of apply_band."""
-    return SpectralField(f.basis, f.coeffs * partition.window(j, np.sqrt(f.basis.lam)))
+    return SpectralField(f.basis, f.coeffs * _multiplier(f.basis, partition, j, True))
 
 
 def active_bands(basis: Basis, partition: DyadicPartition = DEFAULT_PARTITION) -> BandRange:

@@ -4,7 +4,7 @@ registry, and deterministic artifact writers.
 Everything here is driven by a RunConfig, which can be loaded from an INI
 file.  Identical config (including seeds) produces byte-identical CSV and
 JSON artifacts; the manifest is the one file allowed to differ between runs
-(it records wall time).
+(it records wall time and the environment byte-identity depends on).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import configparser
 import dataclasses
 import json
 import math
+import os
 import time
 from pathlib import Path
 
@@ -61,10 +62,12 @@ from .nonlinear import (
     nonlinear_coeffs,
 )
 from .solver import (
+    MildForcing,
     SolverConfig,
     Trajectory,
     etd_timestep,
     evaluate_at,
+    mild_forcing,
     picard_solve,
     residual,
 )
@@ -96,6 +99,14 @@ LAMBDA_MIN_REFERENCE = 5.783185962946785     # first Dirichlet eigenvalue, j_{0,
 # (see tests/oracles.py); the pi identity pins the first analytically.
 BETA_HALF_HALF = math.pi
 BETA_HALF_QUARTER = 5.244115108584239
+
+# What byte-identity of the artifacts depends on besides the config: the
+# numpy build and the BLAS thread count, read once when the harness loads.
+_ENVIRONMENT = {
+    "numpy": np.__version__,
+    **{name: os.environ.get(name)
+       for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -1191,6 +1202,7 @@ def write_manifest(out_dir: Path, config: RunConfig, artifacts,
         "config": _sanitize(config.as_dict()),
         "artifacts": sorted(artifacts),
         "wall_time_s": wall_time,
+        "environment": _ENVIRONMENT,
     }
     write_json(out_dir / "manifest.json", doc)
 
@@ -1199,20 +1211,21 @@ def write_manifest(out_dir: Path, config: RunConfig, artifacts,
 # experiment drivers
 
 def trajectory_rows(traj: Trajectory, u0: SpectralField,
-                    config: SolverConfig) -> list:
+                    config: SolverConfig, mild: MildForcing | None = None) -> list:
     """Per-mesh-point diagnostics for the trajectory CSV.
 
     residual_flag is 1 when the mesh point's integral-equation defect is
-    within 10x the Picard tolerance, else 0.
+    within 10x the Picard tolerance, else 0.  mild is traj's mild_forcing,
+    built here when not given.
     """
     from .basis import curl_values
     rows = []
     alpha = 0.5 * (1.0 - config.d / config.p)
     idx = BesovIndex(critical_index(config.p, config.d), config.p, INF)
     grid = config.grid
-    mild_values = evaluate_at(traj, u0, traj.times, config)
-    for t, f, mild in zip(traj.times, traj.fields, mild_values):
-        defect = (mild - f).l2()
+    mild_values = evaluate_at(traj, u0, traj.times, config, mild)
+    for t, f, value in zip(traj.times, traj.fields, mild_values):
+        defect = (value - f).l2()
         v = synthesize(f, grid)
         curl = curl_values(f, grid)
         rows.append([
@@ -1280,17 +1293,18 @@ def run_experiment(config: RunConfig) -> int:
         solver_cfg = _solver_from_run(config, basis, grid)
         u0 = generate_data(config.data, basis, grid)
         traj, report = picard_solve(u0, solver_cfg)
+        mild = mild_forcing(traj, solver_cfg)
         write_csv(out / "trajectory.csv",
                   ["t", "l2_norm", "lp_norm_weighted", "besov_crit_norm",
                    "energy", "curl_l2", "residual_flag"],
-                  trajectory_rows(traj, u0, solver_cfg))
+                  trajectory_rows(traj, u0, solver_cfg, mild))
         artifacts.append("trajectory.csv")
+        norm = trajectory_norm(traj, solver_cfg.p, solver_cfg.d, grid)
         write_json(out / "summary.json", _sanitize({
             "format": f"{FORMAT_PREFIX}-solve-summary/1",
             "picard": report.summary(),
-            "residual": residual(traj, u0, solver_cfg),
-            "trajectory_norm": trajectory_norm(traj, solver_cfg.p,
-                                               solver_cfg.d, grid),
+            "residual": residual(traj, u0, solver_cfg, mild, norm),
+            "trajectory_norm": norm,
         }))
         artifacts.append("summary.json")
         code = 0 if report.converged and not report.diverged else 3

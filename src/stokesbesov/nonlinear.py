@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (COS, Basis, GridVectorField, PolarGrid, SpectralField,
-                    analyze, apply_stokes, build_grid, curl_values, synthesize,
-                    _sin_sign)
+from .basis import (COS, GRADIENT, SIN, Basis, GridVectorField, PolarGrid,
+                    SpectralField, Transform, analyze, apply_stokes, build_grid,
+                    curl_values, synthesize)
 from .errors import ResolutionError
 
 
@@ -99,33 +99,22 @@ def build_workspace(basis: Basis, grid: PolarGrid,
     return NonlinearWorkspace(basis, grid, policy)
 
 
+# The weak form contracts u (x) u with each mode's gradient: since
+# d_y (e_m)_y = -d_x (e_m)_x it is -integral of D G_xx + P (G_yx + G_xy), and
+# the J_n terms of G_yx + G_xy cancel, leaving the order shifts n -+ 2.
+_CONVECTION = Transform(
+    shifts=(-2, 2), channels=2,
+    terms=((2, 0, SIN, -1.0), (-2, 0, SIN, 1.0), (2, 1, COS, 2.0), (-2, 1, COS, 2.0)),
+    scale=GRADIENT.scale)
+
+
 def _convection_coeffs(u: SpectralField, grid: PolarGrid) -> np.ndarray:
     """Weak-form coefficients of P div(u (x) u) on the given grid, no gates."""
-    basis = u.basis
-    tab = grid.tables(basis)
     v = synthesize(u, grid)
-    D = v.ux * v.ux - v.uy * v.uy
     P = v.ux * v.uy
-    wth = grid.angular_weight
-    Dc = (D @ tab.cosq.T) * wth        # (R, Q+1)
-    Ds = (D @ tab.sinq.T) * wth
-    Pc = (P @ tab.cosq.T) * wth
-    Ps = (P @ tab.sinq.T) * wth
-    wr = grid.radial_weights
-    out = np.zeros(basis.n_modes)
-    for n, p, idx in basis.groups():
-        block = tab.radial[n]
-        jmm, jpp = block[0], block[4]          # signed orders n-2, n+2
-        smm = _sin_sign(n - 2)
-        amm = abs(n - 2)
-        if p == COS:
-            contrib = (jpp * (Ds[:, n + 2] - 2.0 * Pc[:, n + 2])
-                       - jmm * (smm * Ds[:, amm] + 2.0 * Pc[:, amm]))
-        else:
-            contrib = (jmm * (Dc[:, amm] - 2.0 * smm * Ps[:, amm])
-                       - jpp * (Dc[:, n + 2] + 2.0 * Ps[:, n + 2]))
-        out[idx] = -tab.scale_grad[n] * (contrib @ wr)
-    return out
+    D = np.square(v.ux, out=v.ux)      # the samples are ours: square in place
+    D -= np.square(v.uy, out=v.uy)
+    return grid.tables(u.basis).adjoint(_CONVECTION, (D, P))
 
 
 def nonlinear_coeffs(u: SpectralField, ws: NonlinearWorkspace) -> SpectralField:

@@ -73,6 +73,23 @@ class NormReport:
         }
 
 
+def _lp_from_squares(sq: np.ndarray, weights: np.ndarray, p: float) -> float:
+    """L^p norm over the quadrature weights of a pointwise magnitude given by
+    its square sq, which is overwritten.
+
+    Even integer p takes |u|^p = sq^(p/2) exactly (no square root), in place;
+    p = inf is the max of the magnitude, other p integrate sqrt(sq)^p.
+    """
+    if p == INF:
+        return math.sqrt(float(sq.max()))
+    if (p / 2.0).is_integer():
+        np.power(sq, int(p) // 2, out=sq)
+    else:
+        np.sqrt(sq, out=sq)
+        np.power(sq, p, out=sq)
+    return float(np.vdot(weights, sq)) ** (1.0 / p)
+
+
 def lp_norm(v, grid: PolarGrid, p) -> float:
     """L^p norm of the pointwise velocity magnitude over the disk.
 
@@ -82,18 +99,18 @@ def lp_norm(v, grid: PolarGrid, p) -> float:
     """
     p = _check_p(p)
     if isinstance(v, SpectralField):
-        if p == INF:
-            v = synthesize(v, grid.refined())
-        else:
-            v = synthesize(v, grid)
-    elif not isinstance(v, GridVectorField):
+        v = synthesize(v, grid.refined() if p == INF else grid)
+        # the samples are ours: square them in place
+        sq = np.square(v.ux, out=v.ux)
+        sq += np.square(v.uy, out=v.uy)
+    elif isinstance(v, GridVectorField):
+        if p != INF and v.grid.shape != grid.shape and v.grid.shape != grid.refined().shape:
+            raise ValueError("grid samples do not match the quadrature grid")
+        sq = np.square(v.ux)
+        sq += np.square(v.uy)
+    else:
         raise TypeError("expected a SpectralField or GridVectorField")
-    mag = v.magnitude()
-    if p == INF:
-        return float(mag.max())
-    if v.grid.shape != grid.shape and v.grid.shape != grid.refined().shape:
-        raise ValueError("grid samples do not match the quadrature grid")
-    return float(np.sum(v.grid.weights * mag ** p) ** (1.0 / p))
+    return _lp_from_squares(sq, v.grid.weights, p)
 
 
 def gradient_lp_norm(f: SpectralField, grid: PolarGrid, p) -> float:
@@ -101,10 +118,7 @@ def gradient_lp_norm(f: SpectralField, grid: PolarGrid, p) -> float:
     p = _check_p(p)
     g = grid.refined() if p == INF else grid
     ten = field_gradient_values(f, g)
-    mag = np.sqrt(np.sum(ten * ten, axis=(2, 3)))
-    if p == INF:
-        return float(mag.max())
-    return float(np.sum(g.weights * mag ** p) ** (1.0 / p))
+    return _lp_from_squares(np.sum(ten * ten, axis=(2, 3)), g.weights, p)
 
 
 def _aggregate(values: np.ndarray, q: float) -> float:

@@ -260,19 +260,30 @@ def etd_timestep(u0: SpectralField, dt: float, steps: int,
                       f"etd2/dt={dt!r}", blowup_time=blowup)
 
 
-def _mild_forcing(traj: Trajectory, config: SolverConfig):
-    """The one forcing matrix and Duhamel sweep of a mesh trajectory: the
-    mesh times, N(u) at every mesh field, and its mesh-point integrals."""
+@dataclass(frozen=True)
+class MildForcing:
+    """The forcing side of a mesh trajectory's mild formula: the mesh times,
+    N(u) at every mesh field and its mesh-point Duhamel integrals.  Built
+    once by mild_forcing and shared by evaluate_at and residual."""
+
+    times: np.ndarray
+    forcing: np.ndarray
+    swept: np.ndarray
+
+
+def mild_forcing(traj: Trajectory, config: SolverConfig) -> MildForcing:
+    """Check that traj is sampled on the config mesh and build its forcing
+    matrix and Duhamel sweep."""
     times = config.mesh()
     if not np.array_equal(traj.times, times):
         raise ValueError("trajectory is not sampled on the config mesh")
     ws = NonlinearWorkspace(config.basis, config.grid, config.dealias)
     forcing = _forcing_matrix(traj.fields, ws)
-    return times, forcing, _duhamel_sweep(forcing, times, config.basis.lam)
+    return MildForcing(times, forcing, _duhamel_sweep(forcing, times, config.basis.lam))
 
 
 def evaluate_at(traj: Trajectory, u0: SpectralField, t,
-                config: SolverConfig):
+                config: SolverConfig, mild: MildForcing | None = None):
     """Mild evaluation of a mesh trajectory at an arbitrary time in [0, T]:
 
         u(t) = e^{-tA} u0 - integral_0^t e^{-(t-s)A} N(u)(s) ds
@@ -283,13 +294,16 @@ def evaluate_at(traj: Trajectory, u0: SpectralField, t,
 
     t is a scalar (one SpectralField back) or a 1-D array of times (a tuple
     of SpectralFields, one per time, all from one forcing evaluation).
+    mild is traj's mild_forcing, built here when not given.
     """
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
         raise ValueError("evaluation times must be a scalar or a 1-D array")
     if not np.all((ts >= 0.0) & (ts <= config.T)):
         raise ValueError("evaluation time outside the trajectory horizon")
-    times, forcing, swept = _mild_forcing(traj, config)
+    if mild is None:
+        mild = mild_forcing(traj, config)
+    times, forcing, swept = mild.times, mild.forcing, mild.swept
     lam = config.basis.lam
     out = []
     for tv in ts.ravel():
@@ -308,13 +322,20 @@ def evaluate_at(traj: Trajectory, u0: SpectralField, t,
     return out[0] if ts.ndim == 0 else tuple(out)
 
 
-def residual(traj: Trajectory, u0: SpectralField, config: SolverConfig) -> float:
+def residual(traj: Trajectory, u0: SpectralField, config: SolverConfig,
+             mild: MildForcing | None = None, scale: float | None = None) -> float:
     """Plug-in defect of the integral equation over the mesh, in L^2,
-    relative to the trajectory's own solution-space norm."""
-    times, _, swept = _mild_forcing(traj, config)
+    relative to the trajectory's own solution-space norm.
+
+    mild (traj's mild_forcing) and scale (its trajectory_norm) are computed
+    here when not given.
+    """
+    if mild is None:
+        mild = mild_forcing(traj, config)
     worst = 0.0
-    for i, t in enumerate(times):
-        defect = traj.fields[i].coeffs - heat_apply(u0, t).coeffs + swept[i]
+    for i, t in enumerate(mild.times):
+        defect = traj.fields[i].coeffs - heat_apply(u0, t).coeffs + mild.swept[i]
         worst = max(worst, float(np.linalg.norm(defect)))
-    scale = trajectory_norm(traj, config.p, config.d, config.grid)
+    if scale is None:
+        scale = trajectory_norm(traj, config.p, config.d, config.grid)
     return worst / scale if scale > 0.0 else worst

@@ -250,3 +250,63 @@ def test_build_basis_validates_truncation():
         build_basis(-1, 4)
     with pytest.raises(ValueError):
         build_basis(4, 0)
+
+
+# ---------------------------------------------------------------------------
+# the stacked-table transform core against the pointwise evaluator
+
+def _core_fields(basis):
+    """Random, low-order (top orders zero), top-order-only and zero fields."""
+    rng = np.random.default_rng(11)
+    full = rng.standard_normal(basis.n_modes)
+    low = np.where(basis.angular <= basis.n_max // 2 - 1, full, 0.0)
+    top = np.where(basis.angular == basis.n_max, full, 0.0)
+    return {"random": full, "low-orders": low, "top-order": top,
+            "zero": np.zeros(basis.n_modes)}
+
+
+@pytest.mark.parametrize("n_max, radial, angular", [(8, 32, 64), (16, 40, 80)])
+def test_synthesize_matches_pointwise_at_nodes(n_max, radial, angular):
+    basis = build_basis(n_max, n_max)
+    grid = build_grid(radial, angular)
+    pts = np.column_stack([grid.x.ravel(), grid.y.ravel()])
+    vals = mode_values_at(basis, pts)                     # (P, M, 2)
+    for kind, c in _core_fields(basis).items():
+        v = synthesize(SpectralField(basis, c), grid)
+        want = np.einsum("pmc,m->pc", vals, c)
+        got = np.column_stack([v.ux.ravel(), v.uy.ravel()])
+        if kind == "zero":
+            assert not np.any(got), kind
+            continue
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= 1e-12, (kind, err)
+
+
+def test_curl_and_gradient_of_low_order_field(basis_88):
+    # the order cut-off of curl_values and field_gradient_values, checked
+    # against central differences of the pointwise evaluator
+    c = _core_fields(basis_88)["low-orders"]
+    f = SpectralField(basis_88, c)
+    grid = build_grid(32, 64)
+    w = curl_values(f, grid)
+    g = field_gradient_values(f, grid)
+    for ri, ai in ((8, 3), (20, 33)):
+        x0, y0 = grid.x[ri, ai], grid.y[ri, ai]
+
+        def at(x, y, comp):
+            return field_values_at(f, np.array([[x, y]]))[0, comp]
+
+        dx = [oracles.central_diff(lambda x: at(x, y0, comp), x0) for comp in (0, 1)]
+        dy = [oracles.central_diff(lambda y: at(x0, y, comp), y0) for comp in (0, 1)]
+        assert dx[1] - dy[0] == pytest.approx(w[ri, ai], rel=2e-7, abs=1e-8)
+        for comp in (0, 1):
+            assert dx[comp] == pytest.approx(g[ri, ai, comp, 0], rel=2e-7, abs=1e-8)
+            assert dy[comp] == pytest.approx(g[ri, ai, comp, 1], rel=2e-7, abs=1e-8)
+
+
+def test_analyze_synthesize_is_identity(basis_88, grid_small):
+    # the dense Gram matrix of the gram-orthonormality check, same threshold
+    gram = np.array([analyze(synthesize(SpectralField(basis_88, row), grid_small),
+                             basis_88, grid_small).coeffs
+                     for row in np.eye(basis_88.n_modes)])
+    assert np.max(np.abs(gram - np.eye(basis_88.n_modes))) <= 1e-9

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import stokesbesov.harness
 import stokesbesov.solver
 from stokesbesov import (ConfigError, NumericalError, ResolutionError,
                          SolverConfig, SpectralField, besov_norm, BesovIndex,
@@ -333,6 +334,53 @@ amplitude = 1e-3
                       "energy,curl_l2,residual_flag")
     assert len(rows) == 1 + 12 + 1          # header + mesh nodes incl. t=0
     assert all(r.rsplit(",", 1)[1] == "1" for r in rows[1:])
+
+
+def test_solve_diagnostics_reuse_final_forcing_and_norm(tmp_path, monkeypatch):
+    # after Picard, the diagnostics need N(u) at each mesh field once and the
+    # final trajectory norm once
+    extra = """
+[run]
+experiment = solve
+[solver]
+t_final = 0.25
+mesh_count = 6
+[data]
+kind = single_mode
+amplitude = 1e-3
+"""
+    counts = {"convection": 0, "trajectory_norm": 0}
+
+    def counting(module, name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(stokesbesov.solver, "nonlinear_coeffs", "convection")
+    counting(stokesbesov.solver, "trajectory_norm", "trajectory_norm")
+    counting(stokesbesov.harness, "trajectory_norm", "trajectory_norm")
+    cfg = load_config(_write_cfg(tmp_path, extra), {"out_dir": str(tmp_path / "out")})
+    assert run_experiment(cfg) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    iterations = summary["picard"]["iterations"]
+    assert iterations >= 1
+    assert counts["convection"] == (iterations + 1) * (6 + 1)
+    assert counts["trajectory_norm"] == iterations + 1
+
+
+def test_manifest_records_environment(tmp_path):
+    cfg = load_config(_write_cfg(tmp_path, "[run]\nexperiment = basis\n"),
+                      {"out_dir": str(tmp_path / "out")})
+    assert run_experiment(cfg) == 0
+    env = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
+    assert env["numpy"] == np.__version__
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert name in env
+        assert env[name] is None or isinstance(env[name], str)
 
 
 def test_run_basis_cache(tmp_path):

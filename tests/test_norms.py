@@ -10,8 +10,8 @@ from stokesbesov import (BesovIndex, SpectralField, TruncationWarning,
                          besov_norm, build_basis, build_grid, critical_index,
                          dual_pairing, heat_apply, lp_norm, tail_smallness,
                          trajectory_norm, zero_field)
-from stokesbesov.basis import GridVectorField
-from stokesbesov.norms import INF
+from stokesbesov.basis import GridVectorField, field_gradient_values, synthesize
+from stokesbesov.norms import INF, gradient_lp_norm
 from stokesbesov.solver import SolverConfig, linear_trajectory
 
 LAMBDA_MIN = 5.783185962946785
@@ -211,3 +211,37 @@ def test_tail_smallness_warns_beyond_truncation(basis_88, grid_small):
         warnings.simplefilter("error")
         with pytest.raises(TruncationWarning):
             tail_smallness(f, 4.0, 40, grid_small)
+
+
+def _hypot_lp(ux, uy, grid, p):
+    return float(np.sum(grid.weights * np.hypot(ux, uy) ** p) ** (1.0 / p))
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0, 6.0])
+def test_even_p_matches_hypot_quadrature(basis_88, grid_small, p):
+    rng = np.random.default_rng(21)
+    f = SpectralField(basis_88, rng.standard_normal(basis_88.n_modes))
+    v = synthesize(f, grid_small)
+    want = _hypot_lp(v.ux, v.uy, grid_small, p)
+    assert lp_norm(f, grid_small, p) == pytest.approx(want, rel=1e-13)
+    assert lp_norm(v, grid_small, p) == pytest.approx(want, rel=1e-13)
+
+
+def test_gradient_lp_norm_matches_frobenius_quadrature(basis_88, grid_small):
+    rng = np.random.default_rng(22)
+    f = SpectralField(basis_88, rng.standard_normal(basis_88.n_modes))
+    ten = field_gradient_values(f, grid_small)
+    mag = np.sqrt(np.sum(ten * ten, axis=(2, 3)))
+    for p in (2.0, 3.5, 4.0, 6.0):
+        want = float(np.sum(grid_small.weights * mag ** p) ** (1.0 / p))
+        assert gradient_lp_norm(f, grid_small, p) == pytest.approx(want, rel=1e-13)
+
+
+def test_lp_norm_sup_and_fractional_p(basis_88, grid_small):
+    rng = np.random.default_rng(23)
+    v = synthesize(SpectralField(basis_88, rng.standard_normal(basis_88.n_modes)),
+                   grid_small)
+    assert lp_norm(v, grid_small, INF) == pytest.approx(
+        float(np.hypot(v.ux, v.uy).max()), rel=1e-15)
+    assert lp_norm(v, grid_small, 2.5) == pytest.approx(
+        _hypot_lp(v.ux, v.uy, grid_small, 2.5), rel=1e-13)
