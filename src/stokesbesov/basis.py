@@ -133,7 +133,7 @@ def build_basis(n_max: int = DEFAULT_N_MAX, k_max: int = DEFAULT_K_MAX) -> Basis
     for n in range(n_max + 1):
         sel = ns == n
         if sel.any():
-            jnext[sel] = bessel_j_table(n + 1, zero[sel])[n + 1]
+            jnext[sel] = bessel_j_table(n + 1, zero[sel], orders=(n + 1,))[0]
     ang_factor = np.where(ns == 0, 2.0 * np.pi, np.pi)
     stream = np.sqrt(0.5 * ang_factor) * np.abs(jnext)
     return _assemble(n_max, k_max, ns, ps, ks, lam, stream)
@@ -355,11 +355,11 @@ class ModeTables:
         self.angular = ang.reshape(2 * orders.size, grid.angular_count)
         self.radial = np.empty((basis.n_max + 1, 5, basis.k_max, grid.radial_order))
         for n in range(basis.n_max + 1):
+            qs = np.arange(n - 2, n + 3)
+            sign = np.where((qs < 0) & (qs % 2 == 1), -1.0, 1.0)[:, None, None]
             args = np.multiply.outer(basis.zeros_rows[n], grid.radii)
-            tab = bessel_j_table(n + 2, args)              # (n+3, k_max, R)
-            for s, q in enumerate(range(n - 2, n + 3)):
-                row = tab[abs(q)]
-                self.radial[n, s] = row if (q >= 0 or q % 2 == 0) else -row
+            tab = bessel_j_table(n + 2, args, orders=np.abs(qs))   # (5, k_max, R)
+            np.multiply(tab, sign, out=self.radial[n])
         self.slot = (2 * basis.angular + basis.parity) * basis.k_max + basis.radial - 1
         self._scatter = {}
 
@@ -464,12 +464,9 @@ def mode_values_at(basis: Basis, points: np.ndarray) -> np.ndarray:
     for n in range(basis.n_max + 1):
         zr = basis.zeros_rows[n]
         args = np.multiply.outer(zr, r)               # (k_max, P)
-        tabn = bessel_j_table(n + 1, args)
-        jp = tabn[n + 1]
-        if n >= 1:
-            jm = tabn[n - 1]
-        else:
-            jm = -tabn[1]
+        jm, jp = bessel_j_table(n + 1, args, orders=(abs(n - 1), n + 1))
+        if n == 0:
+            jm = -jm                       # J_{-1} = -J_1
         sm = 1.0 if n >= 1 else -1.0       # sign of sin((n-1) th) folded to |n-1|
         am = abs(n - 1)
         cp_, sp_ = np.cos((n + 1) * th), np.sin((n + 1) * th)
@@ -501,7 +498,7 @@ def boundary_traces(basis: Basis):
     jn_at_zero = np.empty(basis.n_modes)
     for n in range(basis.n_max + 1):
         sel = basis.angular == n
-        jn_at_zero[sel] = bessel_j_table(n, basis.zero[sel])[n]
+        jn_at_zero[sel] = bessel_j_table(n, basis.zero[sel], orders=(n,))[0]
     normal_max = basis.angular * np.abs(jn_at_zero) / basis.velocity_norm
     curl_max = basis.lam * np.abs(jn_at_zero) / basis.velocity_norm
     return normal_max, curl_max

@@ -44,6 +44,7 @@ from .norms import (
     dual_pairing,
     lp_norm,
     trajectory_norm,
+    trajectory_terms,
 )
 from .semigroup import (
     heat_apply,
@@ -1211,28 +1212,28 @@ def write_manifest(out_dir: Path, config: RunConfig, artifacts,
 # experiment drivers
 
 def trajectory_rows(traj: Trajectory, u0: SpectralField,
-                    config: SolverConfig, mild: MildForcing | None = None) -> list:
+                    config: SolverConfig, mild: MildForcing | None = None,
+                    terms=None) -> list:
     """Per-mesh-point diagnostics for the trajectory CSV.
 
     residual_flag is 1 when the mesh point's integral-equation defect is
-    within 10x the Picard tolerance, else 0.  mild is traj's mild_forcing,
-    built here when not given.
+    within 10x the Picard tolerance, else 0.  mild is traj's mild_forcing
+    and terms its trajectory_terms, each built here when not given.
     """
     from .basis import curl_values
     rows = []
-    alpha = 0.5 * (1.0 - config.d / config.p)
-    idx = BesovIndex(critical_index(config.p, config.d), config.p, INF)
     grid = config.grid
     mild_values = evaluate_at(traj, u0, traj.times, config, mild)
-    for t, f, value in zip(traj.times, traj.fields, mild_values):
+    if terms is None:
+        terms = trajectory_terms(traj, config.p, config.d, grid)
+    for t, f, value, block, weighted in zip(traj.times, traj.fields, mild_values, *terms):
         defect = (value - f).l2()
-        v = synthesize(f, grid)
         curl = curl_values(f, grid)
         rows.append([
             float(t),
             f.l2(),
-            (float(t) ** alpha) * lp_norm(v, grid, config.p),
-            besov_norm(f, idx, grid).value,
+            weighted,
+            block,
             0.5 * f.l2() ** 2,
             math.sqrt(grid.integrate(curl * curl)),
             1 if defect <= 10.0 * config.picard_tol else 0,
@@ -1294,12 +1295,13 @@ def run_experiment(config: RunConfig) -> int:
         u0 = generate_data(config.data, basis, grid)
         traj, report = picard_solve(u0, solver_cfg)
         mild = mild_forcing(traj, solver_cfg)
+        terms = trajectory_terms(traj, solver_cfg.p, solver_cfg.d, grid)
         write_csv(out / "trajectory.csv",
                   ["t", "l2_norm", "lp_norm_weighted", "besov_crit_norm",
                    "energy", "curl_l2", "residual_flag"],
-                  trajectory_rows(traj, u0, solver_cfg, mild))
+                  trajectory_rows(traj, u0, solver_cfg, mild, terms))
         artifacts.append("trajectory.csv")
-        norm = trajectory_norm(traj, solver_cfg.p, solver_cfg.d, grid)
+        norm = trajectory_norm(traj, solver_cfg.p, solver_cfg.d, grid, terms=terms)
         write_json(out / "summary.json", _sanitize({
             "format": f"{FORMAT_PREFIX}-solve-summary/1",
             "picard": report.summary(),

@@ -159,15 +159,14 @@ def dual_pairing(f: SpectralField, g: SpectralField, grid: PolarGrid,
     return total
 
 
-def trajectory_norm(traj, p: float, d: int = 2,
-                    grid: PolarGrid | None = None,
-                    partition: DyadicPartition = DEFAULT_PARTITION) -> float:
-    """Solution-space norm of a time-indexed family of spectral fields:
+def trajectory_terms(traj, p: float, d: int = 2,
+                     grid: PolarGrid | None = None,
+                     partition: DyadicPartition = DEFAULT_PARTITION):
+    """The per-time terms of trajectory_norm, one entry per snapshot:
 
-        sup_t ||u(t)||_{B^{-1+d/p}_{p,inf}}  +  sup_t t^{(1-d/p)/2} ||u(t)||_{L^p}
+        (||u(t)||_{B^{-1+d/p}_{p,inf}},  t^{(1-d/p)/2} ||u(t)||_{L^p})
 
-    Requires d < p < inf.  A leading t = 0 snapshot is allowed: the weight
-    vanishes there and the block-norm sup legitimately includes the datum.
+    as two arrays.  Requires d < p < inf.
     """
     p = _check_p(p)
     if not (d < p < INF):
@@ -181,12 +180,27 @@ def trajectory_norm(traj, p: float, d: int = 2,
         grid = traj.grid
     idx = BesovIndex(critical_index(p, d), p, INF)
     alpha = 0.5 * (1.0 - d / p)
-    sup_block = 0.0
-    sup_weighted = 0.0
-    for t, f in zip(times, traj.fields):
-        sup_block = max(sup_block, besov_norm(f, idx, grid, partition).value)
-        sup_weighted = max(sup_weighted, t ** alpha * lp_norm(f, grid, p))
-    return sup_block + sup_weighted
+    block = np.array([besov_norm(f, idx, grid, partition).value for f in traj.fields])
+    weighted = np.array([t ** alpha * lp_norm(f, grid, p)
+                         for t, f in zip(times, traj.fields)])
+    return block, weighted
+
+
+def trajectory_norm(traj, p: float, d: int = 2,
+                    grid: PolarGrid | None = None,
+                    partition: DyadicPartition = DEFAULT_PARTITION,
+                    terms=None) -> float:
+    """Solution-space norm of a time-indexed family of spectral fields:
+
+        sup_t ||u(t)||_{B^{-1+d/p}_{p,inf}}  +  sup_t t^{(1-d/p)/2} ||u(t)||_{L^p}
+
+    Requires d < p < inf.  A leading t = 0 snapshot is allowed: the weight
+    vanishes there and the block-norm sup legitimately includes the datum.
+    terms is trajectory_terms(traj, p, d, grid, partition) when the caller
+    already has it.
+    """
+    block, weighted = trajectory_terms(traj, p, d, grid, partition) if terms is None else terms
+    return float(max(0.0, *block) + max(0.0, *weighted))
 
 
 def tail_smallness(u0: SpectralField, p: float, J: int, grid: PolarGrid,

@@ -9,6 +9,13 @@ J_n is evaluated, scalar or array alike, by one table routine: the
 ascending power series for x <= 12, where its cancellation stays within the
 1e-12 budget for every order, and a downward Miller recurrence normalized
 with the Neumann identity J_0 + 2*sum_k J_{2k} = 1 above that.
+
+bessel_j_table(q_max, x, orders=...) computes only the rows a caller reads,
+each bit for bit the row of the full table up to q_max: the bits do not
+depend on which rows are requested.  The Miller start is unchanged by
+orders, ceil(max(q_max, max x)) + floor(15 max(x, 1)^(1/3)) + 22 rounded up
+to even (Gautschi, SIAM Review 9, 1967), so only q_max and the largest x of
+the call move bits.
 """
 
 from __future__ import annotations
@@ -44,106 +51,121 @@ def gauss_legendre(order: int) -> QuadratureRule:
     return QuadratureRule(nodes=(x + 1.0) / 2.0, weights=w / 2.0, order=int(order))
 
 
-def _series_table(q_max: int, x: np.ndarray) -> np.ndarray:
-    """Power-series J_q(x) for all q = 0..q_max at once; x must be small."""
+def _series_table(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Power-series J_q(x) at the sorted orders rows; x is 1-D and small.
+
+    The leading factors (x/2)^q / q! come from one chain over every q up to
+    rows[-1], so a row is the same product whichever rows are asked for.
+    """
     half = 0.5 * x
-    out = np.zeros((q_max + 1,) + x.shape)
-    lead = np.ones_like(x)
-    leads = [lead]
-    for q in range(1, q_max + 1):
-        lead = lead * half / q
-        leads.append(lead)
-    term = np.stack(leads)          # (q_max+1, nx): (x/2)^q / q!
+    leads = [np.ones_like(x)]
+    for q in range(1, int(rows[-1]) + 1):
+        leads.append(leads[-1] * half / q)
+    term = np.stack([leads[q] for q in rows])      # (rows, nx): (x/2)^q / q!
     total = term.copy()
-    z = half * half
-    qs = np.arange(q_max + 1).reshape((-1,) + (1,) * x.ndim)
+    neg_z = -(half * half)
+    ks = np.arange(1, 60)[:, None]
+    denom = (ks * (rows + ks)).astype(float)[:, :, None]   # k (q + k), exact
     for k in range(1, 60):
-        term = term * (-z) / (k * (qs + k))
+        np.multiply(term, neg_z, out=term)
+        np.divide(term, denom[k - 1], out=term)
         total += term
-    out[...] = total
-    return out
+    return total
 
 
-def _miller_table(q_max: int, x: np.ndarray) -> np.ndarray:
-    """Downward-recurrence J_q(x) for q = 0..q_max, vectorized over x > 0."""
-    xf = x.ravel()
-    tab = np.zeros((q_max + 1, xf.size))
-    xmax = float(xf.max())
+def _miller_table(q_max: int, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Downward-recurrence J_q(x) at the sorted orders rows (each <= q_max),
+    vectorized over a 1-D array of x > 0.
+
+    The start index depends on q_max and max(x) alone, so the recurrence,
+    its rescalings and hence every row are the same whichever rows are kept.
+    """
+    xmax = float(x.max())
     start = int(np.ceil(max(q_max, xmax))) + int(15.0 * max(xmax, 1.0) ** (1.0 / 3.0)) + 22
-    if start % 2:
-        start += 1
-    jp = np.zeros_like(xf)                # J~_{k+1}
-    jc = np.full_like(xf, 1e-30)          # J~_k, k = start
-    acc = 2.0 * jc if start % 2 == 0 else np.zeros_like(xf)
-    inv_x = 1.0 / xf
+    start += start % 2
+    slot = {int(q): i for i, q in enumerate(rows)}
+    tab = np.zeros((rows.size, x.size))
+    jp = np.zeros_like(x)                 # J~_{k+1}
+    jc = np.full_like(x, 1e-30)           # J~_k, k = start
+    jm = np.empty_like(x)
+    acc = 2.0 * jc
+    inv_x = 1.0 / x
+    # bound >= max(|J~_k|, |J~_{k+1}|) over all x; one step multiplies it by
+    # at most 2k max(1/x) + 1, and the 1e-12 margin covers the roundings.
+    # The overflow test runs only once the bound passes its threshold, so
+    # it fires at exactly the steps where testing every step would.
+    grow = 2.0 * float(inv_x.max())
+    bound = 1e-30
     for k in range(start, 0, -1):
-        jm = (2.0 * k) * inv_x * jc - jp  # J~_{k-1}
-        jp = jc
-        jc = jm
+        np.multiply(inv_x, 2.0 * k, out=jm)
+        jm *= jc
+        jm -= jp                          # J~_{k-1}
+        jp, jc, jm = jc, jm, jp
         q = k - 1
-        if q <= q_max:
-            tab[q] = jc
-        if q % 2 == 0:
-            acc += jc if q == 0 else 2.0 * jc
-        big = np.abs(jc) > 1e250
-        if big.any():
-            s = np.where(big, 1e-250, 1.0)
-            jc = jc * s
-            jp = jp * s
-            acc = acc * s
-            tab *= s
+        i = slot.get(q)
+        if i is not None:
+            tab[i] = jc
+        if q == 0:
+            acc += jc
+        elif q % 2 == 0:
+            acc += np.multiply(jc, 2.0, out=jm)
+        bound *= (k * grow + 1.0) * (1.0 + 1e-12)
+        if bound > 1e250:
+            big = np.abs(jc) > 1e250
+            if big.any():
+                s = np.where(big, 1e-250, 1.0)
+                jc *= s
+                jp *= s
+                acc *= s
+                tab *= s
+            bound = max(float(np.abs(jc).max()), float(np.abs(jp).max()))
     tab /= acc
-    return tab.reshape((q_max + 1,) + x.shape)
+    return tab
 
 
-def bessel_j_table(q_max: int, x) -> np.ndarray:
+def bessel_j_table(q_max: int, x, orders=None) -> np.ndarray:
     """J_q(x) for all orders q = 0..q_max, vectorized over an array of x >= 0.
 
-    Routes each element through the power series or the Miller recurrence;
-    this is the workhorse behind basis tables and point evaluation.
+    With orders (a sequence of integers in 0..q_max, repeats allowed) only
+    those rows are computed, and row i of the result is J_{orders[i]}: the
+    same bits as that row of the full table.  Routes each element through
+    the power series or the Miller recurrence; this is the workhorse behind
+    basis tables and point evaluation.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if (x < 0).any():
         raise ValueError("bessel_j_table requires x >= 0")
-    out = np.zeros((q_max + 1,) + x.shape)
+    wanted = np.arange(q_max + 1) if orders is None else np.asarray(orders, dtype=int)
+    if wanted.ndim != 1 or wanted.size == 0 or wanted.min() < 0 or wanted.max() > q_max:
+        raise ValueError("orders must be a non-empty sequence within 0..q_max")
+    rows, pick = np.unique(wanted, return_inverse=True)
+    out = np.zeros((rows.size,) + x.shape)
     tiny = x < 1e-12
-    if tiny.any():
+    if tiny.any() and rows[0] == 0:
         out[0][tiny] = 1.0                # J_0(0) = 1, J_q(0) = 0 for q >= 1
     small = (~tiny) & (x <= _SERIES_X_MAX)
     if small.any():
-        out[:, small] = _series_table(q_max, x[small])
+        out[:, small] = _series_table(rows, x[small])
     rest = (~tiny) & (~small)
     if rest.any():
-        out[:, rest] = _miller_table(q_max, x[rest])
-    return out
+        out[:, rest] = _miller_table(q_max, rows, x[rest])
+    return out if orders is None else out[pick]
 
 
 def bessel_j(n: int, x) -> float:
     """Bessel function J_n(x) for integer n >= 0 and real x >= 0."""
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError("order n must be a non-negative integer")
-    if np.ndim(x) > 0:
-        arr = np.asarray(x, dtype=float)
-        return bessel_j_table(n, arr)[n]
-    xv = float(x)
-    if xv < 0.0:
-        raise ValueError("bessel_j requires x >= 0")
-    if xv == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return float(bessel_j_table(int(n), xv)[n, 0])
+    val = bessel_j_table(int(n), x, orders=(n,))[0]
+    return float(val[0]) if np.ndim(x) == 0 else val
 
 
 def bessel_j_prime(n: int, x) -> float:
     """Derivative J_n'(x) via J_n' = (J_{n-1} - J_{n+1}) / 2, J_0' = -J_1."""
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError("order n must be a non-negative integer")
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    tab = bessel_j_table(n + 1, arr)
-    lower = tab[n - 1] if n >= 1 else -tab[1]
-    val = 0.5 * (lower - tab[n + 1])
-    if np.ndim(x) == 0:
-        return float(val[0])
-    return val.reshape(np.shape(x))
+    val = _jn_with_prime(int(n), x)[1]
+    return float(val[0]) if np.ndim(x) == 0 else val
 
 
 _MCMAHON_PI = np.pi
@@ -165,9 +187,9 @@ def _mcmahon_guess(n: int, k) -> np.ndarray:
 
 
 def _jn_with_prime(n: int, x: np.ndarray):
-    tab = bessel_j_table(n + 1, x)
-    lower = tab[n - 1] if n >= 1 else -tab[1]
-    return tab[n], 0.5 * (lower - tab[n + 1])
+    """(J_n(x), J_n'(x)), with J_n' = (J_{n-1} - J_{n+1}) / 2 and J_{-1} = -J_1."""
+    jm, jn, jp = bessel_j_table(n + 1, x, orders=(abs(n - 1), n, n + 1))
+    return jn, 0.5 * ((jm if n >= 1 else -jm) - jp)
 
 
 def _newton_bisect(n: int, guess: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

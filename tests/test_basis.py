@@ -11,6 +11,7 @@ from stokesbesov import (GridVectorField, SpectralField, analyze, apply_stokes,
                          curl_values, field_values_at, load_basis, save_basis,
                          synthesize, zero_field)
 from stokesbesov.basis import field_gradient_values, mode_values_at
+from stokesbesov.specfun import bessel_j_table
 
 J01 = 2.404825557695773
 J11 = 3.831705970207512
@@ -310,3 +311,18 @@ def test_analyze_synthesize_is_identity(basis_88, grid_small):
                              basis_88, grid_small).coeffs
                      for row in np.eye(basis_88.n_modes)])
     assert np.max(np.abs(gram - np.eye(basis_88.n_modes))) <= 1e-9
+
+
+@pytest.mark.parametrize("n_max, radial, angular", [(8, 32, 64), (16, 64, 128)])
+def test_radial_stack_equals_full_table_rows(n_max, radial, angular):
+    # the stack reads rows |n-2|..n+2 of J tables up to order n+2; asking
+    # bessel_j_table for those rows only must give them bit for bit
+    basis = build_basis(n_max, n_max)
+    grid = build_grid(radial, angular)
+    want = np.empty((n_max + 1, 5, n_max, radial))
+    for n in range(n_max + 1):
+        tab = bessel_j_table(n + 2, np.multiply.outer(basis.zeros_rows[n], grid.radii))
+        for s, q in enumerate(range(n - 2, n + 3)):
+            row = tab[abs(q)]
+            want[n, s] = row if (q >= 0 or q % 2 == 0) else -row
+    assert np.array_equal(grid.tables(basis).radial, want)

@@ -14,6 +14,7 @@ import pytest
 import oracles
 from stokesbesov import (bessel_j, bessel_j_prime, bessel_zero,
                          bessel_zeros_row, beta_function, gauss_legendre)
+from stokesbesov.specfun import bessel_j_table
 
 J01 = 2.404825557695773
 J11 = 3.831705970207512
@@ -91,6 +92,50 @@ def test_bessel_series_miller_crossover():
     for x in (11.5, 12.0, 12.5, 13.0):
         for n in (0, 4, 10):
             assert abs(bessel_j(n, x) - oracles.mp_bessel_j(n, x)) < 1e-12
+
+
+# x = 12.01 next to x = 400 starts the recurrence far above the small
+# argument's order, so its values pass the overflow threshold and rescale
+_ORDER_ARGS = {
+    "rescaling": np.array([12.01, 400.0]),
+    "series": np.linspace(0.0, 12.0, 41),
+    "miller": np.linspace(12.5, 60.0, 37),
+    "mixed": np.exp(np.random.default_rng(7).uniform(-6.0, 6.0, (6, 9))),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(_ORDER_ARGS))
+def test_bessel_orders_rows_equal_full_table(regime):
+    # asking for some rows changes no bit of them
+    x = _ORDER_ARGS[regime]
+    for q_max in (0, 1, 2, 9, 34, 66):
+        full = bessel_j_table(q_max, x)
+        assert full.shape == (q_max + 1,) + x.shape
+        # the radial stack's |n-2|..n+2, mode_values_at's |n-1|, n+1, one
+        # row, repeats out of order, and low rows only
+        n = q_max - 2
+        picks = ([abs(q) for q in range(n - 2, n + 3)], [abs(n), n + 2],
+                 [q_max], [q_max, 0, q_max], [q_max // 2, 0])
+        for orders in (o for o in picks if max(o) <= q_max):
+            got = bessel_j_table(q_max, x, orders=orders)
+            assert np.array_equal(got, full[orders])
+
+
+def test_bessel_orders_vs_scipy():
+    # oracle: scipy.special.jv, within the module's 1e-12 absolute budget
+    rng = np.random.default_rng(64)
+    x = np.concatenate([rng.uniform(0.0, 12.0, 40), rng.uniform(12.0, 400.0, 40)])
+    for n in (0, 1, 2, 7, 31, 62):
+        orders = [abs(q) for q in range(n - 2, n + 3)]
+        got = bessel_j_table(n + 2, x, orders=orders)
+        for row, q in zip(got, orders):
+            assert np.max(np.abs(row - oracles.scipy_jv(q, x))) < 1e-12
+
+
+def test_bessel_orders_rejects_out_of_range():
+    for orders in ([], [-1], [5], [[1, 2]]):
+        with pytest.raises(ValueError):
+            bessel_j_table(4, np.array([1.0, 20.0]), orders=orders)
 
 
 def test_gauss_legendre_midpoint():
