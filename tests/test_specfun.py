@@ -95,7 +95,8 @@ def test_bessel_series_miller_crossover():
 
 
 # x = 12.01 next to x = 400 starts the recurrence far above the small
-# argument's order, so its values pass the overflow threshold and rescale
+# argument's order, so its values pass the overflow threshold and rescale;
+# the Miller-only set stays below q_max = 66, where the start follows q_max
 _ORDER_ARGS = {
     "rescaling": np.array([12.01, 400.0]),
     "series": np.linspace(0.0, 12.0, 41),
