@@ -530,8 +530,9 @@ def load_basis(path) -> Basis:
     """
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != BASIS_FORMAT:
-        raise ValueError(f"not a basis cache (format {doc.get('format')!r})")
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != BASIS_FORMAT:
+        raise ValueError(f"not a basis cache (format {fmt!r})")
     n_max, k_max = int(doc["n_max"]), int(doc["k_max"])
     recs = doc["modes"]
     if len(recs) != k_max * (1 + 2 * n_max):

@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import CheckFailure, ConfigError, NumericalError, ResolutionError
-from .harness import CHECKS, DRIFT_CHECKS, load_config, run_experiment
+from .errors import ConfigError, NumericalError, ResolutionError
+from .harness import load_config, run_experiment
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -43,60 +43,33 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides(args) -> dict:
-    over = {}
-    if args.out is not None:
-        over["out_dir"] = args.out
-    return over
+_WRITTEN = {"basis": "basis cache", "solve": "trajectory", "embed": "embedding report"}
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    over = {"experiment": args.command}
+    if args.out is not None:
+        over["out_dir"] = args.out
+    if args.command == "verify":
+        if args.doubled:
+            over["doubled"] = True
+        if args.target != "all":
+            over["checks"] = (args.target,)
     try:
-        over = _overrides(args)
-        if args.command == "basis":
-            over["experiment"] = "basis"
-            config = load_config(args.config, over)
-            code = run_experiment(config)
-            print(f"basis cache written to {config.out_dir}")
-            return code
-        if args.command == "verify":
-            over["experiment"] = "verify"
-            if getattr(args, "doubled", False):
-                over["doubled"] = True
-            if args.target != "all":
-                known = set(CHECKS) | set(DRIFT_CHECKS)
-                if args.target not in known:
-                    raise ConfigError(
-                        f"unknown check id {args.target!r}; known ids: "
-                        + ", ".join(sorted(known)))
-                over["checks"] = (args.target,)
-            config = load_config(args.config, over)
-            code = run_experiment(config)
-            _print_check_summary(config)
-            return code
-        if args.command == "solve":
-            over["experiment"] = "solve"
-            config = load_config(args.config, over)
-            code = run_experiment(config)
-            print(f"trajectory written to {config.out_dir}")
-            return code
-        if args.command == "embed":
-            over["experiment"] = "embed"
-            config = load_config(args.config, over)
-            code = run_experiment(config)
-            print(f"embedding report written to {config.out_dir}")
-            return code
-        raise ConfigError(f"unknown command {args.command!r}")
+        config = load_config(args.config, over)
+        code = run_experiment(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ResolutionError, NumericalError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except CheckFailure as exc:
-        print(f"check failure: {exc}", file=sys.stderr)
-        return 4
+    if args.command == "verify":
+        _print_check_summary(config)
+    else:
+        print(f"{_WRITTEN[args.command]} written to {config.out_dir}")
+    return code
 
 
 def _print_check_summary(config) -> None:

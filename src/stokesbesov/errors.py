@@ -19,10 +19,6 @@ class NumericalError(RuntimeError):
     """An iteration failed to converge or produced non-finite values."""
 
 
-class CheckFailure(RuntimeError):
-    """A verification check ran to completion and did not meet its threshold."""
-
-
 class TruncationWarning(UserWarning):
     """A quantity was requested beyond the truncated spectrum; the returned
     value is exact for the truncation but carries no information about the

@@ -47,7 +47,9 @@ from .norms import (
     trajectory_terms,
 )
 from .semigroup import (
+    gradient_vs_besov,
     heat_apply,
+    kernel_matrix,
     kernel_tail_threshold,
     scan_besov_bounded,
     scan_gradient,
@@ -131,11 +133,6 @@ class DataSpec:
     center: tuple = (0.0, 0.0)
     width: float = 0.2
 
-    def as_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["center"] = list(self.center)
-        return d
-
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
@@ -161,41 +158,67 @@ class RunConfig:
     seed: int = 2025
     out_dir: str = "artifacts"
 
-    def as_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["data"] = self.data.as_dict()
-        d["embed_widths"] = list(self.embed_widths)
-        d["checks"] = list(self.checks)
-        return d
+
+def _number(raw: str) -> float:
+    return INF if raw.strip().lower() in ("inf", "infinity") else float(raw)
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
-    text = raw.strip().lower()
-    if text in ("inf", "infinity"):
-        return INF
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from None
-
-
-def _parse_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from None
-
-
-def _parse_bool(section: str, key: str, raw: str) -> bool:
+def _boolean(raw: str) -> bool:
     text = raw.strip().lower()
     if text in ("1", "true", "yes", "on"):
         return True
     if text in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
+    raise ValueError(raw)
 
 
-_KNOWN_SECTIONS = {"run", "basis", "grid", "solver", "data", "embed", "verify", "output"}
+def _center(raw: str) -> tuple:
+    x0, y0 = (float(v) for v in raw.split(","))
+    return (x0, y0)
+
+
+# value parsers: (what the error message says was expected, converter that
+# raises ValueError on bad input)
+_INT = ("an integer", int)
+_NUMBER = ("a number", _number)
+_TEXT = ("text", str.strip)
+
+# (section, key) -> (parser, RunConfig field); [data] keys fill the DataSpec
+# field of the same name
+_CONFIG_KEYS = {
+    ("run", "experiment"): (_TEXT, "experiment"),
+    ("run", "seed"): (_INT, "seed"),
+    ("basis", "n_max"): (_INT, "n_max"),
+    ("basis", "k_max"): (_INT, "k_max"),
+    ("basis", "cache"): (_TEXT, "basis_cache"),
+    ("grid", "radial_order"): (_INT, "radial_order"),
+    ("grid", "angular_count"): (_INT, "angular_count"),
+    ("solver", "p"): (_NUMBER, "p"),
+    ("solver", "t_final"): (_NUMBER, "T"),
+    ("solver", "mesh_count"): (_INT, "mesh_count"),
+    ("solver", "gamma"): (_NUMBER, "gamma"),
+    ("solver", "picard_tol"): (_NUMBER, "picard_tol"),
+    ("solver", "max_picard"): (_INT, "max_picard"),
+    ("embed", "p"): (_NUMBER, "embed_p"),
+    ("embed", "widths"): (("comma-separated numbers",
+                           lambda raw: tuple(float(w) for w in raw.split(","))),
+                          "embed_widths"),
+    ("verify", "doubled"): (("a boolean", _boolean), "doubled"),
+    ("verify", "checks"): (("check ids", lambda raw: tuple(
+        c.strip() for c in raw.split(",") if c.strip())), "checks"),
+    ("output", "dir"): (_TEXT, "out_dir"),
+    ("data", "kind"): (_TEXT, "kind"),
+    ("data", "n"): (_INT, "n"),
+    ("data", "k"): (_INT, "k"),
+    ("data", "parity"): (_TEXT, "parity"),
+    ("data", "amplitude"): (_NUMBER, "amplitude"),
+    ("data", "band"): (_INT, "band"),
+    ("data", "seed"): (_INT, "seed"),
+    ("data", "slope"): (_NUMBER, "slope"),
+    ("data", "width"): (_NUMBER, "width"),
+    ("data", "center"): (("'x,y'", _center), "center"),
+}
+_KNOWN_SECTIONS = {section for section, _ in _CONFIG_KEYS}
 _DATA_KINDS = {"single_mode", "band_random", "spectral_slope", "bump_family"}
 
 
@@ -205,9 +228,6 @@ def load_config(path=None, overrides=None) -> RunConfig:
     Unknown sections or keys are errors: a typo silently falling back to a
     default would defeat the point of a declarative config.
     """
-    cfg = RunConfig()
-    if path is None and not overrides:
-        return cfg
     values: dict = {}
     data_values: dict = {}
     if path is not None:
@@ -223,79 +243,22 @@ def load_config(path=None, overrides=None) -> RunConfig:
         for section in parser.sections():
             if section not in _KNOWN_SECTIONS:
                 raise ConfigError(f"unknown config section [{section}]")
-        get = parser.get
-
-        def take(section, key, parse):
-            if parser.has_option(section, key):
-                return parse(section, key, get(section, key))
-            return None
-
-        plan = [
-            ("run", "experiment", lambda s, k, r: r.strip(), "experiment"),
-            ("run", "seed", _parse_int, "seed"),
-            ("basis", "n_max", _parse_int, "n_max"),
-            ("basis", "k_max", _parse_int, "k_max"),
-            ("basis", "cache", lambda s, k, r: r.strip(), "basis_cache"),
-            ("grid", "radial_order", _parse_int, "radial_order"),
-            ("grid", "angular_count", _parse_int, "angular_count"),
-            ("solver", "p", _parse_float, "p"),
-            ("solver", "t_final", _parse_float, "T"),
-            ("solver", "mesh_count", _parse_int, "mesh_count"),
-            ("solver", "gamma", _parse_float, "gamma"),
-            ("solver", "picard_tol", _parse_float, "picard_tol"),
-            ("solver", "max_picard", _parse_int, "max_picard"),
-            ("embed", "p", _parse_float, "embed_p"),
-            ("verify", "doubled", _parse_bool, "doubled"),
-            ("output", "dir", lambda s, k, r: r.strip(), "out_dir"),
-        ]
-        seen = {}
-        for section, key, parse, field in plan:
-            val = take(section, key, parse)
-            if val is not None:
-                values[field] = val
-            seen.setdefault(section, set()).add(key)
-        if parser.has_option("embed", "widths"):
-            raw = get("embed", "widths")
-            try:
-                values["embed_widths"] = tuple(float(w) for w in raw.split(","))
-            except ValueError:
-                raise ConfigError(f"[embed] widths: expected comma-separated numbers, got {raw!r}") from None
-            seen.setdefault("embed", set()).add("widths")
-        if parser.has_option("verify", "checks"):
-            raw = get("verify", "checks")
-            values["checks"] = tuple(c.strip() for c in raw.split(",") if c.strip())
-            seen.setdefault("verify", set()).add("checks")
-        data_plan = [
-            ("kind", lambda s, k, r: r.strip()),
-            ("n", _parse_int), ("k", _parse_int),
-            ("parity", lambda s, k, r: r.strip()),
-            ("amplitude", _parse_float), ("band", _parse_int),
-            ("seed", _parse_int), ("slope", _parse_float),
-            ("width", _parse_float),
-        ]
-        for key, parse in data_plan:
-            if parser.has_option("data", key):
-                data_values[key] = parse("data", key, get("data", key))
-            seen.setdefault("data", set()).add(key)
-        if parser.has_option("data", "center"):
-            raw = get("data", "center")
-            try:
-                x0, y0 = (float(v) for v in raw.split(","))
-            except ValueError:
-                raise ConfigError(f"[data] center: expected 'x,y', got {raw!r}") from None
-            data_values["center"] = (x0, y0)
-            seen.setdefault("data", set()).add("center")
-        seen.setdefault("run", set()).add("experiment")
-        for section in parser.sections():
-            for key in parser[section]:
-                if key not in seen.get(section, set()):
+            for key, raw in parser.items(section):
+                if (section, key) not in _CONFIG_KEYS:
                     raise ConfigError(f"unknown config key [{section}] {key}")
+                (what, convert), field = _CONFIG_KEYS[section, key]
+                target = data_values if section == "data" else values
+                try:
+                    target[field] = convert(raw)
+                except ValueError:
+                    raise ConfigError(f"[{section}] {key}: expected {what}, "
+                                      f"got {raw!r}") from None
     if overrides:
         values.update(overrides)
     if data_values:
         values["data"] = dataclasses.replace(RunConfig().data, **data_values)
     try:
-        cfg = dataclasses.replace(cfg, **values)
+        cfg = dataclasses.replace(RunConfig(), **values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from None
     _validate_config(cfg)
@@ -327,9 +290,40 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError("[embed] p must satisfy 2 < p < inf")
     if any(w <= 0 for w in cfg.embed_widths):
         raise ConfigError("[embed] widths must be positive")
-    unknown = set(cfg.checks) - set(CHECKS) - set(DRIFT_CHECKS)
+    if cfg.experiment == "basis" and cfg.basis_cache:
+        raise ConfigError("[basis] cache: 'basis build' writes a cache, it does not "
+                          "read one; remove the cache key")
+    _resolve_checks(cfg.checks, cfg.doubled)
+
+
+def _resolve_checks(check_ids, doubled: bool) -> list:
+    """(id, check) pairs to run: the named ids in their order, else the whole
+    registry, followed by the drift checks when doubled is set."""
+    known = {**CHECKS, **DRIFT_CHECKS}
+    unknown = [c for c in check_ids if c not in known]
     if unknown:
-        raise ConfigError(f"[verify] checks: unknown check ids {sorted(unknown)}")
+        raise ConfigError(f"[verify] checks: unknown check ids {unknown}; "
+                          f"known ids: {', '.join(sorted(known))}")
+    if check_ids:
+        return [(c, known[c]) for c in check_ids]
+    return list(CHECKS.items()) + (list(DRIFT_CHECKS.items()) if doubled else [])
+
+
+def _run_basis(config: RunConfig) -> Basis:
+    """The run's (n_max, k_max) basis: read from the [basis] cache file when
+    one is set, else built.  A cache that cannot be read, is not a basis
+    cache, or holds another truncation is a configuration error."""
+    if not config.basis_cache:
+        return build_basis(config.n_max, config.k_max)
+    try:
+        basis = load_basis(config.basis_cache)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"[basis] cache: cannot load {config.basis_cache}: {exc}") from None
+    if basis.cache_key != (config.n_max, config.k_max):
+        raise ConfigError(
+            f"[basis] cache: {config.basis_cache} holds the {basis.cache_key} "
+            f"truncation, the config asks for ({config.n_max}, {config.k_max})")
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -503,45 +497,33 @@ class CheckResult:
 class VerifyContext:
     """Shared lazily-built state for the check registry.
 
-    Checks draw bases and grids from here so verify-all builds each
-    discretization once.  `doubled` additionally enables the cross-truncation
+    Checks draw bases, grids and shared statistics from here so verify-all
+    builds each once.  `doubled` additionally enables the cross-truncation
     drift checks.
     """
 
     def __init__(self, config: RunConfig):
         self.config = config
-        self._bases = {}
-        self._grids = {}
-        self._kernel_values = {}
+        self._memo = {}
 
     def basis(self, n_max=None, k_max=None) -> Basis:
         key = (self.config.n_max if n_max is None else n_max,
                self.config.k_max if k_max is None else k_max)
-        if key not in self._bases:
-            if key == (self.config.n_max, self.config.k_max) and self.config.basis_cache:
-                self._bases[key] = load_basis(self.config.basis_cache)
-            else:
-                self._bases[key] = build_basis(*key)
-        return self._bases[key]
+        run_key = (self.config.n_max, self.config.k_max)
+        return self.cached(("basis", key), lambda: (
+            _run_basis(self.config) if key == run_key else build_basis(*key)))
 
     def grid(self, radial=None, angular=None) -> PolarGrid:
         key = (self.config.radial_order if radial is None else radial,
                self.config.angular_count if angular is None else angular)
-        if key not in self._grids:
-            self._grids[key] = build_grid(*key)
-        return self._grids[key]
+        return self.cached(("grid", key), lambda: build_grid(*key))
 
-    def kernel_values(self, basis: Basis, seed: int):
-        """Mode values at the two halves of _kernel_points(seed), built once
-        per truncation and seed: kernel-gaussian and kernel-drift share the
-        default truncation's pair."""
-        key = (basis.cache_key, seed)
-        if key not in self._kernel_values:
-            pts = _kernel_points(seed)
-            n_pairs = pts.shape[0] // 2
-            self._kernel_values[key] = (mode_values_at(basis, pts[:n_pairs]),
-                                        mode_values_at(basis, pts[n_pairs:]))
-        return self._kernel_values[key]
+    def cached(self, key, build):
+        """build() once per key; a drift check reuses through it the
+        statistic its single-truncation check computed at the same truncation."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def random_fields(self, basis: Basis, count: int, seed: int,
                       decay: float = 0.05):
@@ -633,7 +615,7 @@ def _check_spectrum_min(ctx: VerifyContext) -> CheckResult:
     return CheckResult("spectrum-min", err, 1e-9, err <= 1e-9)
 
 
-def _check_cache_roundtrip(ctx: VerifyContext, tmp_dir=None) -> CheckResult:
+def _check_cache_roundtrip(ctx: VerifyContext) -> CheckResult:
     import tempfile
     basis = ctx.basis(min(ctx.config.n_max, 8), min(ctx.config.k_max, 8))
     with tempfile.TemporaryDirectory() as td:
@@ -706,8 +688,13 @@ def _bernstein_stat(basis: Basis, grid: PolarGrid, seed: int,
     return stats, band_ratios
 
 
+def _bernstein(ctx: VerifyContext, basis: Basis):
+    return ctx.cached(("bernstein", basis.cache_key),
+                      lambda: _bernstein_stat(basis, ctx.grid(), ctx.config.seed + 2))
+
+
 def _check_multiplier(ctx: VerifyContext) -> CheckResult:
-    stats, _ = _bernstein_stat(ctx.basis(), ctx.grid(), ctx.config.seed + 2)
+    stats, _ = _bernstein(ctx, ctx.basis())
     worst = max(mx / med for mx, med in stats.values())
     detail = "; ".join(f"(r={r:g}, p={p:g}): max/median {mx / med:.3f}"
                        for (r, p), (mx, med) in stats.items())
@@ -731,8 +718,8 @@ def _check_multiplier_drift(ctx: VerifyContext) -> CheckResult:
     low radial index), so a changed constant there measures the cutoff
     geometry rather than the multiplier.
     """
-    _, coarse = _bernstein_stat(ctx.basis(16, 16), ctx.grid(), ctx.config.seed + 2)
-    _, fine = _bernstein_stat(ctx.basis(32, 32), ctx.grid(), ctx.config.seed + 2)
+    _, coarse = _bernstein(ctx, ctx.basis(16, 16))
+    _, fine = _bernstein(ctx, ctx.basis(32, 32))
     top = min(_resolved_radius(16, 16), _resolved_radius(32, 32))
     worst = 0.0
     compared = []
@@ -806,24 +793,17 @@ def _check_continuity(ctx: VerifyContext) -> CheckResult:
                        note="Besov norm ratio at t = 1e-9 vs t = 0")
 
 
-def _fit_gaussian_constant(ctx: VerifyContext, basis: Basis, seed: int,
-                           t_values) -> float:
+def _fit_gaussian_constant(basis: Basis, seed: int, t_values) -> float:
     """Smallest C with |K_t(x,y)|_F <= C t^{-1} exp(-|x-y|^2 / (C t))
     over the _kernel_points(seed) pairs and all times; monotone in C, so
     bisection."""
+    t_values = np.asarray(t_values, dtype=float)
     pts = _kernel_points(seed)
-    n_pairs = pts.shape[0] // 2
-    xs = pts[:n_pairs]
-    ys = pts[n_pairs:]
-    vals_x, vals_y = ctx.kernel_values(basis, seed)
+    xs, ys = pts[:_KERNEL_PAIRS], pts[_KERNEL_PAIRS:]
     dist2 = np.sum((xs - ys) ** 2, axis=1)
-    frob = []
-    for t in t_values:
-        decay = np.exp(-t * basis.lam)
-        kern = np.einsum("m,pmi,pmj->pij", decay, vals_x, vals_y)
-        frob.append(np.sqrt(np.sum(kern ** 2, axis=(1, 2))))
-    frob = np.array(frob)                      # (n_t, n_pairs)
-    t_arr = np.array(list(t_values))[:, None]
+    kern = kernel_matrix(xs, ys, t_values, basis)         # (n_t, n_pairs, 2, 2)
+    frob = np.sqrt(np.sum(kern ** 2, axis=(2, 3)))
+    t_arr = t_values[:, None]
 
     def admissible(c: float) -> bool:
         bound = (c / t_arr) * np.exp(-dist2[None, :] / (c * t_arr))
@@ -841,33 +821,35 @@ def _fit_gaussian_constant(ctx: VerifyContext, basis: Basis, seed: int,
     return hi
 
 
-def _kernel_points(seed: int, n_pairs: int = 200) -> np.ndarray:
+_KERNEL_PAIRS = 200
+
+
+def _kernel_points(seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    r = np.sqrt(rng.uniform(0.0, 0.9, size=2 * n_pairs))
-    th = rng.uniform(0.0, 2 * math.pi, size=2 * n_pairs)
+    r = np.sqrt(rng.uniform(0.0, 0.9, size=2 * _KERNEL_PAIRS))
+    th = rng.uniform(0.0, 2 * math.pi, size=2 * _KERNEL_PAIRS)
     return np.column_stack([r * np.cos(th), r * np.sin(th)])
 
 
+def _gaussian_constant(ctx: VerifyContext, basis: Basis):
+    """kernel-gaussian's fitted C at this truncation, and its smallest time."""
+    def build():
+        t_lo = max(0.02, 1.2 * kernel_tail_threshold(basis))
+        t_values = np.exp(np.linspace(math.log(t_lo), math.log(0.2), 5))
+        return _fit_gaussian_constant(basis, ctx.config.seed + 5, t_values), t_lo
+    return ctx.cached(("kernel", basis.cache_key), build)
+
+
 def _check_kernel_gaussian(ctx: VerifyContext) -> CheckResult:
-    basis = ctx.basis()
-    seed = ctx.config.seed + 5
-    t_lo = max(0.02, 1.2 * kernel_tail_threshold(basis))
-    t_values = np.exp(np.linspace(math.log(t_lo), math.log(0.2), 5))
-    c = _fit_gaussian_constant(ctx, basis, seed, t_values)
-    n_pairs = len(ctx.kernel_values(basis, seed)[0])
+    c, t_lo = _gaussian_constant(ctx, ctx.basis())
     return CheckResult("kernel-gaussian", c, 50.0, c <= 50.0,
-                       note=f"fitted C over {n_pairs} pairs, "
+                       note=f"fitted C over {_KERNEL_PAIRS} pairs, "
                             f"t in [{t_lo:.4g}, 0.2]")
 
 
 def _check_kernel_drift(ctx: VerifyContext) -> CheckResult:
-    cs = []
-    for trunc in ((16, 16), (32, 32)):
-        basis = ctx.basis(*trunc)
-        t_lo = max(0.02, 1.2 * kernel_tail_threshold(basis))
-        t_values = np.exp(np.linspace(math.log(t_lo), math.log(0.2), 5))
-        cs.append(_fit_gaussian_constant(ctx, basis, ctx.config.seed + 5,
-                                         t_values))
+    cs = [_gaussian_constant(ctx, ctx.basis(*trunc))[0]
+          for trunc in ((16, 16), (32, 32))]
     drift = abs(cs[1] - cs[0]) / cs[0]
     return CheckResult("kernel-drift", drift, 0.25, drift <= 0.25,
                        note=f"C: {cs[0]:.4f} -> {cs[1]:.4f}")
@@ -884,23 +866,20 @@ def _check_gradient_smoothing(ctx: VerifyContext) -> CheckResult:
                        note="sup of t^{1/2} |grad e^{-tA} u|_p / |u|_p, p = 4")
 
 
+def _gradient_constant(ctx: VerifyContext, basis: Basis) -> float:
+    return ctx.cached(("gradient", basis.cache_key), lambda: gradient_vs_besov(
+        4.0, _scan_samples(ctx, basis, count=5), ctx.grid()).max_ratio)
+
+
 def _check_gradient_besov(ctx: VerifyContext) -> CheckResult:
-    from .semigroup import gradient_vs_besov
-    basis = ctx.basis()
-    samples = _scan_samples(ctx, basis, count=5)
-    scan = gradient_vs_besov(4.0, samples, ctx.grid())
-    value = scan.max_ratio
+    value = _gradient_constant(ctx, ctx.basis())
     return CheckResult("gradient-besov", value, 5.0, value <= 5.0,
                        note="gradient L^p vs inhomogeneous Besov s = 1 bound")
 
 
 def _check_gradient_drift(ctx: VerifyContext) -> CheckResult:
-    from .semigroup import gradient_vs_besov
-    values = []
-    for trunc in ((16, 16), (32, 32)):
-        basis = ctx.basis(*trunc)
-        samples = _scan_samples(ctx, basis, count=5)
-        values.append(gradient_vs_besov(4.0, samples, ctx.grid()).max_ratio)
+    values = [_gradient_constant(ctx, ctx.basis(*trunc))
+              for trunc in ((16, 16), (32, 32))]
     drift = abs(values[1] - values[0]) / values[0]
     # drift is exactly zero when the extremal sample lives in the low
     # bands shared by both truncations; that is stability, not a bug
@@ -1006,15 +985,9 @@ def _check_dealiasing(ctx: VerifyContext) -> CheckResult:
                        note="refinement margin on a decayed-spectrum sample")
 
 
-def _solver_config(ctx: VerifyContext, n=8, k=8, radial=64, angular=128,
-                   mesh=64) -> SolverConfig:
-    return SolverConfig(basis=ctx.basis(n, k), grid=ctx.grid(radial, angular),
-                        p=4.0, T=0.5, mesh_count=mesh,
-                        picard_tol=ctx.config.picard_tol)
-
-
 def _check_picard_small(ctx: VerifyContext) -> CheckResult:
-    cfg = _solver_config(ctx)
+    cfg = _solver_config(ctx.config, ctx.basis(8, 8), ctx.grid(64, 128),
+                         p=4.0, T=0.5, mesh_count=64)
     rng = np.random.default_rng(ctx.config.seed + 11)
     c = rng.standard_normal(cfg.basis.n_modes) * np.exp(-0.1 * cfg.basis.lam)
     u0 = SpectralField(cfg.basis, 1e-3 * c / np.linalg.norm(c))
@@ -1027,7 +1000,8 @@ def _check_picard_small(ctx: VerifyContext) -> CheckResult:
 
 
 def _check_etd_agreement(ctx: VerifyContext) -> CheckResult:
-    cfg = _solver_config(ctx, mesh=96)
+    cfg = _solver_config(ctx.config, ctx.basis(8, 8), ctx.grid(64, 128),
+                         p=4.0, T=0.5, mesh_count=96)
     rng = np.random.default_rng(ctx.config.seed + 12)
     c = rng.standard_normal(cfg.basis.n_modes) * np.exp(-0.1 * cfg.basis.lam)
     u0 = SpectralField(cfg.basis, 1e-3 * c / np.linalg.norm(c))
@@ -1121,19 +1095,10 @@ def verify_checks(config: RunConfig, check_ids=None) -> list:
     """Run the selected checks (all of them by default, plus the drift
     checks when config.doubled is set).  Every check runs to completion
     before the result list is returned; nothing short-circuits."""
-    registry = dict(CHECKS)
-    if config.doubled:
-        registry.update(DRIFT_CHECKS)
-    if check_ids:
-        unknown = [c for c in check_ids if c not in registry and c not in DRIFT_CHECKS]
-        if unknown:
-            raise ConfigError(f"unknown check ids: {unknown} "
-                              f"(known: {sorted(set(registry) | set(DRIFT_CHECKS))})")
-        registry.update({c: DRIFT_CHECKS[c] for c in check_ids if c in DRIFT_CHECKS})
-        selected = [(c, registry[c]) for c in check_ids]
-    else:
-        selected = list(registry.items())
+    selected = _resolve_checks(check_ids or (), config.doubled)
     ctx = VerifyContext(config)
+    if config.basis_cache:
+        ctx.basis()             # refuse a bad cache even if no selected check reads it
     results = []
     for check_id, fn in selected:
         try:
@@ -1152,10 +1117,7 @@ def verify_checks(config: RunConfig, check_ids=None) -> list:
 def _fmt(x) -> str:
     """Shortest-roundtrip decimal form; byte-stable for identical doubles."""
     if isinstance(x, (float, np.floating)):
-        v = float(x)
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return repr(v)
+        return repr(float(x))           # 'inf' and '-inf' included
     return str(x)
 
 
@@ -1166,29 +1128,19 @@ def write_csv(path, header, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def write_json(path, doc) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True,
-                                     default=_json_default) + "\n")
+    Path(path).write_text(json.dumps(_sanitize(doc), indent=2, sort_keys=True) + "\n")
 
 
 def _sanitize(doc):
-    """Replace non-finite floats so the JSON stays strictly standard."""
+    """Plain JSON values throughout: numpy scalars and arrays become Python
+    ones, and non-finite floats None, so the JSON stays strictly standard."""
     if isinstance(doc, dict):
         return {k: _sanitize(v) for k, v in doc.items()}
-    if isinstance(doc, (list, tuple)):
+    if isinstance(doc, (list, tuple, np.ndarray)):
         return [_sanitize(v) for v in doc]
+    if isinstance(doc, np.generic):
+        doc = doc.item()
     if isinstance(doc, float) and not math.isfinite(doc):
         return None
     return doc
@@ -1200,7 +1152,7 @@ def write_manifest(out_dir: Path, config: RunConfig, artifacts,
     doc = {
         "format": f"{FORMAT_PREFIX}-manifest/1",
         "version": __version__,
-        "config": _sanitize(config.as_dict()),
+        "config": dataclasses.asdict(config),
         "artifacts": sorted(artifacts),
         "wall_time_s": wall_time,
         "environment": _ENVIRONMENT,
@@ -1241,57 +1193,50 @@ def trajectory_rows(traj: Trajectory, u0: SpectralField,
     return rows
 
 
-def _solver_from_run(config: RunConfig, basis: Basis, grid: PolarGrid) -> SolverConfig:
+def _solver_config(config: RunConfig, basis: Basis, grid: PolarGrid,
+                   **pinned) -> SolverConfig:
+    """The run's [solver] section as a SolverConfig on (basis, grid); a
+    check pins the fields that define it (p, T, mesh_count) in pinned."""
+    fields = {"p": config.p, "T": config.T, "mesh_count": config.mesh_count,
+              "gamma": config.gamma, "picard_tol": config.picard_tol,
+              "max_picard": config.max_picard, **pinned}
     try:
-        return SolverConfig(basis=basis, grid=grid, p=config.p, T=config.T,
-                            mesh_count=config.mesh_count,
-                            gamma=config.gamma, picard_tol=config.picard_tol,
-                            max_picard=config.max_picard)
+        return SolverConfig(basis=basis, grid=grid, **fields)
     except ValueError as exc:
         raise ConfigError(f"[solver] {exc}") from None
 
 
 def run_experiment(config: RunConfig) -> int:
     """Execute one experiment and write its artifacts; returns the exit code."""
+    _validate_config(config)
     started = time.monotonic()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    artifacts = []
+    artifacts = ["summary.json"]
+    code = 0
 
     if config.experiment == "basis":
-        basis = build_basis(config.n_max, config.k_max)
+        basis = _run_basis(config)
         save_basis(basis, out / "basis.json")
         artifacts.append("basis.json")
-        write_json(out / "summary.json", {
-            "format": f"{FORMAT_PREFIX}-basis-summary/1",
-            "n_modes": basis.n_modes,
-            "lambda_min": basis.lambda_min,
-            "lambda_max": basis.lambda_max,
-        })
-        artifacts.append("summary.json")
-        code = 0
+        summary = {"n_modes": basis.n_modes, "lambda_min": basis.lambda_min,
+                   "lambda_max": basis.lambda_max}
 
     elif config.experiment == "verify":
-        results = verify_checks(config, config.checks or None)
+        results = verify_checks(config, config.checks)
         write_csv(out / "checks.csv",
                   ["check_id", "value", "threshold", "passed"],
                   [r.row() for r in results])
         artifacts.append("checks.csv")
         failed = [r.check_id for r in results if not r.passed]
-        write_json(out / "summary.json", _sanitize({
-            "format": f"{FORMAT_PREFIX}-verify-summary/1",
-            "checks": [dataclasses.asdict(r) for r in results],
-            "failed": failed,
-            "all_passed": not failed,
-        }))
-        artifacts.append("summary.json")
+        summary = {"checks": [dataclasses.asdict(r) for r in results],
+                   "failed": failed, "all_passed": not failed}
         code = 4 if failed else 0
 
     elif config.experiment == "solve":
-        basis = (load_basis(config.basis_cache) if config.basis_cache
-                 else build_basis(config.n_max, config.k_max))
+        basis = _run_basis(config)
         grid = build_grid(config.radial_order, config.angular_count)
-        solver_cfg = _solver_from_run(config, basis, grid)
+        solver_cfg = _solver_config(config, basis, grid)
         u0 = generate_data(config.data, basis, grid)
         traj, report = picard_solve(u0, solver_cfg)
         mild = mild_forcing(traj, solver_cfg)
@@ -1302,37 +1247,23 @@ def run_experiment(config: RunConfig) -> int:
                   trajectory_rows(traj, u0, solver_cfg, mild, terms))
         artifacts.append("trajectory.csv")
         norm = trajectory_norm(traj, solver_cfg.p, solver_cfg.d, grid, terms=terms)
-        write_json(out / "summary.json", _sanitize({
-            "format": f"{FORMAT_PREFIX}-solve-summary/1",
-            "picard": report.summary(),
-            "residual": residual(traj, u0, solver_cfg, mild, norm),
-            "trajectory_norm": norm,
-        }))
-        artifacts.append("summary.json")
+        summary = {"picard": report.summary(),
+                   "residual": residual(traj, u0, solver_cfg, mild, norm),
+                   "trajectory_norm": norm}
         code = 0 if report.converged and not report.diverged else 3
 
-    elif config.experiment == "embed":
-        basis = build_basis(config.n_max, config.k_max)
+    else:                                   # embed
+        basis = _run_basis(config)
         grid = build_grid(config.radial_order, config.angular_count)
-        report = embedding_experiment(config.embed_p, config.embed_widths,
-                                      basis, grid)
-        write_csv(out / "embedding.csv",
-                  ["width", "lp_norm", "weak_l2_proxy", "besov_critical"],
-                  [[r["width"], r["lp_norm"], r["weak_l2_proxy"],
-                    r["besov_critical"]] for r in report["rows"]])
+        report = embedding_experiment(config.embed_p, config.embed_widths, basis, grid)
+        header = ["width", "lp_norm", "weak_l2_proxy", "besov_critical"]
+        write_csv(out / "embedding.csv", header,
+                  [[r[key] for key in header] for r in report["rows"]])
         artifacts.append("embedding.csv")
-        write_json(out / "summary.json", _sanitize({
-            "format": f"{FORMAT_PREFIX}-embed-summary/1",
-            "p": report["p"],
-            "lp_spread": report["lp_spread"],
-            "weak_spread": report["weak_spread"],
-            "besov_spread": report["besov_spread"],
-        }))
-        artifacts.append("summary.json")
-        code = 0
+        summary = {key: report[key]
+                   for key in ("p", "lp_spread", "weak_spread", "besov_spread")}
 
-    else:
-        raise ConfigError(f"unknown experiment {config.experiment!r}")
-
+    write_json(out / "summary.json",
+               {"format": f"{FORMAT_PREFIX}-{config.experiment}-summary/1", **summary})
     write_manifest(out, config, artifacts, time.monotonic() - started)
     return code

@@ -94,11 +94,6 @@ class NonlinearWorkspace:
         return self._fine_grid
 
 
-def build_workspace(basis: Basis, grid: PolarGrid,
-                    policy: DealiasPolicy = DealiasPolicy()) -> NonlinearWorkspace:
-    return NonlinearWorkspace(basis, grid, policy)
-
-
 # The weak form contracts u (x) u with each mode's gradient: since
 # d_y (e_m)_y = -d_x (e_m)_x it is -integral of D G_xx + P (G_yx + G_xy), and
 # the J_n terms of G_yx + G_xy cancel, leaving the order shifts n -+ 2.

@@ -63,15 +63,6 @@ class NormReport:
     bands: tuple          # ((j, 2^{js} * band L^p value), ...)
     value: float
 
-    def as_dict(self) -> dict:
-        return {
-            "s": self.index.s,
-            "p": None if self.index.p == INF else self.index.p,
-            "q": None if self.index.q == INF else self.index.q,
-            "bands": [[j, v] for j, v in self.bands],
-            "value": self.value,
-        }
-
 
 def _lp_from_squares(sq: np.ndarray, weights: np.ndarray, p: float) -> float:
     """L^p norm over the quadrature weights of a pointwise magnitude given by

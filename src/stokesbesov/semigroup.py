@@ -43,24 +43,30 @@ def kernel_tail_threshold(basis: Basis, tol: float = KERNEL_TAIL_TOL) -> float:
     return math.log(1.0 / tol) / (basis.lambda_max - basis.lambda_min)
 
 
-def kernel_matrix(x, y, t: float, basis: Basis) -> np.ndarray:
+def kernel_matrix(x, y, t, basis: Basis) -> np.ndarray:
     """Matrix-valued heat kernel sum_m e^{-t lambda_m} e_m(x) (x) e_m(y).
 
-    Refuses t below the tail-resolution threshold: there the truncation
+    x and y are points (2,) or point-pair arrays (P, 2), a single point
+    pairing with every point of the other side; t is a scalar or a 1-D
+    array.  Shape t.shape + (P, 2, 2), no P axis for two single points.
+
+    Refuses any t below the tail-resolution threshold: there the truncation
     error is not small relative to the kernel itself and the Gaussian-decay
     statements would be tested against noise.
     """
-    t = float(t)
+    ts = np.asarray(t, dtype=float)
     t_min = kernel_tail_threshold(basis)
-    if not t >= t_min:
+    if not np.all(ts >= t_min):
         raise ResolutionError(
-            f"kernel tail unresolved at t={t!r}: exp(-t lambda_max) exceeds "
-            f"{KERNEL_TAIL_TOL:g} of the leading term; need t >= {t_min!r} "
+            f"kernel tail unresolved at t={float(np.min(ts))!r}: exp(-t lambda_max) "
+            f"exceeds {KERNEL_TAIL_TOL:g} of the leading term; need t >= {t_min!r} "
             "at this truncation")
-    ex = mode_values_at(basis, np.asarray(x, dtype=float))[0]   # (M, 2)
-    ey = mode_values_at(basis, np.asarray(y, dtype=float))[0]
-    w = np.exp(-t * basis.lam)
-    return np.einsum("m,mi,mj->ij", w, ex, ey)
+    ex, ey = np.broadcast_arrays(mode_values_at(basis, np.asarray(x, dtype=float)),
+                                 mode_values_at(basis, np.asarray(y, dtype=float)))
+    kern = np.stack([np.einsum("m,pmi,pmj->pij", np.exp(-tv * basis.lam), ex, ey)
+                     for tv in ts.ravel()])
+    kern = kern.reshape(ts.shape + kern.shape[1:])
+    return kern[..., 0, :, :] if np.ndim(x) == np.ndim(y) == 1 else kern
 
 
 @dataclass(frozen=True)
@@ -84,14 +90,6 @@ class EstimateScan:
     def max_ratio(self) -> float:
         return float(self.ratio.max()) if self.ratio.size else 0.0
 
-    def rows(self):
-        for p, l, r, q in zip(self.params, self.lhs, self.rhs_model, self.ratio):
-            yield float(p), float(l), float(r), float(q)
-
-    def summary(self) -> dict:
-        return {"max_ratio": self.max_ratio, "slope": self.slope,
-                "slope_claimed": self.slope_claimed, "skipped": self.skipped}
-
 
 def loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     """Least-squares slope of log y against log x (nan if x has no spread)."""
@@ -103,15 +101,20 @@ def loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(lx, ly - ly.mean()) / denom)
 
 
-def _nonzero_samples(samples, norms):
-    keep, kept_norms, skipped = [], [], 0
-    for f, nf in zip(samples, norms):
-        if nf > 0.0:
-            keep.append(f)
-            kept_norms.append(nf)
-        else:
-            skipped += 1
-    return keep, np.array(kept_norms), skipped
+def _time_scan(t_grid, samples, top, bottom, claimed: float) -> EstimateScan:
+    """The loop the three time scans share: per t, the worst
+    top(e^{-tA} f) / bottom(f) over the samples, against the model
+    t^claimed.  Samples with bottom(f) = 0 are skipped and counted."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if (t_grid <= 0.0).any():
+        raise ValueError("t grid must be positive")
+    normed = [(f, bottom(f)) for f in samples]
+    kept = [(f, nf) for f, nf in normed if nf > 0.0]
+    lhs = np.array([max(top(heat_apply(f, t)) / nf for f, nf in kept)
+                    for t in t_grid])
+    return EstimateScan(params=t_grid, lhs=lhs, rhs_model=t_grid ** claimed,
+                        slope=loglog_slope(t_grid, lhs), slope_claimed=claimed,
+                        skipped=len(normed) - len(kept))
 
 
 def scan_besov_bounded(s: float, p: float, q: float, t_grid, samples,
@@ -119,20 +122,12 @@ def scan_besov_bounded(s: float, p: float, q: float, t_grid, samples,
                        partition: DyadicPartition = DEFAULT_PARTITION) -> EstimateScan:
     """Ratios ||e^{-tA} f|| / ||f|| in the (s, p, q) block norm; the claimed
     model is boundedness (time power zero)."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if (t_grid <= 0.0).any():
-        raise ValueError("t grid must be positive")
     idx = BesovIndex(s, p, q)
-    denom = [besov_norm(f, idx, grid, partition).value for f in samples]
-    samples, denom, skipped = _nonzero_samples(samples, denom)
-    lhs = np.empty(t_grid.size)
-    for i, t in enumerate(t_grid):
-        lhs[i] = max(
-            besov_norm(heat_apply(f, t), idx, grid, partition).value / nf
-            for f, nf in zip(samples, denom))
-    return EstimateScan(params=t_grid, lhs=lhs, rhs_model=np.ones_like(t_grid),
-                        slope=loglog_slope(t_grid, lhs), slope_claimed=0.0,
-                        skipped=skipped)
+
+    def norm(f):
+        return besov_norm(f, idx, grid, partition).value
+
+    return _time_scan(t_grid, samples, norm, norm, 0.0)
 
 
 def scan_smoothing(s: float, s0: float, p: float, p0: float, t_grid, samples,
@@ -152,41 +147,21 @@ def scan_smoothing(s: float, s0: float, p: float, p0: float, t_grid, samples,
     gap = (s - s0) - d * (1.0 / p - 1.0 / p0)
     if gap < 0.0:
         raise ValueError("smoothing gap s - s0 - d(1/p - 1/p0) must be >= 0")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if (t_grid <= 0.0).any():
-        raise ValueError("t grid must be positive")
     claimed = -0.5 * (s - s0) - 0.5 * d * (1.0 / p - 1.0 / p0)
     idx_l = BesovIndex(s, p, 1.0)
     idx_r = BesovIndex(s0, p0, math.inf)
-    denom = [besov_norm(f, idx_r, grid, partition).value for f in samples]
-    samples, denom, skipped = _nonzero_samples(samples, denom)
-    lhs = np.empty(t_grid.size)
-    for i, t in enumerate(t_grid):
-        lhs[i] = max(
-            besov_norm(heat_apply(f, t), idx_l, grid, partition).value / nf
-            for f, nf in zip(samples, denom))
-    return EstimateScan(params=t_grid, lhs=lhs, rhs_model=t_grid ** claimed,
-                        slope=loglog_slope(t_grid, lhs), slope_claimed=claimed,
-                        skipped=skipped)
+    return _time_scan(t_grid, samples,
+                      lambda f: besov_norm(f, idx_l, grid, partition).value,
+                      lambda f: besov_norm(f, idx_r, grid, partition).value,
+                      claimed)
 
 
 def scan_gradient(p: float, t_grid, samples, grid: PolarGrid) -> EstimateScan:
     """Gradient smoothing: ||grad e^{-tA} f||_{L^p} against t^{-1/2} ||f||_{L^p}."""
     if not (1.0 < float(p) < math.inf):
         raise ValueError("gradient smoothing is claimed for 1 < p < inf")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if (t_grid <= 0.0).any():
-        raise ValueError("t grid must be positive")
-    denom = [lp_norm(f, grid, p) for f in samples]
-    samples, denom, skipped = _nonzero_samples(samples, denom)
-    lhs = np.empty(t_grid.size)
-    for i, t in enumerate(t_grid):
-        lhs[i] = max(
-            gradient_lp_norm(heat_apply(f, t), grid, p) / nf
-            for f, nf in zip(samples, denom))
-    return EstimateScan(params=t_grid, lhs=lhs, rhs_model=t_grid ** -0.5,
-                        slope=loglog_slope(t_grid, lhs), slope_claimed=-0.5,
-                        skipped=skipped)
+    return _time_scan(t_grid, samples, lambda f: gradient_lp_norm(f, grid, p),
+                      lambda f: lp_norm(f, grid, p), -0.5)
 
 
 def gradient_vs_besov(p: float, samples, grid: PolarGrid,

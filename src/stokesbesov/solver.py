@@ -75,14 +75,8 @@ class Trajectory:
     provenance: str
     blowup_time: float | None = None
 
-    def __len__(self):
-        return self.times.size
-
     def __iter__(self):
         return iter(zip(self.times, self.fields))
-
-    def coefficient_matrix(self) -> np.ndarray:
-        return np.stack([f.coeffs for f in self.fields])
 
 
 @dataclass(frozen=True)
@@ -324,18 +318,18 @@ def evaluate_at(traj: Trajectory, u0: SpectralField, t,
 
 def residual(traj: Trajectory, u0: SpectralField, config: SolverConfig,
              mild: MildForcing | None = None, scale: float | None = None) -> float:
-    """Plug-in defect of the integral equation over the mesh, in L^2,
-    relative to the trajectory's own solution-space norm.
+    """Defect of the integral equation over the mesh, relative to the
+    trajectory's own solution-space norm: the largest L^2 distance between
+    a mesh field and evaluate_at at its time (the defect trajectory_rows
+    flags point by point).
 
     mild (traj's mild_forcing) and scale (its trajectory_norm) are computed
     here when not given.
     """
     if mild is None:
         mild = mild_forcing(traj, config)
-    worst = 0.0
-    for i, t in enumerate(mild.times):
-        defect = traj.fields[i].coeffs - heat_apply(u0, t).coeffs + mild.swept[i]
-        worst = max(worst, float(np.linalg.norm(defect)))
+    values = evaluate_at(traj, u0, mild.times, config, mild)
+    worst = max((value - f).l2() for value, f in zip(values, traj.fields))
     if scale is None:
         scale = trajectory_norm(traj, config.p, config.d, config.grid)
     return worst / scale if scale > 0.0 else worst

@@ -199,8 +199,8 @@ def _newton_bisect(n: int, guess: np.ndarray, lo: np.ndarray, hi: np.ndarray) ->
     are tightened: tightening first would pin a bracket endpoint onto the
     converged point and push the next candidate into the bisection branch.
     """
-    flo, _ = _jn_with_prime(n, lo)
-    fhi, _ = _jn_with_prime(n, hi)
+    # both bracket ends in one table: only their signs are read
+    (flo, fhi), _ = _jn_with_prime(n, np.stack([lo, hi]))
     if (flo * fhi >= 0).any():
         raise NumericalError(f"zero bracket failed for order {n}")
     x = np.clip(guess, lo + 1e-12, hi - 1e-12)

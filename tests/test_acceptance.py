@@ -107,7 +107,7 @@ def test_criterion_05_kernel_gaussian(ctx):
         basis = ctx.basis(*trunc)
         t_lo = max(0.02, 1.2 * kernel_tail_threshold(basis))
         t_values = np.exp(np.linspace(math.log(t_lo), math.log(0.2), 5))
-        c = _fit_gaussian_constant(ctx, basis, ctx.config.seed + 5, t_values)
+        c = _fit_gaussian_constant(basis, ctx.config.seed + 5, t_values)
         assert math.isfinite(c) and c <= 50.0
         cs.append(c)
     assert abs(cs[1] - cs[0]) / cs[0] <= 0.25

@@ -492,6 +492,81 @@ checks = gram-orthonormality
     assert rows[1].startswith("gram-orthonormality,") and rows[1].endswith("FAIL")
 
 
+_CACHED_RUN = """
+[basis]
+n_max = 4
+k_max = 4
+cache = {cache}
+[grid]
+radial_order = 32
+angular_count = 64
+[solver]
+mesh_count = 4
+[embed]
+widths = 0.4, 0.2
+"""
+
+
+def _cache_run(tmp_path, command, cache, *target):
+    path = tmp_path / "run.ini"
+    path.write_text(_CACHED_RUN.format(cache=cache))
+    return main([command, *target, "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("command", ["embed", "solve"])
+def test_cli_reads_basis_cache(tmp_path, monkeypatch, capsys, command):
+    cache = tmp_path / "basis.json"
+    save_basis(stokesbesov.harness.build_basis(4, 4), cache)
+
+    def no_build(*args):
+        raise AssertionError("the run built its basis instead of reading the cache")
+
+    monkeypatch.setattr(stokesbesov.harness, "build_basis", no_build)
+    assert _cache_run(tmp_path, command, cache) == 0
+    assert "written to" in capsys.readouterr().out
+
+
+def _missing_cache(path):
+    pass
+
+
+def _garbled_cache(path):
+    path.write_text("{not json")
+
+
+def _foreign_cache(path):
+    path.write_text(json.dumps({"format": "something-else/1", "modes": []}))
+
+
+def _wrong_truncation_cache(path):
+    save_basis(stokesbesov.harness.build_basis(2, 3), path)
+
+
+@pytest.mark.parametrize("command", [("embed",), ("solve",), ("verify", "beta-pi")])
+@pytest.mark.parametrize("make, reason", [
+    (_missing_cache, "cannot load"),
+    (_garbled_cache, "cannot load"),
+    (_foreign_cache, "not a basis cache"),
+    (_wrong_truncation_cache, "holds the (2, 3) truncation"),
+])
+def test_cli_refuses_bad_basis_cache(tmp_path, capsys, command, make, reason):
+    cache = tmp_path / "basis.json"
+    make(cache)
+    assert _cache_run(tmp_path, command[0], cache, *command[1:]) == 2
+    err = capsys.readouterr().err
+    assert "config error: [basis] cache" in err and reason in err
+
+
+def test_cli_basis_build_refuses_cache(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_text(f"[basis]\nn_max = 4\nk_max = 4\ncache = {tmp_path / 'basis.json'}\n")
+    code = main(["basis", "build", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "[basis] cache" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # formatting helpers
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from stokesbesov import (ResolutionError, SpectralField, build_basis,
-                         build_grid, build_workspace, dealiasing_check,
+from stokesbesov import (NonlinearWorkspace, ResolutionError, SpectralField,
+                         build_basis, build_grid, dealiasing_check,
                          energy_identity_residual, helmholtz_project,
                          nonlinear_coeffs, synthesize, zero_field)
 from stokesbesov.basis import GridVectorField
@@ -14,7 +14,7 @@ LAMBDA_MIN = 5.783185962946785
 
 @pytest.fixture(scope="module")
 def ws88(basis_88, grid_small):
-    return build_workspace(basis_88, grid_small)
+    return NonlinearWorkspace(basis_88, grid_small)
 
 
 def _unit_random(basis, seed):
@@ -88,7 +88,7 @@ def test_dealiasing_passes_on_working_grid(basis_88, ws88):
 
 def test_dealiasing_fails_on_marginal_grid(basis_88):
     # (24, 22) clears the static gate but aliases the quadratic products
-    ws = build_workspace(basis_88, build_grid(24, 22))
+    ws = NonlinearWorkspace(basis_88, build_grid(24, 22))
     assert ws.resolved
     report = dealiasing_check(_unit_random(basis_88, 48), ws)
     assert not report.passed
@@ -103,7 +103,7 @@ def test_dealiasing_zero_field(basis_88, ws88):
 
 
 def test_static_gate_rejects_coarse_grid(basis_88):
-    ws = build_workspace(basis_88, build_grid(16, 64))
+    ws = NonlinearWorkspace(basis_88, build_grid(16, 64))
     assert not ws.resolved
     with pytest.raises(ResolutionError):
         nonlinear_coeffs(_unit_random(basis_88, 49), ws)

@@ -66,8 +66,7 @@ def test_kernel_symmetry(basis_88):
 
 def test_kernel_reproduces_heat_flow():
     """Integrating the kernel against a field must agree with the diagonal
-    flow pointwise: K_t acts as e^{-tA} under the grid quadrature.  A small
-    truncation keeps the per-point kernel calls affordable."""
+    flow pointwise: K_t acts as e^{-tA} under the grid quadrature."""
     from stokesbesov import build_basis, build_grid
     from stokesbesov.basis import mode_values_at
     basis = build_basis(2, 4)
@@ -81,9 +80,8 @@ def test_kernel_reproduces_heat_flow():
     vals = mode_values_at(basis, pts)               # (P, M, 2)
     fy = np.einsum("pmi,m->pi", vals, f.coeffs)
     w = grid.weights.ravel()
-    smoothed = np.zeros(2)
-    for j, (py, wj) in enumerate(zip(pts, w)):
-        smoothed += kernel_matrix(x, py, t, basis) @ fy[j] * wj
+    kern = kernel_matrix(x, pts, t, basis)          # (P, 2, 2): x against every node
+    smoothed = np.einsum("pij,pj,p->i", kern, fy, w)
 
     direct = np.einsum("pmi,m->pi", mode_values_at(basis, x),
                        heat_apply(f, t).coeffs)[0]
@@ -102,9 +100,33 @@ def test_kernel_trace_decay_rate(basis_88, grid_small):
 
 
 def test_kernel_refuses_unresolved_time(basis_88):
+    t_min = kernel_tail_threshold(basis_88)
     with pytest.raises(ResolutionError):
-        kernel_matrix([0.0, 0.0], [0.1, 0.0],
-                      0.5 * kernel_tail_threshold(basis_88), basis_88)
+        kernel_matrix([0.0, 0.0], [0.1, 0.0], 0.5 * t_min, basis_88)
+    # a batch is refused when any one of its times is unresolved
+    with pytest.raises(ResolutionError):
+        kernel_matrix([[0.0, 0.0], [0.2, 0.1]], [[0.1, 0.0], [0.0, 0.3]],
+                      np.array([2.0 * t_min, 0.5 * t_min, 4.0 * t_min]), basis_88)
+
+
+def test_kernel_batch_matches_scalar_calls(basis_88):
+    rng = np.random.default_rng(35)
+    r = np.sqrt(rng.uniform(0.0, 0.9, size=(2, 4)))
+    th = rng.uniform(0.0, 2 * math.pi, size=(2, 4))
+    xs = np.column_stack([r[0] * np.cos(th[0]), r[0] * np.sin(th[0])])
+    ys = np.column_stack([r[1] * np.cos(th[1]), r[1] * np.sin(th[1])])
+    ts = kernel_tail_threshold(basis_88) * np.array([1.5, 3.0, 10.0])
+    batch = kernel_matrix(xs, ys, ts, basis_88)
+    assert batch.shape == (3, 4, 2, 2)
+    single = np.array([[kernel_matrix(x, y, t, basis_88) for x, y in zip(xs, ys)]
+                       for t in ts])
+    assert single.shape == (3, 4, 2, 2)
+    # the batch evaluates J_n on all points at once, which moves the Miller
+    # start and so the last bits, not the values
+    scale = np.max(np.abs(single))
+    assert np.max(np.abs(batch - single)) <= 1e-13 * scale
+    assert kernel_matrix(xs, ys, ts[0], basis_88).shape == (4, 2, 2)
+    assert kernel_matrix(xs[0], ys[0], ts, basis_88).shape == (3, 2, 2)
 
 
 def test_besov_bounded_scan(basis_88, grid_small):
