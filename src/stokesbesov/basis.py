@@ -247,6 +247,9 @@ class PolarGrid:
         self.y = np.outer(self.radii, np.sin(self.thetas))
         self._tables = {}
         self._refined = {}
+        self._sub_weights = {1: self.weights}
+        self._divisors = [n for n in range(1, self.angular_count + 1)
+                          if self.angular_count % n == 0]
 
     @property
     def radial_order(self) -> int:
@@ -259,6 +262,22 @@ class PolarGrid:
     def integrate(self, values: np.ndarray) -> float:
         """Integral over the disk of a scalar sampled on the grid nodes."""
         return float(np.sum(self.weights * values))
+
+    def exact_stride(self, degree: int) -> int:
+        """Largest divisor s of angular_count with angular_count / s > degree:
+        the trapezoid rule on every s-th angle still integrates every trig
+        polynomial of that degree exactly.  1 when no divisor qualifies."""
+        count = self.angular_count
+        return count // next((n for n in self._divisors if n > degree), count)
+
+    def sub_weights(self, stride: int) -> np.ndarray:
+        """Quadrature weights (R, A/stride) on every stride-th angle."""
+        w = self._sub_weights.get(stride)
+        if w is None:
+            count = self.angular_count // stride
+            w = np.outer(self.radial_weights, np.full(count, 2.0 * np.pi / count))
+            self._sub_weights[stride] = w
+        return w
 
     def tables(self, basis: Basis) -> "ModeTables":
         tab = self._tables.get(basis.cache_key)
@@ -362,6 +381,7 @@ class ModeTables:
             np.multiply(tab, sign, out=self.radial[n])
         self.slot = (2 * basis.angular + basis.parity) * basis.k_max + basis.radial - 1
         self._scatter = {}
+        self._strided = {1: self.angular}     # angular[:, ::s] per stride s
 
     def scatter(self, spec: Transform):
         """Sign table of a transform, shape (channels, angular rows,
@@ -384,13 +404,11 @@ class ModeTables:
             self._scatter[spec] = hit
         return hit
 
-    def forward(self, spec: Transform, coeffs: np.ndarray, out=None) -> np.ndarray:
-        """Channel values (channels, R, A) of a coefficient vector, written
-        to out when given.
-
-        Orders above the highest one with a nonzero coefficient are cut off:
-        profiles, sign table and angular rows are all prefix slices.
-        """
+    def _lines(self, spec: Transform, coeffs: np.ndarray):
+        """Radial and sign-table steps of forward: the angular-row
+        coefficients (channels, rows, R) and the count of live orders (one
+        past the highest with a nonzero coefficient).  Orders above it are
+        cut off: profiles, sign table and angular rows are prefix slices."""
         table, scale = self.scatter(spec)
         a = np.zeros((self.basis.n_max + 1, 2, self.basis.k_max))
         a.reshape(-1)[self.slot] = coeffs * scale
@@ -400,7 +418,27 @@ class ModeTables:
         rows = min(table.shape[1], 2 * (cut + spec.shifts[-1])) if cut else 0
         lines = np.matmul(table[:, :rows, :prof.size // self.grid.radial_order],
                           prof.reshape(-1, self.grid.radial_order))
-        return np.matmul(lines.transpose(0, 2, 1), self.angular[:rows], out=out)
+        return lines, cut
+
+    def forward(self, spec: Transform, coeffs: np.ndarray, out=None) -> np.ndarray:
+        """Channel values (channels, R, A) of a coefficient vector, written
+        to out when given."""
+        lines, _ = self._lines(spec, coeffs)
+        return np.matmul(lines.transpose(0, 2, 1), self.angular[:lines.shape[1]], out=out)
+
+    def forward_coarse(self, spec: Transform, coeffs: np.ndarray, p: int):
+        """Channel values (channels, R, A/s) of a coefficient vector on every
+        s-th angle, and s: the largest stride that leaves more than p n
+        angles, n the highest live order.  The squared channel magnitude has
+        angular degree <= 2 n (norms module), so for even p its (p/2)-th
+        power integrates exactly on this sub-grid."""
+        lines, cut = self._lines(spec, coeffs)
+        stride = self.grid.exact_stride(p * (cut - 1))
+        ang = self._strided.get(stride)
+        if ang is None:
+            ang = np.ascontiguousarray(self.angular[:, ::stride])
+            self._strided[stride] = ang
+        return np.matmul(lines.transpose(0, 2, 1), ang[:lines.shape[1]]), stride
 
     def adjoint(self, spec: Transform, values) -> np.ndarray:
         """Quadrature transpose of forward: the coefficient vector of

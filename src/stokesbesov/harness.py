@@ -758,8 +758,9 @@ def _check_smoothing(ctx: VerifyContext) -> CheckResult:
                                 0.0, 8))
     worst = -INF
     notes = []
+    profiles = {}       # the tuples share left and right norms
     for s, s0, p, p0 in _SMOOTHING_TUPLES:
-        scan = scan_smoothing(s, s0, p, p0, t_grid, samples, grid)
+        scan = scan_smoothing(s, s0, p, p0, t_grid, samples, grid, profiles=profiles)
         if not np.all(np.isfinite(scan.ratio)):
             return CheckResult("semigroup-smoothing", INF, 0.1, False,
                                note=f"non-finite ratio at tuple ({s}, {s0}, {p}, {p0})")

@@ -11,6 +11,23 @@ finite float.  The sup norm is approximated by a max over a refinement grid
 three times denser in each direction; truncated fields have bounded
 gradients, so the refinement error is controlled and documented rather than
 hidden.
+
+Even integer p on a SpectralField integrates on the coarsest angular
+sub-grid on which the trapezoid rule is still exact.  At each radius the
+velocity of the modes of order <= n is w = u_x + i u_y, a sum of
+J_{m+1} e^{i(m+1)th} and J_{m-1} e^{-i(m-1)th} over m <= n, so its angular
+frequencies lie in [-(n-1), n+1] and |u|^2 = w conj(w) has angular degree
+<= 2n.  The squared Frobenius magnitude of the gradient is
+|d_x w|^2 + |d_y w|^2 = 2(|d_z w|^2 + |d_zbar w|^2), and d_z, d_zbar move
+every frequency down and up by one ([-n, n] and [-(n-2), n+2]), so it has
+degree <= 2n as well.  |u|^p = (|u|^2)^(p/2) then has degree <= p n, and
+N equispaced angles integrate every trig polynomial of degree < N exactly.
+So on every s-th angle, s the largest divisor of the angular count A with
+A/s > p n, the quadrature equals the A-angle one up to rounding (s = 1, the
+full grid, when A <= p n); the radial Gauss rule is the same on both.  The
+bound is tight: N = p n angles alias the degree-p n term into the mean.
+p = inf (refined grid), odd or fractional p, GridVectorField input and the
+pairings stay on the full grid.
 """
 
 from __future__ import annotations
@@ -21,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (GridVectorField, PolarGrid, SpectralField,
-                    field_gradient_values, synthesize)
+from .basis import (GRADIENT, VELOCITY, GridVectorField, PolarGrid, SpectralField,
+                    Transform, field_gradient_values, synthesize)
 from .dyadic import DEFAULT_PARTITION, DyadicPartition, active_bands, apply_band, apply_window
 from .errors import TruncationWarning
 
@@ -81,15 +98,30 @@ def _lp_from_squares(sq: np.ndarray, weights: np.ndarray, p: float) -> float:
     return float(np.vdot(weights, sq)) ** (1.0 / p)
 
 
+def _coarse_lp(f: SpectralField, grid: PolarGrid, spec: Transform, p: float) -> float:
+    """L^p norm, p even, of the channel magnitude of spec on the coarsest
+    angular sub-grid that integrates |.|^p exactly (module docstring)."""
+    vals, stride = grid.tables(f.basis).forward_coarse(spec, f.coeffs, int(p))
+    sq = np.square(vals[0])
+    if spec is GRADIENT:
+        sq += sq                        # the fourth channel d_y u_y = -d_x u_x
+    for v in vals[1:]:
+        sq += np.square(v, out=v)
+    return _lp_from_squares(sq, grid.sub_weights(stride), p)
+
+
 def lp_norm(v, grid: PolarGrid, p) -> float:
     """L^p norm of the pointwise velocity magnitude over the disk.
 
-    Accepts a SpectralField (synthesized on the grid; on p = inf on the
-    refined companion grid) or raw GridVectorField samples (p = inf then
-    maximizes over the nodes the data lives on).
+    Accepts a SpectralField (synthesized on the grid; for even p on its
+    coarsest exact angular sub-grid, for p = inf on the refined companion
+    grid) or raw GridVectorField samples (p = inf then maximizes over the
+    nodes the data lives on).
     """
     p = _check_p(p)
     if isinstance(v, SpectralField):
+        if (p / 2.0).is_integer():
+            return _coarse_lp(v, grid, VELOCITY, p)
         v = synthesize(v, grid.refined() if p == INF else grid)
         # the samples are ours: square them in place
         sq = np.square(v.ux, out=v.ux)
@@ -105,8 +137,12 @@ def lp_norm(v, grid: PolarGrid, p) -> float:
 
 
 def gradient_lp_norm(f: SpectralField, grid: PolarGrid, p) -> float:
-    """L^p norm of the pointwise Frobenius magnitude of the velocity gradient."""
+    """L^p norm of the pointwise Frobenius magnitude of the velocity gradient
+    (even p on the coarsest exact angular sub-grid, p = inf on the refined
+    grid)."""
     p = _check_p(p)
+    if (p / 2.0).is_integer():
+        return _coarse_lp(f, grid, GRADIENT, p)
     g = grid.refined() if p == INF else grid
     ten = field_gradient_values(f, g)
     return _lp_from_squares(np.sum(ten * ten, axis=(2, 3)), g.weights, p)
@@ -120,15 +156,25 @@ def _aggregate(values: np.ndarray, q: float) -> float:
     return float(np.sum(values ** q) ** (1.0 / q))
 
 
+def band_profile(f: SpectralField, grid: PolarGrid, p: float,
+                 partition: DyadicPartition = DEFAULT_PARTITION) -> tuple:
+    """((j, ||phi_j(sqrt(A)) f||_{L^p}), ...) over the active bands; every
+    block norm of f with this p aggregates it (besov_from_profile)."""
+    return tuple((j, lp_norm(apply_band(f, j, partition), grid, p))
+                 for j in active_bands(f.basis, partition))
+
+
+def besov_from_profile(profile: tuple, idx: BesovIndex) -> NormReport:
+    """The (s, p, q) block norm from the band profile of its p."""
+    bands = tuple((j, 2.0 ** (j * idx.s) * band_lp) for j, band_lp in profile)
+    vals = np.array([v for _, v in bands])
+    return NormReport(index=idx, bands=bands, value=_aggregate(vals, idx.q))
+
+
 def besov_norm(f: SpectralField, idx: BesovIndex, grid: PolarGrid,
                partition: DyadicPartition = DEFAULT_PARTITION) -> NormReport:
     """Dyadic-block norm of a spectral field, with the per-band breakdown."""
-    bands = []
-    for j in active_bands(f.basis, partition):
-        band_lp = lp_norm(apply_band(f, j, partition), grid, idx.p)
-        bands.append((j, 2.0 ** (j * idx.s) * band_lp))
-    vals = np.array([v for _, v in bands])
-    return NormReport(index=idx, bands=tuple(bands), value=_aggregate(vals, idx.q))
+    return besov_from_profile(band_profile(f, grid, idx.p, partition), idx)
 
 
 def dual_pairing(f: SpectralField, g: SpectralField, grid: PolarGrid,

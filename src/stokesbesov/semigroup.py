@@ -22,7 +22,8 @@ import numpy as np
 from .basis import Basis, PolarGrid, SpectralField, mode_values_at
 from .dyadic import DEFAULT_PARTITION, DyadicPartition
 from .errors import ResolutionError
-from .norms import BesovIndex, besov_norm, dual_pairing, gradient_lp_norm, lp_norm
+from .norms import (BesovIndex, band_profile, besov_from_profile, besov_norm, dual_pairing,
+                    gradient_lp_norm, lp_norm)
 
 KERNEL_TAIL_TOL = 1e-12
 
@@ -132,13 +133,18 @@ def scan_besov_bounded(s: float, p: float, q: float, t_grid, samples,
 
 def scan_smoothing(s: float, s0: float, p: float, p0: float, t_grid, samples,
                    grid: PolarGrid, d: int = 2,
-                   partition: DyadicPartition = DEFAULT_PARTITION) -> EstimateScan:
+                   partition: DyadicPartition = DEFAULT_PARTITION,
+                   profiles: dict | None = None) -> EstimateScan:
     """Smoothing estimate scan: left side ||e^{-tA} f|| in (s, p, 1) against
     t^(-(s-s0)/2 - (d/2)(1/p - 1/p0)) ||f|| in (s0, p0, inf).
 
     Requires s >= s0, p <= p0 and a nonnegative gap
     s - s0 - d (1/p - 1/p0); gap zero is plain boundedness, a negative gap
     is rejected (the estimate is not claimed there).
+
+    profiles memoizes band profiles by (p, coefficients); pass one dict to
+    several scans of the same samples on one grid and partition, and each
+    (sample, t, p) profile is computed once for all their indices.
     """
     if s < s0:
         raise ValueError("smoothing scan requires s >= s0")
@@ -148,12 +154,18 @@ def scan_smoothing(s: float, s0: float, p: float, p0: float, t_grid, samples,
     if gap < 0.0:
         raise ValueError("smoothing gap s - s0 - d(1/p - 1/p0) must be >= 0")
     claimed = -0.5 * (s - s0) - 0.5 * d * (1.0 / p - 1.0 / p0)
-    idx_l = BesovIndex(s, p, 1.0)
-    idx_r = BesovIndex(s0, p0, math.inf)
-    return _time_scan(t_grid, samples,
-                      lambda f: besov_norm(f, idx_l, grid, partition).value,
-                      lambda f: besov_norm(f, idx_r, grid, partition).value,
-                      claimed)
+    memo = {} if profiles is None else profiles
+
+    def norm(idx):
+        def value(f):
+            key = (idx.p, f.coeffs.tobytes())
+            if key not in memo:
+                memo[key] = band_profile(f, grid, idx.p, partition)
+            return besov_from_profile(memo[key], idx).value
+        return value
+
+    return _time_scan(t_grid, samples, norm(BesovIndex(s, p, 1.0)),
+                      norm(BesovIndex(s0, p0, math.inf)), claimed)
 
 
 def scan_gradient(p: float, t_grid, samples, grid: PolarGrid) -> EstimateScan:

@@ -157,3 +157,22 @@ def scipy_jn_zeros(n: int, count: int) -> np.ndarray:
 def scipy_jv(n: int, x) -> float | np.ndarray:
     from scipy import special
     return special.jv(n, x)
+
+
+def axisymmetric_mode_lp(k: int, p: float) -> float:
+    """L^p norm over the unit disk of the unit-L^2 Stokes mode with stream
+    function J_0(j r), j the k-th zero of J_0.  Its speed is the closed
+    radial profile |psi_r| = j |J_1(j r)| (up to the normalization), so
+    both the L^p and the L^2 integral are one adaptive radial quadrature
+    each: ||u||_p / ||u||_2 = (2 pi int g^p r dr)^(1/p) / (2 pi int g^2 r dr)^(1/2)."""
+    from scipy import special
+    j = float(special.jn_zeros(0, k)[-1])
+
+    def moment(q):
+        val, err = integrate.quad(lambda r: abs(j * special.jv(1, j * r)) ** q * r,
+                                  0.0, 1.0, limit=200, epsabs=1e-15, epsrel=1e-13)
+        if err > 1e-12 * abs(val):
+            raise RuntimeError(f"radial quadrature error too large: {err}")
+        return 2.0 * math.pi * val
+
+    return moment(p) ** (1.0 / p) / math.sqrt(moment(2.0))

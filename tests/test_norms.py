@@ -4,13 +4,15 @@ import math
 import warnings
 
 import numpy as np
+import oracles
 import pytest
 
 from stokesbesov import (BesovIndex, SpectralField, TruncationWarning,
                          besov_norm, build_basis, build_grid, critical_index,
                          dual_pairing, heat_apply, lp_norm, tail_smallness,
                          trajectory_norm, zero_field)
-from stokesbesov.basis import GridVectorField, field_gradient_values, synthesize
+from stokesbesov.basis import (COS, VELOCITY, GridVectorField, field_gradient_values,
+                               synthesize)
 from stokesbesov.norms import INF, gradient_lp_norm
 from stokesbesov.solver import SolverConfig, linear_trajectory
 
@@ -245,3 +247,78 @@ def test_lp_norm_sup_and_fractional_p(basis_88, grid_small):
         float(np.hypot(v.ux, v.uy).max()), rel=1e-15)
     assert lp_norm(v, grid_small, 2.5) == pytest.approx(
         _hypot_lp(v.ux, v.uy, grid_small, 2.5), rel=1e-13)
+
+
+def _low_order(basis, top, seed):
+    """Random field on the modes of angular order <= top."""
+    rng = np.random.default_rng(seed)
+    return SpectralField(basis, rng.standard_normal(basis.n_modes) * (basis.angular <= top))
+
+
+@pytest.fixture(scope="module")
+def grid_wide():
+    return build_grid(48, 256)
+
+
+@pytest.mark.parametrize("top", [1, 2, 4])
+@pytest.mark.parametrize("p", [2.0, 4.0, 6.0])
+def test_even_p_large_strides_match_full_grid(basis_88, grid_wide, top, p):
+    f = _low_order(basis_88, top, 30 + top)
+    _, stride = grid_wide.tables(basis_88).forward_coarse(VELOCITY, f.coeffs, int(p))
+    assert stride >= 8
+    v = synthesize(f, grid_wide)
+    assert lp_norm(f, grid_wide, p) == pytest.approx(
+        _hypot_lp(v.ux, v.uy, grid_wide, p), rel=1e-13)
+    ten = field_gradient_values(f, grid_wide)
+    mag = np.sqrt(np.sum(ten * ten, axis=(2, 3)))
+    want = float(np.sum(grid_wide.weights * mag ** p) ** (1.0 / p))
+    assert gradient_lp_norm(f, grid_wide, p) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_axisymmetric_mode_l4_matches_radial_oracle(basis_88, grid_small, k):
+    f = zero_field(basis_88)
+    f.coeffs[basis_88.group_index[(0, COS)][k - 1]] = 1.0
+    # rotation invariant: the rule keeps a single angle
+    _, stride = grid_small.tables(basis_88).forward_coarse(VELOCITY, f.coeffs, 4)
+    assert stride == grid_small.angular_count
+    assert lp_norm(f, grid_small, 4.0) == pytest.approx(
+        oracles.axisymmetric_mode_lp(k, 4.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("top,p", [(2, 4.0), (4, 2.0), (4, 4.0), (8, 2.0), (8, 4.0)])
+def test_angle_rule_is_tight(basis_88, grid_wide, top, p):
+    """The rule keeps N = 2 p n angles for these fields, n the top order;
+    N = p n, one step coarser, aliases the degree-p n term of |u|^p and
+    |grad u|^p into the mean and misses."""
+    f = _low_order(basis_88, top, 40 + top)
+    count = grid_wide.angular_count // grid_wide.exact_stride(int(p) * top)
+    assert count == 2 * int(p) * top
+    coarse = build_grid(grid_wide.radial_order, int(p) * top)
+    v = synthesize(f, coarse)
+    assert abs(lp_norm(v, coarse, p) / lp_norm(f, grid_wide, p) - 1.0) > 1e-8
+    ten = field_gradient_values(f, coarse)
+    mag = np.sqrt(np.sum(ten * ten, axis=(2, 3)))
+    missed = float(np.sum(coarse.weights * mag ** p) ** (1.0 / p))
+    assert abs(missed / gradient_lp_norm(f, grid_wide, p) - 1.0) > 1e-8
+
+
+def _full_grid_lp(sq, grid, p):
+    """The full-grid quadrature of the magnitude whose square is sq."""
+    if p == INF:
+        return math.sqrt(float(sq.max()))
+    return float(np.vdot(grid.weights, np.power(np.sqrt(sq), p))) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.5, 3.0, INF])
+def test_other_p_stay_on_the_full_grid(basis_88, grid_small, p):
+    """Odd, fractional and infinite p are bit-identical to the full-grid
+    (p = inf: refined-grid) formula."""
+    rng = np.random.default_rng(26)
+    f = SpectralField(basis_88, rng.standard_normal(basis_88.n_modes))
+    g = grid_small.refined() if p == INF else grid_small
+    v = synthesize(f, g)
+    assert lp_norm(f, grid_small, p) == _full_grid_lp(v.ux ** 2 + v.uy ** 2, g, p)
+    ten = field_gradient_values(f, g)
+    assert gradient_lp_norm(f, grid_small, p) == _full_grid_lp(
+        np.sum(ten * ten, axis=(2, 3)), g, p)
