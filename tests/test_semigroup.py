@@ -173,6 +173,24 @@ def test_smoothing_quarter_power(basis_88, grid_small):
     assert scan.slope <= -0.25 + 0.1
 
 
+def test_smoothing_profiles_memo_is_exact(basis_88, grid_small):
+    """Scans that share one profiles memo give the same ratios, bit for
+    bit, as scans that compute every Besov norm afresh; the second scan
+    reuses the left-side profiles of the first."""
+    rng = np.random.default_rng(36)
+    samples = [SpectralField(basis_88, rng.standard_normal(basis_88.n_modes))
+               for _ in range(2)]
+    t_grid = np.geomspace(1e-3, 1e-1, 3)
+    profiles = {}
+    for s, s0 in ((0.0, 0.0), (0.0, -0.5)):
+        shared = scan_smoothing(s, s0, 4.0, 4.0, t_grid, samples, grid_small,
+                                profiles=profiles)
+        fresh = scan_smoothing(s, s0, 4.0, 4.0, t_grid, samples, grid_small)
+        assert np.array_equal(shared.ratio, fresh.ratio)
+    # one profile per (sample, t) on the left and per sample on the right
+    assert len(profiles) == len(samples) * (len(t_grid) + 1)
+
+
 def test_smoothing_validation(basis_88, grid_small):
     with pytest.raises(ValueError):
         scan_smoothing(-1.0, 0.0, 2.0, 2.0, [0.1], [], grid_small)
