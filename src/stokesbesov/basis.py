@@ -41,6 +41,8 @@ _PARITY_NAME = ("cos", "sin")
 
 DEFAULT_N_MAX = 32
 DEFAULT_K_MAX = 32
+MAX_N_MAX = 128
+MAX_K_MAX = 128
 DEFAULT_RADIAL_ORDER = 128
 DEFAULT_ANGULAR_COUNT = 256
 REFINE_FACTOR = 3
@@ -99,10 +101,10 @@ def build_basis(n_max: int = DEFAULT_N_MAX, k_max: int = DEFAULT_K_MAX) -> Basis
     Mode count is k_max * (1 + 2 n_max): angular order 0 only has the cosine
     (axisymmetric) branch, every n >= 1 has a cosine and a sine branch.
     """
-    if not (0 <= int(n_max) <= 128):
-        raise ValueError("n_max must lie in [0, 128]")
-    if not (1 <= int(k_max) <= 128):
-        raise ValueError("k_max must lie in [1, 128]")
+    if not (0 <= int(n_max) <= MAX_N_MAX):
+        raise ValueError(f"n_max must lie in [0, {MAX_N_MAX}]")
+    if not (1 <= int(k_max) <= MAX_K_MAX):
+        raise ValueError(f"k_max must lie in [1, {MAX_K_MAX}]")
     n_max, k_max = int(n_max), int(k_max)
 
     rows = np.empty((n_max + 1, k_max))
@@ -237,8 +239,13 @@ class PolarGrid:
     y: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        self._place(2.0 * np.pi * np.arange(self.angular_count) / self.angular_count, {})
+
+    def _place(self, thetas: np.ndarray, radial_stacks: dict):
+        """Derived arrays from the angles; radial_stacks (basis cache key ->
+        radial Bessel stack) is shared with every sub-grid."""
         self.radii = self.radial_rule.nodes
-        self.thetas = 2.0 * np.pi * np.arange(self.angular_count) / self.angular_count
+        self.thetas = thetas
         self.radial_weights = self.radial_rule.weights * self.radii
         self.angular_weight = 2.0 * np.pi / self.angular_count
         self.weights = np.outer(self.radial_weights,
@@ -247,7 +254,8 @@ class PolarGrid:
         self.y = np.outer(self.radii, np.sin(self.thetas))
         self._tables = {}
         self._refined = {}
-        self._sub_weights = {1: self.weights}
+        self._radial_stacks = radial_stacks
+        self._subgrids = {self.angular_count: self}
         self._divisors = [n for n in range(1, self.angular_count + 1)
                           if self.angular_count % n == 0]
 
@@ -263,21 +271,20 @@ class PolarGrid:
         """Integral over the disk of a scalar sampled on the grid nodes."""
         return float(np.sum(self.weights * values))
 
-    def exact_stride(self, degree: int) -> int:
-        """Largest divisor s of angular_count with angular_count / s > degree:
-        the trapezoid rule on every s-th angle still integrates every trig
-        polynomial of that degree exactly.  1 when no divisor qualifies."""
-        count = self.angular_count
-        return count // next((n for n in self._divisors if n > degree), count)
-
-    def sub_weights(self, stride: int) -> np.ndarray:
-        """Quadrature weights (R, A/stride) on every stride-th angle."""
-        w = self._sub_weights.get(stride)
-        if w is None:
-            count = self.angular_count // stride
-            w = np.outer(self.radial_weights, np.full(count, 2.0 * np.pi / count))
-            self._sub_weights[stride] = w
-        return w
+    def exact_subgrid(self, degree: int) -> "PolarGrid":
+        """The grid on every s-th angle, s the largest divisor of
+        angular_count that leaves more than degree angles: its trapezoid
+        rule still integrates every trig polynomial of that degree exactly.
+        It keeps the angles thetas[::s] bit for bit, the radial rule and the
+        radial Bessel stacks; the grid itself when no coarser one qualifies."""
+        count = next((n for n in self._divisors if n > degree), self.angular_count)
+        sub = self._subgrids.get(count)
+        if sub is None:
+            sub = object.__new__(PolarGrid)
+            sub.radial_rule, sub.angular_count = self.radial_rule, count
+            sub._place(self.thetas[::self.angular_count // count], self._radial_stacks)
+            self._subgrids[count] = sub
+        return sub
 
     def tables(self, basis: Basis) -> "ModeTables":
         tab = self._tables.get(basis.cache_key)
@@ -372,16 +379,18 @@ class ModeTables:
         ang[:, COS] = np.cos(np.outer(orders, grid.thetas))
         ang[:, SIN] = np.sin(np.outer(orders, grid.thetas))
         self.angular = ang.reshape(2 * orders.size, grid.angular_count)
-        self.radial = np.empty((basis.n_max + 1, 5, basis.k_max, grid.radial_order))
-        for n in range(basis.n_max + 1):
-            qs = np.arange(n - 2, n + 3)
-            sign = np.where((qs < 0) & (qs % 2 == 1), -1.0, 1.0)[:, None, None]
-            args = np.multiply.outer(basis.zeros_rows[n], grid.radii)
-            tab = bessel_j_table(n + 2, args, orders=np.abs(qs))   # (5, k_max, R)
-            np.multiply(tab, sign, out=self.radial[n])
+        self.radial = grid._radial_stacks.get(basis.cache_key)
+        if self.radial is None:
+            self.radial = np.empty((basis.n_max + 1, 5, basis.k_max, grid.radial_order))
+            for n in range(basis.n_max + 1):
+                qs = np.arange(n - 2, n + 3)
+                sign = np.where((qs < 0) & (qs % 2 == 1), -1.0, 1.0)[:, None, None]
+                args = np.multiply.outer(basis.zeros_rows[n], grid.radii)
+                tab = bessel_j_table(n + 2, args, orders=np.abs(qs))   # (5, k_max, R)
+                np.multiply(tab, sign, out=self.radial[n])
+            grid._radial_stacks[basis.cache_key] = self.radial
         self.slot = (2 * basis.angular + basis.parity) * basis.k_max + basis.radial - 1
         self._scatter = {}
-        self._strided = {1: self.angular}     # angular[:, ::s] per stride s
 
     def scatter(self, spec: Transform):
         """Sign table of a transform, shape (channels, angular rows,
@@ -404,11 +413,13 @@ class ModeTables:
             self._scatter[spec] = hit
         return hit
 
-    def _lines(self, spec: Transform, coeffs: np.ndarray):
-        """Radial and sign-table steps of forward: the angular-row
-        coefficients (channels, rows, R) and the count of live orders (one
-        past the highest with a nonzero coefficient).  Orders above it are
-        cut off: profiles, sign table and angular rows are prefix slices."""
+    def forward(self, spec: Transform, coeffs: np.ndarray, out=None) -> np.ndarray:
+        """Channel values (channels, R, A) of a coefficient vector, written
+        to out when given.
+
+        Orders above the highest one with a nonzero coefficient are cut off:
+        profiles, sign table and angular rows are all prefix slices.
+        """
         table, scale = self.scatter(spec)
         a = np.zeros((self.basis.n_max + 1, 2, self.basis.k_max))
         a.reshape(-1)[self.slot] = coeffs * scale
@@ -418,27 +429,7 @@ class ModeTables:
         rows = min(table.shape[1], 2 * (cut + spec.shifts[-1])) if cut else 0
         lines = np.matmul(table[:, :rows, :prof.size // self.grid.radial_order],
                           prof.reshape(-1, self.grid.radial_order))
-        return lines, cut
-
-    def forward(self, spec: Transform, coeffs: np.ndarray, out=None) -> np.ndarray:
-        """Channel values (channels, R, A) of a coefficient vector, written
-        to out when given."""
-        lines, _ = self._lines(spec, coeffs)
-        return np.matmul(lines.transpose(0, 2, 1), self.angular[:lines.shape[1]], out=out)
-
-    def forward_coarse(self, spec: Transform, coeffs: np.ndarray, p: int):
-        """Channel values (channels, R, A/s) of a coefficient vector on every
-        s-th angle, and s: the largest stride that leaves more than p n
-        angles, n the highest live order.  The squared channel magnitude has
-        angular degree <= 2 n (norms module), so for even p its (p/2)-th
-        power integrates exactly on this sub-grid."""
-        lines, cut = self._lines(spec, coeffs)
-        stride = self.grid.exact_stride(p * (cut - 1))
-        ang = self._strided.get(stride)
-        if ang is None:
-            ang = np.ascontiguousarray(self.angular[:, ::stride])
-            self._strided[stride] = ang
-        return np.matmul(lines.transpose(0, 2, 1), ang[:lines.shape[1]]), stride
+        return np.matmul(lines.transpose(0, 2, 1), self.angular[:rows], out=out)
 
     def adjoint(self, spec: Transform, values) -> np.ndarray:
         """Quadrature transpose of forward: the coefficient vector of

@@ -16,7 +16,7 @@ plateau values hold exactly, not just approximately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,19 +51,13 @@ class BandRange:
         return self.j_lo <= j <= self.j_hi
 
 
-@dataclass(frozen=True)
 class DyadicPartition:
-    """Dyadic family generated by one transition function.
-
-    transition(x) must be 1 for x <= 1 and 0 for x >= 2; everything else
-    (bands, windows, truncated sums) is derived from it.
-    """
-
-    transition: callable = field(default=_bump_quotient)
+    """Dyadic family generated by the transition function eta: 1 for
+    x <= 1, 0 for x >= 2; bands, windows and truncated sums derive from it."""
 
     def eta(self, x):
         scalar = np.isscalar(x)
-        out = self.transition(np.asarray(x, dtype=float))
+        out = _bump_quotient(np.asarray(x, dtype=float))
         return float(out) if scalar else out
 
     def phi(self, j: int, lam):
@@ -87,30 +81,30 @@ class DyadicPartition:
 DEFAULT_PARTITION = DyadicPartition()
 
 
-def _multiplier(basis: Basis, partition: DyadicPartition, j: int, widened: bool) -> np.ndarray:
+def _multiplier(basis: Basis, j: int, widened: bool) -> np.ndarray:
     """phi_j(sqrt(lambda)) (or the window Phi_j) over the basis; computed
-    once per (basis, partition, j) and kept on the basis."""
-    key = (partition, j, widened)
+    once per (basis, j) and kept on the basis."""
+    key = (j, widened)
     row = basis.multipliers.get(key)
     if row is None:
         freq = np.sqrt(basis.lam)
-        row = partition.window(j, freq) if widened else partition.phi(j, freq)
+        row = DEFAULT_PARTITION.window(j, freq) if widened else DEFAULT_PARTITION.phi(j, freq)
         row.flags.writeable = False
         basis.multipliers[key] = row
     return row
 
 
-def apply_band(f: SpectralField, j: int, partition: DyadicPartition = DEFAULT_PARTITION) -> SpectralField:
+def apply_band(f: SpectralField, j: int) -> SpectralField:
     """phi_j(sqrt(A)) f: diagonal multiplier on the eigencoefficients."""
-    return SpectralField(f.basis, f.coeffs * _multiplier(f.basis, partition, j, False))
+    return SpectralField(f.basis, f.coeffs * _multiplier(f.basis, j, False))
 
 
-def apply_window(f: SpectralField, j: int, partition: DyadicPartition = DEFAULT_PARTITION) -> SpectralField:
+def apply_window(f: SpectralField, j: int) -> SpectralField:
     """Phi_j(sqrt(A)) f, the widened companion of apply_band."""
-    return SpectralField(f.basis, f.coeffs * _multiplier(f.basis, partition, j, True))
+    return SpectralField(f.basis, f.coeffs * _multiplier(f.basis, j, True))
 
 
-def active_bands(basis: Basis, partition: DyadicPartition = DEFAULT_PARTITION) -> BandRange:
+def active_bands(basis: Basis) -> BandRange:
     """Smallest index range outside which every band kills the whole basis.
 
     j_lo is the least j with 2^(j+1) > sqrt(lambda_min); j_hi the greatest j

@@ -12,22 +12,21 @@ three times denser in each direction; truncated fields have bounded
 gradients, so the refinement error is controlled and documented rather than
 hidden.
 
-Even integer p on a SpectralField integrates on the coarsest angular
-sub-grid on which the trapezoid rule is still exact.  At each radius the
-velocity of the modes of order <= n is w = u_x + i u_y, a sum of
-J_{m+1} e^{i(m+1)th} and J_{m-1} e^{-i(m-1)th} over m <= n, so its angular
-frequencies lie in [-(n-1), n+1] and |u|^2 = w conj(w) has angular degree
-<= 2n.  The squared Frobenius magnitude of the gradient is
+Even integer p on a SpectralField integrates on the grid's coarsest exact
+angular sub-grid, PolarGrid.exact_subgrid(p n), n the top order with a
+nonzero coefficient.  At each radius the velocity of the modes of order
+<= n is w = u_x + i u_y, a sum of J_{m+1} e^{i(m+1)th} and
+J_{m-1} e^{-i(m-1)th} over m <= n, so its angular frequencies lie in
+[-(n-1), n+1] and |u|^2 = w conj(w) has angular degree <= 2n.  The squared
+Frobenius magnitude of the gradient is
 |d_x w|^2 + |d_y w|^2 = 2(|d_z w|^2 + |d_zbar w|^2), and d_z, d_zbar move
 every frequency down and up by one ([-n, n] and [-(n-2), n+2]), so it has
 degree <= 2n as well.  |u|^p = (|u|^2)^(p/2) then has degree <= p n, and
-N equispaced angles integrate every trig polynomial of degree < N exactly.
-So on every s-th angle, s the largest divisor of the angular count A with
-A/s > p n, the quadrature equals the A-angle one up to rounding (s = 1, the
-full grid, when A <= p n); the radial Gauss rule is the same on both.  The
-bound is tight: N = p n angles alias the degree-p n term into the mean.
-p = inf (refined grid), odd or fractional p, GridVectorField input and the
-pairings stay on the full grid.
+N equispaced angles integrate every trig polynomial of degree < N exactly,
+so the sub-grid's quadrature equals the full grid's up to rounding; the
+radial Gauss rule is the same on both.  The bound is tight: N = p n angles
+alias the degree-p n term into the mean.  p = inf (refined grid), odd or
+fractional p, GridVectorField input and the pairings stay on the full grid.
 """
 
 from __future__ import annotations
@@ -38,17 +37,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (GRADIENT, VELOCITY, GridVectorField, PolarGrid, SpectralField,
-                    Transform, field_gradient_values, synthesize)
-from .dyadic import DEFAULT_PARTITION, DyadicPartition, active_bands, apply_band, apply_window
+from .basis import GridVectorField, PolarGrid, SpectralField, field_gradient_values, synthesize
+from .dyadic import active_bands, apply_band, apply_window
 from .errors import TruncationWarning
 
 INF = math.inf
+D = 2                   # space dimension of the disk
 
 
-def critical_index(p: float, d: int = 2) -> float:
-    """Scaling-critical regularity -1 + d/p for velocity data in d dimensions."""
-    return -1.0 + d / p
+def critical_index(p: float) -> float:
+    """Scaling-critical regularity -1 + D/p for velocity data on the disk."""
+    return -1.0 + D / p
 
 
 def _check_p(p) -> float:
@@ -98,31 +97,29 @@ def _lp_from_squares(sq: np.ndarray, weights: np.ndarray, p: float) -> float:
     return float(np.vdot(weights, sq)) ** (1.0 / p)
 
 
-def _coarse_lp(f: SpectralField, grid: PolarGrid, spec: Transform, p: float) -> float:
-    """L^p norm, p even, of the channel magnitude of spec on the coarsest
-    angular sub-grid that integrates |.|^p exactly (module docstring)."""
-    vals, stride = grid.tables(f.basis).forward_coarse(spec, f.coeffs, int(p))
-    sq = np.square(vals[0])
-    if spec is GRADIENT:
-        sq += sq                        # the fourth channel d_y u_y = -d_x u_x
-    for v in vals[1:]:
-        sq += np.square(v, out=v)
-    return _lp_from_squares(sq, grid.sub_weights(stride), p)
+def _quadrature_grid(f: SpectralField, grid: PolarGrid, p: float) -> PolarGrid:
+    """The grid an L^p norm of f integrates on: the refined companion for
+    p = inf, the coarsest exact angular sub-grid for even p (module
+    docstring), else grid itself."""
+    if p == INF:
+        return grid.refined()
+    if (p / 2.0).is_integer():
+        top = int(np.max(f.basis.angular, where=f.coeffs != 0, initial=0))
+        return grid.exact_subgrid(int(p) * top)
+    return grid
 
 
 def lp_norm(v, grid: PolarGrid, p) -> float:
     """L^p norm of the pointwise velocity magnitude over the disk.
 
-    Accepts a SpectralField (synthesized on the grid; for even p on its
-    coarsest exact angular sub-grid, for p = inf on the refined companion
-    grid) or raw GridVectorField samples (p = inf then maximizes over the
-    nodes the data lives on).
+    Accepts a SpectralField (synthesized on its quadrature grid: the
+    coarsest exact angular sub-grid for even p, the refined companion grid
+    for p = inf) or raw GridVectorField samples (p = inf then maximizes
+    over the nodes the data lives on).
     """
     p = _check_p(p)
     if isinstance(v, SpectralField):
-        if (p / 2.0).is_integer():
-            return _coarse_lp(v, grid, VELOCITY, p)
-        v = synthesize(v, grid.refined() if p == INF else grid)
+        v = synthesize(v, _quadrature_grid(v, grid, p))
         # the samples are ours: square them in place
         sq = np.square(v.ux, out=v.ux)
         sq += np.square(v.uy, out=v.uy)
@@ -137,13 +134,10 @@ def lp_norm(v, grid: PolarGrid, p) -> float:
 
 
 def gradient_lp_norm(f: SpectralField, grid: PolarGrid, p) -> float:
-    """L^p norm of the pointwise Frobenius magnitude of the velocity gradient
-    (even p on the coarsest exact angular sub-grid, p = inf on the refined
-    grid)."""
+    """L^p norm of the pointwise Frobenius magnitude of the velocity gradient,
+    on the same quadrature grid as lp_norm."""
     p = _check_p(p)
-    if (p / 2.0).is_integer():
-        return _coarse_lp(f, grid, GRADIENT, p)
-    g = grid.refined() if p == INF else grid
+    g = _quadrature_grid(f, grid, p)
     ten = field_gradient_values(f, g)
     return _lp_from_squares(np.sum(ten * ten, axis=(2, 3)), g.weights, p)
 
@@ -156,12 +150,10 @@ def _aggregate(values: np.ndarray, q: float) -> float:
     return float(np.sum(values ** q) ** (1.0 / q))
 
 
-def band_profile(f: SpectralField, grid: PolarGrid, p: float,
-                 partition: DyadicPartition = DEFAULT_PARTITION) -> tuple:
+def band_profile(f: SpectralField, grid: PolarGrid, p: float) -> tuple:
     """((j, ||phi_j(sqrt(A)) f||_{L^p}), ...) over the active bands; every
     block norm of f with this p aggregates it (besov_from_profile)."""
-    return tuple((j, lp_norm(apply_band(f, j, partition), grid, p))
-                 for j in active_bands(f.basis, partition))
+    return tuple((j, lp_norm(apply_band(f, j), grid, p)) for j in active_bands(f.basis))
 
 
 def besov_from_profile(profile: tuple, idx: BesovIndex) -> NormReport:
@@ -171,14 +163,12 @@ def besov_from_profile(profile: tuple, idx: BesovIndex) -> NormReport:
     return NormReport(index=idx, bands=bands, value=_aggregate(vals, idx.q))
 
 
-def besov_norm(f: SpectralField, idx: BesovIndex, grid: PolarGrid,
-               partition: DyadicPartition = DEFAULT_PARTITION) -> NormReport:
+def besov_norm(f: SpectralField, idx: BesovIndex, grid: PolarGrid) -> NormReport:
     """Dyadic-block norm of a spectral field, with the per-band breakdown."""
-    return besov_from_profile(band_profile(f, grid, idx.p, partition), idx)
+    return besov_from_profile(band_profile(f, grid, idx.p), idx)
 
 
-def dual_pairing(f: SpectralField, g: SpectralField, grid: PolarGrid,
-                 partition: DyadicPartition = DEFAULT_PARTITION) -> float:
+def dual_pairing(f: SpectralField, g: SpectralField, grid: PolarGrid) -> float:
     """sum_j integral of (phi_j(sqrt(A)) f) . (Phi_j(sqrt(A)) g) over the disk.
 
     The widened window Phi_j = phi_{j-1} + phi_j + phi_{j+1} makes the band
@@ -189,25 +179,23 @@ def dual_pairing(f: SpectralField, g: SpectralField, grid: PolarGrid,
     if f.basis.cache_key != g.basis.cache_key:
         raise ValueError("fields live on different bases")
     total = 0.0
-    for j in active_bands(f.basis, partition):
-        vf = synthesize(apply_band(f, j, partition), grid)
-        vg = synthesize(apply_window(g, j, partition), grid)
+    for j in active_bands(f.basis):
+        vf = synthesize(apply_band(f, j), grid)
+        vg = synthesize(apply_window(g, j), grid)
         total += float(np.sum(grid.weights * (vf.ux * vg.ux + vf.uy * vg.uy)))
     return total
 
 
-def trajectory_terms(traj, p: float, d: int = 2,
-                     grid: PolarGrid | None = None,
-                     partition: DyadicPartition = DEFAULT_PARTITION):
+def trajectory_terms(traj, p: float, grid: PolarGrid | None = None):
     """The per-time terms of trajectory_norm, one entry per snapshot:
 
-        (||u(t)||_{B^{-1+d/p}_{p,inf}},  t^{(1-d/p)/2} ||u(t)||_{L^p})
+        (||u(t)||_{B^{-1+D/p}_{p,inf}},  t^{(1-D/p)/2} ||u(t)||_{L^p})
 
-    as two arrays.  Requires d < p < inf.
+    as two arrays.  Requires D < p < inf.
     """
     p = _check_p(p)
-    if not (d < p < INF):
-        raise ValueError("trajectory norm requires d < p < inf")
+    if not (D < p < INF):
+        raise ValueError("trajectory norm requires 2 < p < inf")
     times = np.asarray(traj.times, dtype=float)
     if times.size == 0:
         raise ValueError("trajectory has no snapshots")
@@ -215,53 +203,44 @@ def trajectory_terms(traj, p: float, d: int = 2,
         raise ValueError("trajectory times must be nonnegative and strictly increasing")
     if grid is None:
         grid = traj.grid
-    idx = BesovIndex(critical_index(p, d), p, INF)
-    alpha = 0.5 * (1.0 - d / p)
-    block = np.array([besov_norm(f, idx, grid, partition).value for f in traj.fields])
+    idx = BesovIndex(critical_index(p), p, INF)
+    alpha = 0.5 * (1.0 - D / p)
+    block = np.array([besov_norm(f, idx, grid).value for f in traj.fields])
     weighted = np.array([t ** alpha * lp_norm(f, grid, p)
                          for t, f in zip(times, traj.fields)])
     return block, weighted
 
 
-def trajectory_norm(traj, p: float, d: int = 2,
-                    grid: PolarGrid | None = None,
-                    partition: DyadicPartition = DEFAULT_PARTITION,
-                    terms=None) -> float:
+def trajectory_norm(traj, p: float, grid: PolarGrid | None = None, terms=None) -> float:
     """Solution-space norm of a time-indexed family of spectral fields:
 
-        sup_t ||u(t)||_{B^{-1+d/p}_{p,inf}}  +  sup_t t^{(1-d/p)/2} ||u(t)||_{L^p}
+        sup_t ||u(t)||_{B^{-1+D/p}_{p,inf}}  +  sup_t t^{(1-D/p)/2} ||u(t)||_{L^p}
 
-    Requires d < p < inf.  A leading t = 0 snapshot is allowed: the weight
+    Requires D < p < inf.  A leading t = 0 snapshot is allowed: the weight
     vanishes there and the block-norm sup legitimately includes the datum.
-    terms is trajectory_terms(traj, p, d, grid, partition) when the caller
-    already has it.
+    terms is trajectory_terms(traj, p, grid) when the caller already has it.
     """
-    block, weighted = trajectory_terms(traj, p, d, grid, partition) if terms is None else terms
+    block, weighted = trajectory_terms(traj, p, grid) if terms is None else terms
     return float(max(0.0, *block) + max(0.0, *weighted))
 
 
-def tail_smallness(u0: SpectralField, p: float, J: int, grid: PolarGrid,
-                   d: int = 2,
-                   partition: DyadicPartition = DEFAULT_PARTITION) -> float:
-    """sup over bands j >= J of 2^{(-1+d/p) j} ||phi_j(sqrt(A)) u0||_{L^p}.
+def tail_smallness(u0: SpectralField, p: float, J: int, grid: PolarGrid) -> float:
+    """sup over bands j >= J of 2^{(-1+D/p) j} ||phi_j(sqrt(A)) u0||_{L^p}.
 
     The local-solvability smallness diagnostic: data is admissible when this
     is small for some J.  If J lies above the last active band the truncated
     spectrum cannot see the tail; the result is 0 with a TruncationWarning.
     """
     p = _check_p(p)
-    if not (d < p):
-        raise ValueError("tail smallness requires p > d")
-    rng = active_bands(u0.basis, partition)
-    if J > rng.j_hi:
+    if not (D < p):
+        raise ValueError("tail smallness requires p > 2")
+    j_hi = active_bands(u0.basis).j_hi
+    if J > j_hi:
         warnings.warn(
-            f"tail start J={J} exceeds the last active band j={rng.j_hi}; "
+            f"tail start J={J} exceeds the last active band j={j_hi}; "
             "the truncated spectrum carries no tail information there",
             TruncationWarning, stacklevel=2)
         return 0.0
-    s = critical_index(p, d)
-    best = 0.0
-    for j in range(max(J, rng.j_lo), rng.j_hi + 1):
-        val = 2.0 ** (j * s) * lp_norm(apply_band(u0, j, partition), grid, p)
-        best = max(best, val)
-    return best
+    s = critical_index(p)
+    return max([0.0] + [2.0 ** (j * s) * band_lp
+                        for j, band_lp in band_profile(u0, grid, p) if j >= J])

@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import Basis, PolarGrid, SpectralField, mode_values_at
-from .dyadic import DEFAULT_PARTITION, DyadicPartition
 from .errors import ResolutionError
-from .norms import (BesovIndex, band_profile, besov_from_profile, besov_norm, dual_pairing,
-                    gradient_lp_norm, lp_norm)
+from .norms import (D, BesovIndex, band_profile, besov_from_profile, besov_norm,
+                    dual_pairing, gradient_lp_norm, lp_norm)
 
 KERNEL_TAIL_TOL = 1e-12
 
@@ -119,48 +118,45 @@ def _time_scan(t_grid, samples, top, bottom, claimed: float) -> EstimateScan:
 
 
 def scan_besov_bounded(s: float, p: float, q: float, t_grid, samples,
-                       grid: PolarGrid,
-                       partition: DyadicPartition = DEFAULT_PARTITION) -> EstimateScan:
+                       grid: PolarGrid) -> EstimateScan:
     """Ratios ||e^{-tA} f|| / ||f|| in the (s, p, q) block norm; the claimed
     model is boundedness (time power zero)."""
     idx = BesovIndex(s, p, q)
 
     def norm(f):
-        return besov_norm(f, idx, grid, partition).value
+        return besov_norm(f, idx, grid).value
 
     return _time_scan(t_grid, samples, norm, norm, 0.0)
 
 
 def scan_smoothing(s: float, s0: float, p: float, p0: float, t_grid, samples,
-                   grid: PolarGrid, d: int = 2,
-                   partition: DyadicPartition = DEFAULT_PARTITION,
-                   profiles: dict | None = None) -> EstimateScan:
+                   grid: PolarGrid, profiles: dict | None = None) -> EstimateScan:
     """Smoothing estimate scan: left side ||e^{-tA} f|| in (s, p, 1) against
-    t^(-(s-s0)/2 - (d/2)(1/p - 1/p0)) ||f|| in (s0, p0, inf).
+    t^(-(s-s0)/2 - (D/2)(1/p - 1/p0)) ||f|| in (s0, p0, inf).
 
     Requires s >= s0, p <= p0 and a nonnegative gap
-    s - s0 - d (1/p - 1/p0); gap zero is plain boundedness, a negative gap
+    s - s0 - D (1/p - 1/p0); gap zero is plain boundedness, a negative gap
     is rejected (the estimate is not claimed there).
 
     profiles memoizes band profiles by (p, coefficients); pass one dict to
-    several scans of the same samples on one grid and partition, and each
+    several scans of the same samples on one grid, and each
     (sample, t, p) profile is computed once for all their indices.
     """
     if s < s0:
         raise ValueError("smoothing scan requires s >= s0")
     if p > p0:
         raise ValueError("smoothing scan requires p <= p0")
-    gap = (s - s0) - d * (1.0 / p - 1.0 / p0)
+    gap = (s - s0) - D * (1.0 / p - 1.0 / p0)
     if gap < 0.0:
-        raise ValueError("smoothing gap s - s0 - d(1/p - 1/p0) must be >= 0")
-    claimed = -0.5 * (s - s0) - 0.5 * d * (1.0 / p - 1.0 / p0)
+        raise ValueError("smoothing gap s - s0 - 2(1/p - 1/p0) must be >= 0")
+    claimed = -0.5 * (s - s0) - 0.5 * D * (1.0 / p - 1.0 / p0)
     memo = {} if profiles is None else profiles
 
     def norm(idx):
         def value(f):
             key = (idx.p, f.coeffs.tobytes())
             if key not in memo:
-                memo[key] = band_profile(f, grid, idx.p, partition)
+                memo[key] = band_profile(f, grid, idx.p)
             return besov_from_profile(memo[key], idx).value
         return value
 
@@ -176,8 +172,7 @@ def scan_gradient(p: float, t_grid, samples, grid: PolarGrid) -> EstimateScan:
                       lambda f: lp_norm(f, grid, p), -0.5)
 
 
-def gradient_vs_besov(p: float, samples, grid: PolarGrid,
-                      partition: DyadicPartition = DEFAULT_PARTITION) -> EstimateScan:
+def gradient_vs_besov(p: float, samples, grid: PolarGrid) -> EstimateScan:
     """Measured constant in ||grad f||_{L^p} <= C ||f|| in the (1, p, 1) block
     norm, sample by sample (the parameter axis is the sample index)."""
     if not (1.0 < float(p) < math.inf):
@@ -186,7 +181,7 @@ def gradient_vs_besov(p: float, samples, grid: PolarGrid,
     lhs, rhs = [], []
     skipped = 0
     for f in samples:
-        nf = besov_norm(f, idx, grid, partition).value
+        nf = besov_norm(f, idx, grid).value
         if nf == 0.0:
             skipped += 1
             continue
@@ -198,12 +193,11 @@ def gradient_vs_besov(p: float, samples, grid: PolarGrid,
 
 
 def weak_star_continuity(f: SpectralField, g: SpectralField, t_seq,
-                         grid: PolarGrid,
-                         partition: DyadicPartition = DEFAULT_PARTITION) -> np.ndarray:
+                         grid: PolarGrid) -> np.ndarray:
     """Band-paired test of e^{-tA} f -> f: the dual pairing of the increment
     against g, one value per requested time."""
     t_seq = np.asarray(t_seq, dtype=float)
     out = np.empty(t_seq.size)
     for i, t in enumerate(t_seq):
-        out[i] = dual_pairing(heat_apply(f, t) - f, g, grid, partition)
+        out[i] = dual_pairing(heat_apply(f, t) - f, g, grid)
     return out

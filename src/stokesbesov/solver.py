@@ -30,7 +30,7 @@ import numpy as np
 
 from .basis import Basis, PolarGrid, SpectralField
 from .nonlinear import DealiasPolicy, NonlinearWorkspace, nonlinear_coeffs
-from .norms import trajectory_norm
+from .norms import D, trajectory_norm
 from .semigroup import heat_apply
 
 _SERIES_Z = 1e-4
@@ -43,15 +43,14 @@ class SolverConfig:
     p: float
     T: float
     mesh_count: int
-    d: int = 2
     gamma: float = 3.0
     picard_tol: float = 1e-9
     max_picard: int = 25
     dealias: DealiasPolicy = DealiasPolicy()
 
     def __post_init__(self):
-        if not (self.d < self.p < math.inf):
-            raise ValueError("solver requires d < p < inf")
+        if not (D < self.p < math.inf):
+            raise ValueError("solver requires 2 < p < inf")
         if not (self.T > 0.0):
             raise ValueError("horizon T must be positive")
         if self.mesh_count < 1:
@@ -180,7 +179,7 @@ def picard_solve(u0: SpectralField, config: SolverConfig):
                         for i in range(times.size))
         delta = Trajectory(times, tuple(a - b for a, b in zip(updated, current)),
                            config.basis, config.grid, "picard-delta")
-        diff = trajectory_norm(delta, config.p, config.d, config.grid)
+        diff = trajectory_norm(delta, config.p, config.grid)
         diffs.append(diff)
         if len(diffs) >= 2 and diffs[-2] > 0.0:
             ratio = diffs[-1] / diffs[-2]
@@ -331,5 +330,5 @@ def residual(traj: Trajectory, u0: SpectralField, config: SolverConfig,
     values = evaluate_at(traj, u0, mild.times, config, mild)
     worst = max((value - f).l2() for value, f in zip(values, traj.fields))
     if scale is None:
-        scale = trajectory_norm(traj, config.p, config.d, config.grid)
+        scale = trajectory_norm(traj, config.p, config.grid)
     return worst / scale if scale > 0.0 else worst

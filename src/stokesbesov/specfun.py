@@ -27,6 +27,7 @@ import numpy as np
 from .errors import NumericalError
 
 _SERIES_X_MAX = 12.0
+MAX_QUADRATURE_ORDER = 4096
 
 
 @dataclass
@@ -45,8 +46,8 @@ def gauss_legendre(order: int) -> QuadratureRule:
     """
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise ValueError("quadrature order must be a positive integer")
-    if order > 4096:
-        raise ValueError("quadrature order above 4096 is not supported")
+    if order > MAX_QUADRATURE_ORDER:
+        raise ValueError(f"quadrature order above {MAX_QUADRATURE_ORDER} is not supported")
     x, w = np.polynomial.legendre.leggauss(int(order))
     return QuadratureRule(nodes=(x + 1.0) / 2.0, weights=w / 2.0, order=int(order))
 

@@ -326,3 +326,23 @@ def test_radial_stack_equals_full_table_rows(n_max, radial, angular):
             row = tab[abs(q)]
             want[n, s] = row if (q >= 0 or q % 2 == 0) else -row
     assert np.array_equal(grid.tables(basis).radial, want)
+
+
+@pytest.mark.parametrize("angular", [256, 240, 768])
+def test_subgrid_is_every_sth_node(basis_88, angular):
+    """exact_subgrid keeps the parent's angles, radial rule and radial
+    stacks.  At 240 and 768 angles a freshly built N-angle grid differs from
+    the parent's slice by an ulp, so a sub-grid that rebuilt its own angles
+    fails the array_equal below."""
+    grid = build_grid(16, angular)
+    for degree in range(angular):
+        sub = grid.exact_subgrid(degree)
+        count = sub.angular_count
+        assert count > degree and angular % count == 0
+        assert np.array_equal(sub.thetas, grid.thetas[::angular // count])
+        assert np.array_equal(sub.weights, np.outer(grid.radial_weights,
+                                                     np.full(count, 2.0 * np.pi / count)))
+        assert sub.radial_rule is grid.radial_rule
+    assert grid.exact_subgrid(5).tables(basis_88).radial is grid.tables(basis_88).radial
+    assert grid.exact_subgrid(angular) is grid
+    assert grid.exact_subgrid(10 * angular) is grid

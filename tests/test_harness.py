@@ -462,6 +462,37 @@ def test_cli_unknown_check(capsys):
     assert "unknown check id" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [("solve",), ("embed",), ("verify", "beta-pi"),
+                                     ("basis", "build")])
+@pytest.mark.parametrize("section,key,value", [("basis", "n_max", 129),
+                                               ("basis", "k_max", 129),
+                                               ("grid", "radial_order", 5000)])
+def test_cli_refuses_out_of_range_sizes(tmp_path, capsys, command, section, key, value):
+    path = tmp_path / "big.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    code = main([*command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"[{section}] {key}" in capsys.readouterr().err
+
+
+def test_cli_verify_embedding_reads_embed_section(tmp_path, capsys):
+    path = tmp_path / "embed.ini"
+    path.write_text("[embed]\np = 6\nwidths = 0.3, 0.15\n")
+    code = main(["verify", "embedding", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 0
+    (row,) = json.loads((tmp_path / "out" / "summary.json").read_text())["checks"]
+    assert row["passed"] and row["value"] != 1.7866934634167124
+    # the L^6 spread against 0.75 * 2^(2/3), 3/4 of the scaling law's
+    assert row["note"].startswith("L6 spread 1.604,")
+
+
+def test_cli_refuses_a_single_embed_width(tmp_path, capsys):
+    path = tmp_path / "embed.ini"
+    path.write_text("[embed]\nwidths = 0.2, 0.2\n")
+    assert main(["embed", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "[embed] widths" in capsys.readouterr().err
+
+
 def test_cli_corrupted_cache_fails_gram(tmp_path, basis_1616, capsys):
     cache = tmp_path / "basis.json"
     save_basis(basis_1616, cache)

@@ -11,7 +11,7 @@ from stokesbesov import (BesovIndex, SpectralField, TruncationWarning,
                          besov_norm, build_basis, build_grid, critical_index,
                          dual_pairing, heat_apply, lp_norm, tail_smallness,
                          trajectory_norm, zero_field)
-from stokesbesov.basis import (COS, VELOCITY, GridVectorField, field_gradient_values,
+from stokesbesov.basis import (COS, GridVectorField, field_gradient_values,
                                synthesize)
 from stokesbesov.norms import INF, gradient_lp_norm
 from stokesbesov.solver import SolverConfig, linear_trajectory
@@ -22,7 +22,6 @@ LAMBDA_MIN = 5.783185962946785
 def test_critical_index():
     assert critical_index(4.0) == -0.5
     assert critical_index(2.0) == 0.0
-    assert critical_index(4.0, d=3) == pytest.approx(-0.25)
 
 
 def test_lp_norm_zero(basis_88, grid_small):
@@ -264,8 +263,7 @@ def grid_wide():
 @pytest.mark.parametrize("p", [2.0, 4.0, 6.0])
 def test_even_p_large_strides_match_full_grid(basis_88, grid_wide, top, p):
     f = _low_order(basis_88, top, 30 + top)
-    _, stride = grid_wide.tables(basis_88).forward_coarse(VELOCITY, f.coeffs, int(p))
-    assert stride >= 8
+    assert grid_wide.exact_subgrid(int(p) * top).angular_count <= grid_wide.angular_count // 8
     v = synthesize(f, grid_wide)
     assert lp_norm(f, grid_wide, p) == pytest.approx(
         _hypot_lp(v.ux, v.uy, grid_wide, p), rel=1e-13)
@@ -280,8 +278,7 @@ def test_axisymmetric_mode_l4_matches_radial_oracle(basis_88, grid_small, k):
     f = zero_field(basis_88)
     f.coeffs[basis_88.group_index[(0, COS)][k - 1]] = 1.0
     # rotation invariant: the rule keeps a single angle
-    _, stride = grid_small.tables(basis_88).forward_coarse(VELOCITY, f.coeffs, 4)
-    assert stride == grid_small.angular_count
+    assert grid_small.exact_subgrid(4 * 0).angular_count == 1
     assert lp_norm(f, grid_small, 4.0) == pytest.approx(
         oracles.axisymmetric_mode_lp(k, 4.0), rel=1e-12)
 
@@ -292,7 +289,7 @@ def test_angle_rule_is_tight(basis_88, grid_wide, top, p):
     N = p n, one step coarser, aliases the degree-p n term of |u|^p and
     |grad u|^p into the mean and misses."""
     f = _low_order(basis_88, top, 40 + top)
-    count = grid_wide.angular_count // grid_wide.exact_stride(int(p) * top)
+    count = grid_wide.exact_subgrid(int(p) * top).angular_count
     assert count == 2 * int(p) * top
     coarse = build_grid(grid_wide.radial_order, int(p) * top)
     v = synthesize(f, coarse)
@@ -322,3 +319,23 @@ def test_other_p_stay_on_the_full_grid(basis_88, grid_small, p):
     ten = field_gradient_values(f, g)
     assert gradient_lp_norm(f, grid_small, p) == _full_grid_lp(
         np.sum(ten * ten, axis=(2, 3)), g, p)
+
+
+def test_subgrid_norms_reuse_the_radial_tables(basis_88, monkeypatch):
+    """besov_norm at even p synthesizes on several exact sub-grids; they
+    share the fresh grid's radial Bessel stacks, so only the n_max + 1 rows
+    of one stack are ever built."""
+    import stokesbesov.basis
+    calls = []
+    real = stokesbesov.basis.bessel_j_table
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stokesbesov.basis, "bessel_j_table", counted)
+    grid = build_grid(32, 128)
+    f = SpectralField(basis_88, np.random.default_rng(27).standard_normal(basis_88.n_modes))
+    besov_norm(f, BesovIndex(critical_index(4.0), 4.0, INF), grid)
+    assert len(grid._subgrids) > 2
+    assert len(calls) == basis_88.n_max + 1
