@@ -48,17 +48,6 @@ DEFAULT_ANGULAR_COUNT = 256
 REFINE_FACTOR = 3
 
 
-@dataclass(frozen=True)
-class EigenMode:
-    n: int
-    parity: str
-    k: int
-    lam: float
-    zero: float
-    stream_norm: float
-    velocity_norm: float
-
-
 @dataclass(eq=False)
 class Basis:
     """Stokes eigenmodes up to angular order n_max and radial index k_max,
@@ -66,7 +55,6 @@ class Basis:
 
     n_max: int
     k_max: int
-    modes: tuple
     lam: np.ndarray
     zero: np.ndarray
     angular: np.ndarray
@@ -127,15 +115,10 @@ def build_basis(n_max: int = DEFAULT_N_MAX, k_max: int = DEFAULT_K_MAX) -> Basis
     lam = lam_rows[ns, ks - 1]
     order = np.lexsort((ks, ps, ns, lam))
     ns, ps, ks, lam = ns[order], ps[order], ks[order], lam[order]
-    # the zero as sqrt(lambda), as _assemble rebuilds it from a cache
-    zero = np.sqrt(lam)
 
-    # ||psi||^2 = (2 pi if n == 0 else pi) * J_{n+1}(j)^2 / 2
-    jnext = np.empty(lam.size)
-    for n in range(n_max + 1):
-        sel = ns == n
-        if sel.any():
-            jnext[sel] = bessel_j_table(n + 1, zero[sel], orders=(n + 1,))[0]
+    # ||psi||^2 = (2 pi if n == 0 else pi) * J_{n+1}(j)^2 / 2, at the zero
+    # sqrt(lambda), as _assemble rebuilds it from a cache
+    jnext = radial_rows(np.sqrt(lam_rows), np.ones(1), (1,))[ns, 0, ks - 1, 0]
     ang_factor = np.where(ns == 0, 2.0 * np.pi, np.pi)
     stream = np.sqrt(0.5 * ang_factor) * np.abs(jnext)
     return _assemble(n_max, k_max, ns, ps, ks, lam, stream)
@@ -159,12 +142,8 @@ def _assemble(n_max: int, k_max: int, ns, ps, ks, lam, stream) -> Basis:
             group_index[(n, p)] = sel
             if p == COS:
                 zeros_rows[n] = zero[sel]
-    modes = tuple(
-        EigenMode(int(n), _PARITY_NAME[p], int(k), float(l), float(z), float(s), float(v))
-        for n, p, k, l, z, s, v in zip(ns, ps, ks, lam, zero, stream, vel)
-    )
     return Basis(
-        n_max=n_max, k_max=k_max, modes=modes, lam=lam, zero=zero,
+        n_max=n_max, k_max=k_max, lam=lam, zero=zero,
         angular=ns, parity=ps, radial=ks, stream_norm=stream,
         velocity_norm=vel, zeros_rows=zeros_rows, group_index=group_index,
     )
@@ -253,7 +232,7 @@ class PolarGrid:
         self.x = np.outer(self.radii, np.cos(self.thetas))
         self.y = np.outer(self.radii, np.sin(self.thetas))
         self._tables = {}
-        self._refined = {}
+        self._refined = None
         self._radial_stacks = radial_stacks
         self._subgrids = {self.angular_count: self}
         self._divisors = [n for n in range(1, self.angular_count + 1)
@@ -293,13 +272,13 @@ class PolarGrid:
             self._tables[basis.cache_key] = tab
         return tab
 
-    def refined(self, factor: int = REFINE_FACTOR) -> "PolarGrid":
-        """Denser companion grid (evaluation only, e.g. sup-norm sampling)."""
-        g = self._refined.get(factor)
-        if g is None:
-            g = build_grid(self.radial_order * factor, self.angular_count * factor)
-            self._refined[factor] = g
-        return g
+    def refined(self) -> "PolarGrid":
+        """Companion grid REFINE_FACTOR times denser in each direction
+        (evaluation only, e.g. sup-norm sampling)."""
+        if self._refined is None:
+            self._refined = build_grid(self.radial_order * REFINE_FACTOR,
+                                       self.angular_count * REFINE_FACTOR)
+        return self._refined
 
 
 def build_grid(radial_order: int = DEFAULT_RADIAL_ORDER,
@@ -381,13 +360,7 @@ class ModeTables:
         self.angular = ang.reshape(2 * orders.size, grid.angular_count)
         self.radial = grid._radial_stacks.get(basis.cache_key)
         if self.radial is None:
-            self.radial = np.empty((basis.n_max + 1, 5, basis.k_max, grid.radial_order))
-            for n in range(basis.n_max + 1):
-                qs = np.arange(n - 2, n + 3)
-                sign = np.where((qs < 0) & (qs % 2 == 1), -1.0, 1.0)[:, None, None]
-                args = np.multiply.outer(basis.zeros_rows[n], grid.radii)
-                tab = bessel_j_table(n + 2, args, orders=np.abs(qs))   # (5, k_max, R)
-                np.multiply(tab, sign, out=self.radial[n])
+            self.radial = radial_rows(basis.zeros_rows, grid.radii, range(-2, 3))
             grid._radial_stacks[basis.cache_key] = self.radial
         self.slot = (2 * basis.angular + basis.parity) * basis.k_max + basis.radial - 1
         self._scatter = {}
@@ -445,6 +418,21 @@ class ModeTables:
         return out.sum(axis=1).reshape(-1)[self.slot] * scale
 
 
+def radial_rows(zeros_rows: np.ndarray, r: np.ndarray, shifts) -> np.ndarray:
+    """J_{n+s}(j_{n,k} r) for every order n, shift s, zero and radius, shape
+    (n_max+1, len(shifts), k_max, len(r)), with J_{-q} = (-1)^q J_q folded
+    in.  Each order n is one Bessel table up to n + max(shifts)."""
+    shifts = np.asarray(shifts)
+    out = np.empty((zeros_rows.shape[0], shifts.size, zeros_rows.shape[1], np.size(r)))
+    for n, zeros in enumerate(zeros_rows):
+        qs = n + shifts
+        sign = np.where((qs < 0) & (qs % 2 == 1), -1.0, 1.0)[:, None, None]
+        tab = bessel_j_table(n + int(shifts.max()), np.multiply.outer(zeros, r),
+                             orders=np.abs(qs))
+        np.multiply(tab, sign, out=out[n])
+    return out
+
+
 def synthesize(f: SpectralField, grid: PolarGrid) -> GridVectorField:
     """Evaluate a coefficient vector as a velocity field on the grid nodes."""
     ux, uy = grid.tables(f.basis).forward(VELOCITY, f.coeffs)
@@ -488,14 +476,10 @@ def mode_values_at(basis: Basis, points: np.ndarray) -> np.ndarray:
     if (r > 1.0 + 1e-12).any():
         raise ValueError("evaluation points must lie in the closed unit disk")
     th = np.arctan2(pts[:, 1], pts[:, 0])
-    P = pts.shape[0]
-    out = np.zeros((P, basis.n_modes, 2))
+    out = np.zeros((pts.shape[0], basis.n_modes, 2))
+    rows = radial_rows(basis.zeros_rows, r, (-1, 1))     # J_{n-1}, J_{n+1}
     for n in range(basis.n_max + 1):
-        zr = basis.zeros_rows[n]
-        args = np.multiply.outer(zr, r)               # (k_max, P)
-        jm, jp = bessel_j_table(n + 1, args, orders=(abs(n - 1), n + 1))
-        if n == 0:
-            jm = -jm                       # J_{-1} = -J_1
+        jm, jp = rows[n]                   # (k_max, P) each
         sm = 1.0 if n >= 1 else -1.0       # sign of sin((n-1) th) folded to |n-1|
         am = abs(n - 1)
         cp_, sp_ = np.cos((n + 1) * th), np.sin((n + 1) * th)
@@ -524,10 +508,8 @@ def boundary_traces(basis: Basis):
     so this measures the quality of the zero finding in the norms that the
     boundary conditions see.
     """
-    jn_at_zero = np.empty(basis.n_modes)
-    for n in range(basis.n_max + 1):
-        sel = basis.angular == n
-        jn_at_zero[sel] = bessel_j_table(n, basis.zero[sel], orders=(n,))[0]
+    rows = radial_rows(basis.zeros_rows, np.ones(1), (0,))
+    jn_at_zero = rows[basis.angular, 0, basis.radial - 1, 0]
     normal_max = basis.angular * np.abs(jn_at_zero) / basis.velocity_norm
     curl_max = basis.lam * np.abs(jn_at_zero) / basis.velocity_norm
     return normal_max, curl_max
@@ -540,9 +522,10 @@ def save_basis(basis: Basis, path) -> None:
         "n_max": basis.n_max,
         "k_max": basis.k_max,
         "modes": [
-            {"n": m.n, "parity": m.parity, "k": m.k,
-             "lambda": m.lam, "stream_norm": m.stream_norm}
-            for m in basis.modes
+            {"n": int(n), "parity": _PARITY_NAME[p], "k": int(k),
+             "lambda": float(lam), "stream_norm": float(stream)}
+            for n, p, k, lam, stream in zip(basis.angular, basis.parity, basis.radial,
+                                            basis.lam, basis.stream_norm)
         ],
     }
     with open(path, "w") as fh:

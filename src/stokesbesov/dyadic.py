@@ -1,84 +1,58 @@
 """Smooth dyadic partition of unity on (0, infinity) and its spectral action.
 
-The partition is built from a single transition function eta: identically 1
-below 1, identically 0 above 2, smooth in between, realized as the bump
-quotient rho(2-x) / (rho(2-x) + rho(x-1)) with rho(t) = exp(-1/t) for t > 0.
-Band j is phi_j(x) = eta(2^-j x) - eta(2^-j+1 x), supported in
-(2^(j-1), 2^(j+1)), with phi_j(2^j) = 1 exactly; the bands telescope, so any
-contiguous sum collapses to a difference of two eta values and the full sum
-is 1 for every x > 0.
+Three functions describe the partition.  eta is the transition function:
+identically 1 below 1, identically 0 above 2, smooth in between, realized
+as the bump quotient rho(2-x) / (rho(2-x) + rho(x-1)) with rho(t) =
+exp(-1/t) for t > 0.  phi(j, x) = eta(2^-j x) - eta(2^-j+1 x) is band j,
+supported in (2^(j-1), 2^(j+1)), with phi(j, 2^j) = 1 exactly; the bands
+telescope, so any contiguous sum collapses to a difference of two eta
+values and the full sum is 1 for every x > 0.  window(j, x) is the
+telescoped sum of bands j-1, j and j+1.
 
 On a spectral field the band acts diagonally: multiply the coefficient of an
-eigenmode with eigenvalue lambda by phi_j(sqrt(lambda)).  Powers of two and
+eigenmode with eigenvalue lambda by phi(j, sqrt(lambda)).  Powers of two and
 the scalings 2^-j x are exact in floating point, so support statements and
 plateau values hold exactly, not just approximately.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import Basis, SpectralField
 
 
-def _bump_quotient(x: np.ndarray) -> np.ndarray:
-    out = np.ones_like(x)
-    out[x >= 2.0] = 0.0
-    mid = (x > 1.0) & (x < 2.0)
-    xm = x[mid]
+def eta(x):
+    """Transition function: 1 for x <= 1, 0 for x >= 2."""
+    arr = np.asarray(x, dtype=float)
+    out = np.ones_like(arr)
+    out[arr >= 2.0] = 0.0
+    mid = (arr > 1.0) & (arr < 2.0)
+    xm = arr[mid]
     a = np.exp(-1.0 / (2.0 - xm))
     b = np.exp(-1.0 / (xm - 1.0))
     out[mid] = a / (a + b)
-    return out
+    return float(out) if np.isscalar(x) else out
 
 
-@dataclass(frozen=True)
-class BandRange:
-    """Contiguous dyadic indices that act nontrivially on a basis."""
-
-    j_lo: int
-    j_hi: int
-
-    def __iter__(self):
-        return iter(range(self.j_lo, self.j_hi + 1))
-
-    def __len__(self):
-        return self.j_hi - self.j_lo + 1
-
-    def __contains__(self, j):
-        return self.j_lo <= j <= self.j_hi
+def _eta_difference(lam, a: int, b: int):
+    """eta(2^-a lam) - eta(2^-b lam), defined for lam > 0 only."""
+    lam_arr = np.asarray(lam, dtype=float)
+    if (lam_arr <= 0.0).any():
+        raise ValueError("dyadic bands are defined on positive arguments only")
+    out = eta(np.ldexp(lam_arr, -a)) - eta(np.ldexp(lam_arr, -b))
+    return float(out) if np.isscalar(lam) else out
 
 
-class DyadicPartition:
-    """Dyadic family generated by the transition function eta: 1 for
-    x <= 1, 0 for x >= 2; bands, windows and truncated sums derive from it."""
-
-    def eta(self, x):
-        scalar = np.isscalar(x)
-        out = _bump_quotient(np.asarray(x, dtype=float))
-        return float(out) if scalar else out
-
-    def phi(self, j: int, lam):
-        """Band j evaluated at lam > 0 (zero outside (2^(j-1), 2^(j+1)))."""
-        lam_arr = np.asarray(lam, dtype=float)
-        if (lam_arr <= 0.0).any():
-            raise ValueError("dyadic bands are defined on positive arguments only")
-        out = self.eta(np.ldexp(lam_arr, -j)) - self.eta(np.ldexp(lam_arr, -j + 1))
-        return float(out) if np.isscalar(lam) else out
-
-    def window(self, j: int, lam):
-        """phi_{j-1} + phi_j + phi_{j+1}, telescoped so it is exactly 1 on
-        the support of phi_j."""
-        lam_arr = np.asarray(lam, dtype=float)
-        if (lam_arr <= 0.0).any():
-            raise ValueError("dyadic bands are defined on positive arguments only")
-        out = self.eta(np.ldexp(lam_arr, -j - 1)) - self.eta(np.ldexp(lam_arr, -j + 2))
-        return float(out) if np.isscalar(lam) else out
+def phi(j: int, lam):
+    """Band j evaluated at lam > 0 (zero outside (2^(j-1), 2^(j+1)))."""
+    return _eta_difference(lam, j, j - 1)
 
 
-DEFAULT_PARTITION = DyadicPartition()
+def window(j: int, lam):
+    """phi_{j-1} + phi_j + phi_{j+1}, telescoped so it is exactly 1 on
+    the support of phi_j."""
+    return _eta_difference(lam, j + 1, j - 2)
 
 
 def _multiplier(basis: Basis, j: int, widened: bool) -> np.ndarray:
@@ -88,7 +62,7 @@ def _multiplier(basis: Basis, j: int, widened: bool) -> np.ndarray:
     row = basis.multipliers.get(key)
     if row is None:
         freq = np.sqrt(basis.lam)
-        row = DEFAULT_PARTITION.window(j, freq) if widened else DEFAULT_PARTITION.phi(j, freq)
+        row = window(j, freq) if widened else phi(j, freq)
         row.flags.writeable = False
         basis.multipliers[key] = row
     return row
@@ -104,8 +78,9 @@ def apply_window(f: SpectralField, j: int) -> SpectralField:
     return SpectralField(f.basis, f.coeffs * _multiplier(f.basis, j, True))
 
 
-def active_bands(basis: Basis) -> BandRange:
-    """Smallest index range outside which every band kills the whole basis.
+def active_bands(basis: Basis) -> range:
+    """Smallest index range j_lo..j_hi outside which every band kills the
+    whole basis.
 
     j_lo is the least j with 2^(j+1) > sqrt(lambda_min); j_hi the greatest j
     with 2^(j-1) < sqrt(lambda_max).  Strict inequalities match the open
@@ -126,4 +101,4 @@ def active_bands(basis: Basis) -> BandRange:
         j_hi += 1
     while not np.ldexp(1.0, j_hi - 1) < f_hi:
         j_hi -= 1
-    return BandRange(j_lo, j_hi)
+    return range(j_lo, j_hi + 1)

@@ -24,6 +24,7 @@ from .specfun import MAX_QUADRATURE_ORDER, bessel_zero, beta_function
 from .basis import (
     MAX_K_MAX,
     MAX_N_MAX,
+    REFINE_FACTOR,
     Basis,
     GridVectorField,
     PolarGrid,
@@ -37,7 +38,7 @@ from .basis import (
     save_basis,
     synthesize,
 )
-from .dyadic import DEFAULT_PARTITION, active_bands
+from .dyadic import active_bands, eta, phi, window
 from .norms import (
     INF,
     BesovIndex,
@@ -59,7 +60,6 @@ from .semigroup import (
     weak_star_continuity,
 )
 from .nonlinear import (
-    DealiasPolicy,
     NonlinearWorkspace,
     dealiasing_check,
     energy_identity_residual,
@@ -186,9 +186,9 @@ _NUMBER = ("a number", _number)
 _TEXT = ("text", str.strip)
 
 # (section, key) -> (parser, RunConfig field); [data] keys fill the DataSpec
-# field of the same name
+# field of the same name.  The experiment is no key: the CLI subcommand (or
+# the overrides of load_config) picks it.
 _CONFIG_KEYS = {
-    ("run", "experiment"): (_TEXT, "experiment"),
     ("run", "seed"): (_INT, "seed"),
     ("basis", "n_max"): (_INT, "n_max"),
     ("basis", "k_max"): (_INT, "k_max"),
@@ -221,6 +221,8 @@ _CONFIG_KEYS = {
     ("data", "center"): (("'x,y'", _center), "center"),
 }
 _KNOWN_SECTIONS = {section for section, _ in _CONFIG_KEYS}
+# the refined grid of the p = inf norms must stay within the quadrature limit
+MAX_RADIAL_ORDER = MAX_QUADRATURE_ORDER // REFINE_FACTOR
 _DATA_KINDS = {"single_mode", "band_random", "spectral_slope", "bump_family"}
 
 
@@ -269,13 +271,16 @@ def load_config(path=None, overrides=None) -> RunConfig:
 
 def _validate_config(cfg: RunConfig) -> None:
     if cfg.experiment not in ("verify", "solve", "embed", "basis"):
-        raise ConfigError(f"[run] experiment: unknown experiment {cfg.experiment!r}")
+        raise ConfigError(f"unknown experiment {cfg.experiment!r}")
     if not 0 <= cfg.n_max <= MAX_N_MAX:
         raise ConfigError(f"[basis] n_max must lie in [0, {MAX_N_MAX}]")
     if not 1 <= cfg.k_max <= MAX_K_MAX:
         raise ConfigError(f"[basis] k_max must lie in [1, {MAX_K_MAX}]")
-    if not 4 <= cfg.radial_order <= MAX_QUADRATURE_ORDER:
-        raise ConfigError(f"[grid] radial_order must lie in [4, {MAX_QUADRATURE_ORDER}]")
+    if not 4 <= cfg.radial_order <= MAX_RADIAL_ORDER:
+        raise ConfigError(
+            f"[grid] radial_order must lie in [4, {MAX_RADIAL_ORDER}]: p = inf norms "
+            f"sample a grid {REFINE_FACTOR}x denser, and quadrature stops at order "
+            f"{MAX_QUADRATURE_ORDER}")
     if cfg.angular_count < 8 or cfg.angular_count % 2:
         raise ConfigError("[grid] angular_count must be even and at least 8")
     if not 2.0 < cfg.p < INF:
@@ -348,7 +353,7 @@ def generate_data(spec: DataSpec, basis: Basis, grid: PolarGrid) -> SpectralFiel
         coeffs[group[spec.k - 1]] = spec.amplitude
         return SpectralField(basis, coeffs)
     if spec.kind == "band_random":
-        weights = DEFAULT_PARTITION.phi(spec.band, np.sqrt(basis.lam))
+        weights = phi(spec.band, np.sqrt(basis.lam))
         if not np.any(weights > 0.0):
             raise ConfigError(f"[data] band {spec.band} contains no basis frequencies")
         rng = np.random.default_rng(spec.seed)
@@ -387,21 +392,20 @@ def _bump_field(spec: DataSpec, basis: Basis, grid: PolarGrid) -> SpectralField:
     rho2 = dx * dx + dy * dy
     rho = np.sqrt(rho2)
     # transition of the dyadic partition reused as the cutoff: 0 below h, 1 above 2h
-    chi = 1.0 - DEFAULT_PARTITION.eta(rho / h)
+    chi = 1.0 - eta(rho / h)
     safe = np.where(rho2 > 0.0, rho2, 1.0)
     ux = spec.amplitude * chi * (-dy) / safe
     uy = spec.amplitude * chi * dx / safe
     return analyze(GridVectorField(grid, ux, uy), basis, grid)
 
 
-def weak_l2_proxy(v, grid: PolarGrid = None) -> float:
+def weak_l2_proxy(v) -> float:
     """Computable weak-L^2 stand-in: sup over dyadic thresholds s of
-    s * measure{|u| > s}^{1/2}."""
+    s * measure{|u| > s}^{1/2}, on the grid the samples live on."""
     if isinstance(v, SpectralField):
         raise TypeError("weak_l2_proxy needs grid samples; synthesize first")
-    grid = v.grid if grid is None else grid
     mag = v.magnitude().ravel()
-    w = grid.weights.ravel()
+    w = v.grid.weights.ravel()
     top = float(mag.max(initial=0.0))
     if top == 0.0:
         return 0.0
@@ -414,8 +418,7 @@ def weak_l2_proxy(v, grid: PolarGrid = None) -> float:
     return best
 
 
-def embedding_experiment(p: float, widths, basis: Basis, grid: PolarGrid,
-                         amplitude: float = 1.0) -> dict:
+def embedding_experiment(p: float, widths, basis: Basis, grid: PolarGrid) -> dict:
     """Sharpness probe for the critical embedding: a width family whose
     weak-L^2 size stays put while the L^p norm grows as the width shrinks.
 
@@ -431,13 +434,13 @@ def embedding_experiment(p: float, widths, basis: Basis, grid: PolarGrid,
     idx = BesovIndex(critical_index(p), p, INF)
     rows = []
     for h in widths:
-        spec = DataSpec(kind="bump_family", width=float(h), amplitude=amplitude)
+        spec = DataSpec(kind="bump_family", width=float(h), amplitude=1.0)
         u = generate_data(spec, basis, grid)
         v = synthesize(u, grid)
         rows.append({
             "width": float(h),
             "lp_norm": lp_norm(v, grid, p),
-            "weak_l2_proxy": weak_l2_proxy(v, grid),
+            "weak_l2_proxy": weak_l2_proxy(v),
             "besov_critical": besov_norm(u, idx, grid).value,
         })
     def spread(key):
@@ -549,28 +552,25 @@ class VerifyContext:
 def _check_partition_residual(ctx: VerifyContext) -> CheckResult:
     rng = np.random.default_rng(ctx.config.seed)
     x = np.exp(rng.uniform(math.log(1e-2), math.log(1e3), size=20000))
-    part = DEFAULT_PARTITION
     j_lo = int(math.floor(math.log2(x.min()))) - 1
     j_hi = int(math.ceil(math.log2(x.max()))) + 1
     total = np.zeros_like(x)
     for j in range(j_lo, j_hi + 1):
-        total += part.phi(j, x)
+        total += phi(j, x)
     worst = float(np.max(np.abs(total - 1.0)))
     return CheckResult("partition-residual", worst, 1e-13, worst <= 1e-13,
                        note="20000 log-uniform arguments, telescoped band sum")
 
 
 def _check_band_support(ctx: VerifyContext) -> CheckResult:
-    part = DEFAULT_PARTITION
     worst = 0.0
     for j in (-3, 0, 2, 7):
         lo, hi = math.ldexp(1.0, j - 1), math.ldexp(1.0, j + 1)
         outside = np.array([lo * 0.999999, lo, hi, hi * 1.000001, lo / 3, hi * 3])
-        worst = max(worst, float(np.max(np.abs(part.phi(j, outside)))))
-        worst = max(worst, abs(float(part.phi(j, math.ldexp(1.0, j))) - 1.0))
+        worst = max(worst, float(np.max(np.abs(phi(j, outside)))))
+        worst = max(worst, abs(float(phi(j, math.ldexp(1.0, j))) - 1.0))
         probe = np.exp(np.linspace(math.log(lo * 1.01), math.log(hi * 0.99), 64))
-        window = part.window(j, probe)
-        worst = max(worst, float(np.max(np.abs(window - 1.0))))
+        worst = max(worst, float(np.max(np.abs(window(j, probe) - 1.0))))
     return CheckResult("band-support", worst, 0.0, worst <= 0.0,
                        note="support and plateau are exact by construction")
 
@@ -579,12 +579,12 @@ def _check_reconstruction(ctx: VerifyContext) -> CheckResult:
     basis = ctx.basis()
     bands = active_bands(basis)
     freq = np.sqrt(basis.lam)
-    phis = [DEFAULT_PARTITION.phi(j, freq) for j in bands]
+    rows = [phi(j, freq) for j in bands]
     worst = 0.0
     for f in ctx.random_fields(basis, 100, ctx.config.seed + 1):
         total = np.zeros(basis.n_modes)
-        for phi in phis:
-            total += phi * f.coeffs
+        for row in rows:
+            total += row * f.coeffs
         worst = max(worst, float(np.max(np.abs(total - f.coeffs))))
     return CheckResult("reconstruction", worst, 1e-13, worst <= 1e-13,
                        note="100 seeded fields, band sums vs identity")
@@ -643,8 +643,7 @@ _BERNSTEIN_PAIRS = ((2.0, 4.0), (2.0, INF), (1.0, 2.0))
 _BERNSTEIN_POINTS = np.array([[0.35, -0.2], [-0.1, 0.6]])
 
 
-def _bernstein_stat(basis: Basis, grid: PolarGrid, seed: int,
-                    samples: int = 2) -> dict:
+def _bernstein_stat(basis: Basis, grid: PolarGrid, seed: int) -> dict:
     """Per-(r, p) max/median over bands of the normalized ratio
     |u_j|_p / (2^{2j(1/r - 1/p)} |u_j|_r) on band-limited samples u_j.
 
@@ -652,7 +651,7 @@ def _bernstein_stat(basis: Basis, grid: PolarGrid, seed: int,
     statistic measures the family, not the multiplier: band-filtered
     kernel columns (coefficients phi_j(sqrt(lambda_m)) e_m(x0) . v) are
     the concentrated extremizers and saturate every band the same way;
-    seeded random band data rides along as non-extremal ballast.
+    two seeded random band samples ride along as non-extremal ballast.
     p = inf stays spectral so the sup runs on the refined grid.
     """
     bands = active_bands(basis)
@@ -662,14 +661,14 @@ def _bernstein_stat(basis: Basis, grid: PolarGrid, seed: int,
     freq = np.sqrt(basis.lam)
     per_band = {}
     for j in bands:
-        mask = DEFAULT_PARTITION.phi(j, freq)
+        mask = phi(j, freq)
         members = []
         for pi in range(point_vals.shape[0]):
             for comp in range(2):
                 c = mask * point_vals[pi, :, comp]
                 if np.linalg.norm(c) > 0.0:
                     members.append(SpectralField(basis, c))
-        for s in range(samples):
+        for s in range(2):
             spec = DataSpec(kind="band_random", band=j, amplitude=1.0,
                             seed=seed + 101 * j + s)
             members.append(generate_data(spec, basis, grid))
@@ -744,8 +743,7 @@ def _check_multiplier_drift(ctx: VerifyContext) -> CheckResult:
 def _scan_samples(ctx: VerifyContext, basis: Basis, count: int = 8):
     """Mix of band-concentrated and broadband unit-l2 data for the scans."""
     fields = []
-    bands = active_bands(basis)
-    for j in range(bands.j_lo, min(bands.j_hi, bands.j_lo + count - 2) + 1):
+    for j in active_bands(basis)[:count - 1]:
         spec = DataSpec(kind="band_random", band=j, amplitude=1.0,
                         seed=ctx.config.seed + 10 + j)
         fields.append(generate_data(spec, basis, ctx.grid()))
@@ -913,7 +911,7 @@ def _nonlinear_ctx(ctx: VerifyContext):
     n = min(ctx.config.n_max, 16)
     k = min(ctx.config.k_max, 16)
     basis = ctx.basis(n, k)
-    ws = NonlinearWorkspace(basis, ctx.grid(), DealiasPolicy())
+    ws = NonlinearWorkspace(basis, ctx.grid())
     return basis, ws
 
 

@@ -36,18 +36,16 @@ from .basis import (COS, GRADIENT, SIN, Basis, GridVectorField, PolarGrid,
 from .errors import ResolutionError
 
 
-@dataclass(frozen=True)
-class DealiasPolicy:
-    factor: float = 1.5
-    tol: float = 1e-7
-    probes: int = 3
-    seed: int = 2357
+DEALIAS_FACTOR = 1.5          # check grid / working grid, in each direction
+DEALIAS_TOL = 1e-7
+DEALIAS_PROBES = 3
+_PROBE_SEED = 2357
 
 
 @dataclass(frozen=True)
 class DealiasReport:
     passed: bool
-    margin: float                 # tol / worst relative change (inf if exact)
+    margin: float                 # DEALIAS_TOL / worst relative change (inf if exact)
     probes: tuple                 # ((mode index, relative change), ...)
     scale: float                  # coefficient scale the changes are relative to
 
@@ -62,17 +60,15 @@ class NonlinearWorkspace:
     """Shared read-only state for nonlinear evaluations on one (basis, grid).
 
     Holds the factorized mode tables for the working grid and lazily for the
-    1.5x-refined check grid, plus the dealiasing policy and the static
-    resolution margins.  The dealiasing precondition is established once per
-    workspace (run dealiasing_check on representative data), not re-verified
-    inside every nonlinear_coeffs call.
+    1.5x-refined check grid, plus the static resolution margins.  The
+    dealiasing precondition is established once per workspace (run
+    dealiasing_check on representative data), not re-verified inside every
+    nonlinear_coeffs call.
     """
 
-    def __init__(self, basis: Basis, grid: PolarGrid,
-                 policy: DealiasPolicy = DealiasPolicy()):
+    def __init__(self, basis: Basis, grid: PolarGrid):
         self.basis = basis
         self.grid = grid
-        self.policy = policy
         self.tables = grid.tables(basis)
         self._fine_grid = None
         # fastest oscillations a velocity gradient carries
@@ -87,8 +83,8 @@ class NonlinearWorkspace:
     @property
     def fine_grid(self) -> PolarGrid:
         if self._fine_grid is None:
-            r = int(math.ceil(self.grid.radial_order * self.policy.factor))
-            a = int(math.ceil(self.grid.angular_count * self.policy.factor))
+            r = int(math.ceil(self.grid.radial_order * DEALIAS_FACTOR))
+            a = int(math.ceil(self.grid.angular_count * DEALIAS_FACTOR))
             a += a % 2
             self._fine_grid = build_grid(r, a)
         return self._fine_grid
@@ -126,21 +122,21 @@ def nonlinear_coeffs(u: SpectralField, ws: NonlinearWorkspace) -> SpectralField:
 
 def dealiasing_check(u: SpectralField, ws: NonlinearWorkspace) -> DealiasReport:
     """Recompute a few randomly chosen coefficients of N(u) on the 1.5x grid
-    and compare; pass iff the worst change is at most tol relative to the
-    coefficient scale of N(u)."""
+    and compare; pass iff the worst change is at most DEALIAS_TOL relative to
+    the coefficient scale of N(u)."""
     coarse = _convection_coeffs(u, ws.grid)
     fine = _convection_coeffs(u, ws.fine_grid)
     scale = float(np.abs(coarse).max())
-    rng = np.random.default_rng(ws.policy.seed)
-    picks = rng.choice(u.basis.n_modes, size=min(ws.policy.probes, u.basis.n_modes),
+    rng = np.random.default_rng(_PROBE_SEED)
+    picks = rng.choice(u.basis.n_modes, size=min(DEALIAS_PROBES, u.basis.n_modes),
                        replace=False)
     if scale == 0.0:
         probes = tuple((int(m), 0.0) for m in picks)
         return DealiasReport(passed=True, margin=math.inf, probes=probes, scale=0.0)
     rels = np.abs(fine[picks] - coarse[picks]) / scale
     worst = float(rels.max())
-    margin = math.inf if worst == 0.0 else ws.policy.tol / worst
-    return DealiasReport(passed=worst <= ws.policy.tol, margin=margin,
+    margin = math.inf if worst == 0.0 else DEALIAS_TOL / worst
+    return DealiasReport(passed=worst <= DEALIAS_TOL, margin=margin,
                          probes=tuple((int(m), float(r)) for m, r in zip(picks, rels)),
                          scale=scale)
 

@@ -186,7 +186,7 @@ def dual_pairing(f: SpectralField, g: SpectralField, grid: PolarGrid) -> float:
     return total
 
 
-def trajectory_terms(traj, p: float, grid: PolarGrid | None = None):
+def trajectory_terms(traj, p: float, grid: PolarGrid):
     """The per-time terms of trajectory_norm, one entry per snapshot:
 
         (||u(t)||_{B^{-1+D/p}_{p,inf}},  t^{(1-D/p)/2} ||u(t)||_{L^p})
@@ -201,8 +201,6 @@ def trajectory_terms(traj, p: float, grid: PolarGrid | None = None):
         raise ValueError("trajectory has no snapshots")
     if (times < 0.0).any() or (np.diff(times) <= 0.0).any():
         raise ValueError("trajectory times must be nonnegative and strictly increasing")
-    if grid is None:
-        grid = traj.grid
     idx = BesovIndex(critical_index(p), p, INF)
     alpha = 0.5 * (1.0 - D / p)
     block = np.array([besov_norm(f, idx, grid).value for f in traj.fields])
@@ -211,7 +209,7 @@ def trajectory_terms(traj, p: float, grid: PolarGrid | None = None):
     return block, weighted
 
 
-def trajectory_norm(traj, p: float, grid: PolarGrid | None = None, terms=None) -> float:
+def trajectory_norm(traj, p: float, grid: PolarGrid, terms=None) -> float:
     """Solution-space norm of a time-indexed family of spectral fields:
 
         sup_t ||u(t)||_{B^{-1+D/p}_{p,inf}}  +  sup_t t^{(1-D/p)/2} ||u(t)||_{L^p}
@@ -234,7 +232,7 @@ def tail_smallness(u0: SpectralField, p: float, J: int, grid: PolarGrid) -> floa
     p = _check_p(p)
     if not (D < p):
         raise ValueError("tail smallness requires p > 2")
-    j_hi = active_bands(u0.basis).j_hi
+    j_hi = active_bands(u0.basis)[-1]
     if J > j_hi:
         warnings.warn(
             f"tail start J={J} exceeds the last active band j={j_hi}; "

@@ -37,10 +37,11 @@ def heat_apply(f: SpectralField, t: float) -> SpectralField:
     return SpectralField(f.basis, f.coeffs * np.exp(-t * f.basis.lam))
 
 
-def kernel_tail_threshold(basis: Basis, tol: float = KERNEL_TAIL_TOL) -> float:
+def kernel_tail_threshold(basis: Basis) -> float:
     """Smallest t at which the truncated kernel sum is tail-resolved:
-    exp(-t lambda_max) <= tol relative to the leading exp(-t lambda_min)."""
-    return math.log(1.0 / tol) / (basis.lambda_max - basis.lambda_min)
+    exp(-t lambda_max) <= KERNEL_TAIL_TOL relative to the leading
+    exp(-t lambda_min)."""
+    return math.log(1.0 / KERNEL_TAIL_TOL) / (basis.lambda_max - basis.lambda_min)
 
 
 def kernel_matrix(x, y, t, basis: Basis) -> np.ndarray:
@@ -75,7 +76,6 @@ class EstimateScan:
     the claimed model (right side with constant 1), the worst ratio, and a
     log-log slope where the parameter is a scale."""
 
-    params: np.ndarray
     lhs: np.ndarray
     rhs_model: np.ndarray
     ratio: np.ndarray = field(init=False)
@@ -112,7 +112,7 @@ def _time_scan(t_grid, samples, top, bottom, claimed: float) -> EstimateScan:
     kept = [(f, nf) for f, nf in normed if nf > 0.0]
     lhs = np.array([max(top(heat_apply(f, t)) / nf for f, nf in kept)
                     for t in t_grid])
-    return EstimateScan(params=t_grid, lhs=lhs, rhs_model=t_grid ** claimed,
+    return EstimateScan(lhs=lhs, rhs_model=t_grid ** claimed,
                         slope=loglog_slope(t_grid, lhs), slope_claimed=claimed,
                         skipped=len(normed) - len(kept))
 
@@ -188,8 +188,7 @@ def gradient_vs_besov(p: float, samples, grid: PolarGrid) -> EstimateScan:
         lhs.append(gradient_lp_norm(f, grid, p))
         rhs.append(nf)
     lhs, rhs = np.array(lhs), np.array(rhs)
-    return EstimateScan(params=np.arange(lhs.size, dtype=float), lhs=lhs,
-                        rhs_model=rhs, skipped=skipped)
+    return EstimateScan(lhs=lhs, rhs_model=rhs, skipped=skipped)
 
 
 def weak_star_continuity(f: SpectralField, g: SpectralField, t_seq,

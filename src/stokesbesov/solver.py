@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Basis, PolarGrid, SpectralField
-from .nonlinear import DealiasPolicy, NonlinearWorkspace, nonlinear_coeffs
+from .nonlinear import NonlinearWorkspace, nonlinear_coeffs
 from .norms import D, trajectory_norm
 from .semigroup import heat_apply
 
@@ -46,7 +46,6 @@ class SolverConfig:
     gamma: float = 3.0
     picard_tol: float = 1e-9
     max_picard: int = 25
-    dealias: DealiasPolicy = DealiasPolicy()
 
     def __post_init__(self):
         if not (D < self.p < math.inf):
@@ -69,9 +68,6 @@ class Trajectory:
 
     times: np.ndarray
     fields: tuple
-    basis: Basis
-    grid: PolarGrid
-    provenance: str
     blowup_time: float | None = None
 
     def __iter__(self):
@@ -117,7 +113,7 @@ def linear_trajectory(u0: SpectralField, config: SolverConfig) -> Trajectory:
     """Heat flow of the data sampled on the graded mesh."""
     times = config.mesh()
     fields = tuple(heat_apply(u0, t) for t in times)
-    return Trajectory(times, fields, config.basis, config.grid, "linear")
+    return Trajectory(times, fields)
 
 
 def _duhamel_sweep(forcing_coeffs: np.ndarray, times: np.ndarray,
@@ -165,7 +161,7 @@ def picard_solve(u0: SpectralField, config: SolverConfig):
     """
     times = config.mesh()
     lam = config.basis.lam
-    ws = NonlinearWorkspace(config.basis, config.grid, config.dealias)
+    ws = NonlinearWorkspace(config.basis, config.grid)
     linear = np.stack([heat_apply(u0, t).coeffs for t in times])
     current = tuple(SpectralField(config.basis, row) for row in linear)
     diffs, ratios = [], []
@@ -177,8 +173,7 @@ def picard_solve(u0: SpectralField, config: SolverConfig):
         swept = _duhamel_sweep(forcing, times, lam)
         updated = tuple(SpectralField(config.basis, linear[i] - swept[i])
                         for i in range(times.size))
-        delta = Trajectory(times, tuple(a - b for a, b in zip(updated, current)),
-                           config.basis, config.grid, "picard-delta")
+        delta = Trajectory(times, tuple(a - b for a, b in zip(updated, current)))
         diff = trajectory_norm(delta, config.p, config.grid)
         diffs.append(diff)
         if len(diffs) >= 2 and diffs[-2] > 0.0:
@@ -192,8 +187,7 @@ def picard_solve(u0: SpectralField, config: SolverConfig):
         if rising >= 3:
             diverged = True
             break
-    traj = Trajectory(times, current, config.basis, config.grid,
-                      f"picard/{iterations}")
+    traj = Trajectory(times, current)
     report = PicardReport(differences=tuple(diffs), ratios=tuple(ratios),
                           final_residual=diffs[-1] if diffs else 0.0,
                           iterations=iterations, converged=converged,
@@ -230,7 +224,7 @@ def etd_timestep(u0: SpectralField, dt: float, steps: int,
     lam = config.basis.lam
     if not math.isfinite(dt * config.basis.lambda_max):
         raise ValueError("dt * lambda_max is not finite")
-    ws = NonlinearWorkspace(config.basis, config.grid, config.dealias)
+    ws = NonlinearWorkspace(config.basis, config.grid)
     z = lam * dt
     decay = np.exp(-z)
     phi1, phi2 = _phi12(z)
@@ -249,8 +243,7 @@ def etd_timestep(u0: SpectralField, dt: float, steps: int,
         u = nxt
         times.append(float((n + 1) * dt))
         fields.append(SpectralField(config.basis, u.copy()))
-    return Trajectory(np.array(times), tuple(fields), config.basis, config.grid,
-                      f"etd2/dt={dt!r}", blowup_time=blowup)
+    return Trajectory(np.array(times), tuple(fields), blowup_time=blowup)
 
 
 @dataclass(frozen=True)
@@ -270,7 +263,7 @@ def mild_forcing(traj: Trajectory, config: SolverConfig) -> MildForcing:
     times = config.mesh()
     if not np.array_equal(traj.times, times):
         raise ValueError("trajectory is not sampled on the config mesh")
-    ws = NonlinearWorkspace(config.basis, config.grid, config.dealias)
+    ws = NonlinearWorkspace(config.basis, config.grid)
     forcing = _forcing_matrix(traj.fields, ws)
     return MildForcing(times, forcing, _duhamel_sweep(forcing, times, config.basis.lam))
 

@@ -17,10 +17,10 @@ import pytest
 from stokesbesov import (BesovIndex, SolverConfig, SpectralField,
                          active_bands, besov_norm, beta_function,
                          critical_index, etd_timestep, evaluate_at,
-                         gradient_vs_besov, picard_solve, residual,
+                         gradient_vs_besov, phi, picard_solve, residual,
                          scan_gradient, scan_smoothing, zero_field)
-from stokesbesov.basis import boundary_traces
-from stokesbesov.harness import (DEFAULT_PARTITION, RunConfig, VerifyContext,
+from stokesbesov.basis import COS, boundary_traces
+from stokesbesov.harness import (RunConfig, VerifyContext,
                                  _bernstein_stat, _fit_gaussian_constant,
                                  _gram_deviation, _resolved_radius,
                                  _scan_samples,
@@ -42,12 +42,12 @@ def test_criterion_01_partition_reconstruction(ctx):
     basis = ctx.basis()                      # (32, 32)
     bands = active_bands(basis)
     freq = np.sqrt(basis.lam)
-    phis = [DEFAULT_PARTITION.phi(j, freq) for j in bands]
+    rows = [phi(j, freq) for j in bands]
     worst = 0.0
     for f in ctx.random_fields(basis, 100, ctx.config.seed + 1):
         total = np.zeros(basis.n_modes)
-        for phi in phis:
-            total += phi * f.coeffs
+        for row in rows:
+            total += row * f.coeffs
         worst = max(worst, float(np.max(np.abs(total - f.coeffs))))
     elapsed = time.perf_counter() - started
     assert worst <= 1e-13
@@ -176,9 +176,8 @@ def test_criterion_09_small_data_solver(ctx):
 
     # contraction-rate scaling needs interacting modes; one mode is steady
     direction = zero_field(basis)
-    for i, m in enumerate(basis.modes):
-        if (m.n, m.parity, m.k) in ((0, "cos", 1), (1, "cos", 1)):
-            direction.coeffs[i] = 1.0
+    for n in (0, 1):
+        direction.coeffs[basis.group_index[(n, COS)][1 - 1]] = 1.0
     quotients = []
     eps = np.array([1e-3, 1e-2, 1e-1])
     for e in eps:

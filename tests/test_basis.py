@@ -10,7 +10,8 @@ from stokesbesov import (GridVectorField, SpectralField, analyze, apply_stokes,
                          bessel_zero, boundary_traces, build_basis, build_grid,
                          curl_values, field_values_at, load_basis, save_basis,
                          synthesize, zero_field)
-from stokesbesov.basis import field_gradient_values, mode_values_at
+from stokesbesov.basis import (COS, SIN, field_gradient_values, mode_values_at,
+                               radial_rows)
 from stokesbesov.specfun import bessel_j_table
 
 J01 = 2.404825557695773
@@ -22,12 +23,12 @@ def test_minimal_basis_modes():
     basis = build_basis(1, 1)
     assert basis.n_modes == 3
     # oracle: squares of the bisection-pinned zeros j_{0,1}, j_{1,1}
-    lams = sorted(m.lam for m in basis.modes)
+    lams = sorted(basis.lam)
     assert lams[0] == pytest.approx(J01 ** 2, abs=1e-10)
     assert lams[1] == pytest.approx(J11 ** 2, abs=1e-10)
     assert lams[2] == pytest.approx(J11 ** 2, abs=1e-10)
-    kinds = sorted((m.n, m.parity) for m in basis.modes)
-    assert kinds == [(0, "cos"), (1, "cos"), (1, "sin")]
+    kinds = sorted(zip(basis.angular.tolist(), basis.parity.tolist()))
+    assert kinds == [(0, COS), (1, COS), (1, SIN)]
 
 
 def test_lambda_min_frozen():
@@ -41,11 +42,12 @@ def test_mode_count_formula():
 
 
 def test_mode_invariants(basis_88):
-    for m in basis_88.modes:
-        assert m.lam > 0.0
-        assert m.lam == pytest.approx(bessel_zero(m.n, m.k) ** 2, rel=1e-10)
-        assert m.velocity_norm ** 2 == pytest.approx(m.lam * m.stream_norm ** 2,
-                                                     rel=1e-12)
+    b = basis_88
+    for n, k, lam, vel, stream in zip(b.angular, b.radial, b.lam, b.velocity_norm,
+                                      b.stream_norm):
+        assert lam > 0.0
+        assert lam == pytest.approx(bessel_zero(int(n), int(k)) ** 2, rel=1e-10)
+        assert vel ** 2 == pytest.approx(lam * stream ** 2, rel=1e-12)
     assert np.all(np.diff(basis_88.lam) >= 0.0)
 
 
@@ -78,7 +80,7 @@ def test_boundary_normal_component(basis_88):
 def test_axisymmetric_mode_is_pure_swirl(basis_88, grid_small):
     f = zero_field(basis_88)
     f.coeffs[0] = 1.0                               # (0, cos, 1)
-    assert basis_88.modes[0].n == 0
+    assert basis_88.angular[0] == 0
     v = synthesize(f, grid_small)
     u_r = (v.ux * grid_small.x + v.uy * grid_small.y) / np.hypot(
         grid_small.x, grid_small.y)
@@ -139,7 +141,7 @@ def test_gradient_energy_identity(basis_88, grid_small):
     for every unit-L^2 mode.  Verified here by quadrature at two resolutions
     (the doubled grid is the oracle for the quadrature error).
     """
-    fine = grid_small.refined(2)
+    fine = build_grid(2 * grid_small.radial_order, 2 * grid_small.angular_count)
     for idx in (0, 1, 7, 19, basis_88.n_modes - 1):
         f = zero_field(basis_88)
         f.coeffs[idx] = 1.0
@@ -236,7 +238,8 @@ def test_cache_roundtrip_bit_identical(basis_88, tmp_path):
     assert np.array_equal(loaded.stream_norm, basis_88.stream_norm)
     assert np.array_equal(loaded.velocity_norm, basis_88.velocity_norm)
     assert np.array_equal(loaded.zeros_rows, basis_88.zeros_rows)
-    assert loaded.modes == basis_88.modes
+    for name in ("angular", "parity", "radial"):
+        assert np.array_equal(getattr(loaded, name), getattr(basis_88, name))
 
 
 def test_load_rejects_foreign_format(tmp_path):
@@ -319,13 +322,24 @@ def test_radial_stack_equals_full_table_rows(n_max, radial, angular):
     # bessel_j_table for those rows only must give them bit for bit
     basis = build_basis(n_max, n_max)
     grid = build_grid(radial, angular)
-    want = np.empty((n_max + 1, 5, n_max, radial))
-    for n in range(n_max + 1):
-        tab = bessel_j_table(n + 2, np.multiply.outer(basis.zeros_rows[n], grid.radii))
-        for s, q in enumerate(range(n - 2, n + 3)):
-            row = tab[abs(q)]
-            want[n, s] = row if (q >= 0 or q % 2 == 0) else -row
-    assert np.array_equal(grid.tables(basis).radial, want)
+
+    def signed_rows(r, shifts):
+        want = np.empty((n_max + 1, len(shifts), n_max, r.size))
+        for n in range(n_max + 1):
+            tab = bessel_j_table(n + max(shifts),
+                                 np.multiply.outer(basis.zeros_rows[n], r))
+            for s, q in enumerate(n + np.array(shifts)):
+                row = tab[abs(q)]
+                want[n, s] = row if (q >= 0 or q % 2 == 0) else -row
+        return want
+
+    assert np.array_equal(grid.tables(basis).radial, signed_rows(grid.radii, range(-2, 3)))
+    # the shift sets of point evaluation, boundary traces and normalization
+    points = np.random.default_rng(n_max).uniform(0.0, 1.0, 9)
+    for r in (points, np.ones(1)):
+        for shifts in ((-1, 1), (0,), (1,)):
+            assert np.array_equal(radial_rows(basis.zeros_rows, r, shifts),
+                                  signed_rows(r, shifts))
 
 
 @pytest.mark.parametrize("angular", [256, 240, 768])

@@ -5,34 +5,33 @@ import math
 import numpy as np
 import pytest
 
-from stokesbesov import (DEFAULT_PARTITION, SpectralField, active_bands,
-                         apply_band, apply_window, build_basis, zero_field)
+from stokesbesov import (SpectralField, active_bands, apply_band, apply_window,
+                         build_basis, eta, phi, window, zero_field)
 
 J01 = 2.404825557695773
 
 
 def test_eta_branches():
-    eta = DEFAULT_PARTITION.eta
     assert eta(0.9) == 1.0
     assert eta(2.5) == 0.0
     assert eta(1.5) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_phi_telescoping_sum():
-    total = sum(DEFAULT_PARTITION.phi(j, 3.0) for j in range(-30, 31))
+    total = sum(phi(j, 3.0) for j in range(-30, 31))
     assert abs(total - 1.0) < 1e-15
 
 
 def test_phi_plateau_and_support_points():
-    assert DEFAULT_PARTITION.phi(2, 4.0) == 1.0
-    assert DEFAULT_PARTITION.phi(5, 3.0) == 0.0
+    assert phi(2, 4.0) == 1.0
+    assert phi(5, 3.0) == 0.0
 
 
 def test_phi_range_and_support_property():
     rng = np.random.default_rng(99)
     x = np.exp(rng.uniform(math.log(1e-3), math.log(1e4), size=4000))
     for j in (-4, 0, 3, 9):
-        vals = DEFAULT_PARTITION.phi(j, x)
+        vals = phi(j, x)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
         outside = (x <= math.ldexp(1.0, j - 1)) | (x >= math.ldexp(1.0, j + 1))
         assert np.all(vals[outside] == 0.0)
@@ -40,9 +39,9 @@ def test_phi_range_and_support_property():
 
 def test_phi_rejects_nonpositive():
     with pytest.raises(ValueError):
-        DEFAULT_PARTITION.phi(0, 0.0)
+        phi(0, 0.0)
     with pytest.raises(ValueError):
-        DEFAULT_PARTITION.phi(0, np.array([1.0, -2.0]))
+        phi(0, np.array([1.0, -2.0]))
 
 
 def test_window_covers_band_support():
@@ -50,9 +49,9 @@ def test_window_covers_band_support():
     for j in (-2, 1, 6):
         lo, hi = math.ldexp(1.0, j - 1), math.ldexp(1.0, j + 1)
         x = np.exp(rng.uniform(math.log(lo * 1.0001), math.log(hi * 0.9999), 500))
-        on_support = DEFAULT_PARTITION.phi(j, x) > 0.0
-        window = DEFAULT_PARTITION.window(j, x)
-        assert np.all(window[on_support] == 1.0)
+        on_support = phi(j, x) > 0.0
+        plateau = window(j, x)
+        assert np.all(plateau[on_support] == 1.0)
 
 
 def test_apply_band_empty_band(basis_88):
@@ -91,7 +90,7 @@ def test_apply_window_is_identity_on_band(basis_88):
 def test_active_bands_default_truncation(basis_3232):
     # sqrt(lambda) spans [2.4048, ~146.5] at (32, 32)
     rng = active_bands(basis_3232)
-    assert (rng.j_lo, rng.j_hi) == (1, 8)
+    assert (rng[0], rng[-1]) == (1, 8)
     assert len(rng) == 8
     assert 3 in rng and 0 not in rng
 
@@ -99,7 +98,7 @@ def test_active_bands_default_truncation(basis_3232):
 def test_active_bands_outside_range_kills_basis(basis_88):
     rng = active_bands(basis_88)
     f = SpectralField(basis_88, np.ones(basis_88.n_modes))
-    for j in (rng.j_lo - 1, rng.j_hi + 1):
+    for j in (rng[0] - 1, rng[-1] + 1):
         assert not np.any(apply_band(f, j).coeffs)
 
 
@@ -109,10 +108,10 @@ def test_active_bands_plateau_eigenvalue():
     basis = build_basis(0, 1)
     basis.lam[0] = 16.0          # synthetic plateau eigenvalue, sqrt = 4
     rng = active_bands(basis)
-    assert (rng.j_lo, rng.j_hi) == (2, 2)
-    assert DEFAULT_PARTITION.phi(2, 4.0) == 1.0
-    assert DEFAULT_PARTITION.phi(1, 4.0) == 0.0
-    assert DEFAULT_PARTITION.phi(3, 4.0) == 0.0
+    assert (rng[0], rng[-1]) == (2, 2)
+    assert phi(2, 4.0) == 1.0
+    assert phi(1, 4.0) == 0.0
+    assert phi(3, 4.0) == 0.0
 
 
 def test_active_bands_empty_basis_errors():

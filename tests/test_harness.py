@@ -12,6 +12,7 @@ from stokesbesov import (ConfigError, NumericalError, ResolutionError,
                          SolverConfig, SpectralField, besov_norm, BesovIndex,
                          critical_index, picard_solve, save_basis, synthesize,
                          zero_field)
+from stokesbesov.basis import COS, SIN
 from stokesbesov.cli import main
 from stokesbesov.harness import (DataSpec, RunConfig, embedding_experiment,
                                  generate_data, load_config, run_experiment,
@@ -36,7 +37,6 @@ def test_defaults():
 def test_full_config_roundtrip(tmp_path):
     text = """
 [run]
-experiment = solve
 seed = 11
 [basis]
 n_max = 8
@@ -64,7 +64,7 @@ dir = out_here
 """
     path = tmp_path / "run.ini"
     path.write_text(text)
-    cfg = load_config(path)
+    cfg = load_config(path, {"experiment": "solve"})
     assert cfg.experiment == "solve"
     assert cfg.seed == 11
     assert (cfg.n_max, cfg.k_max) == (8, 8)
@@ -121,8 +121,7 @@ def test_single_mode_data(basis_88, grid_small):
     u = generate_data(spec, basis_88, grid_small)
     hot = np.flatnonzero(u.coeffs)
     assert hot.size == 1
-    m = basis_88.modes[hot[0]]
-    assert (m.n, m.parity, m.k) == (1, "sin", 2)
+    assert hot[0] == basis_88.group_index[(1, SIN)][2 - 1]
     assert u.coeffs[hot[0]] == 0.5
 
 
@@ -210,9 +209,8 @@ def test_embedding_validates_p(basis_88, grid_small):
 
 def _two_mode_direction(basis):
     u = zero_field(basis)
-    for i, m in enumerate(basis.modes):
-        if (m.n, m.parity, m.k) in ((0, "cos", 1), (1, "cos", 1)):
-            u.coeffs[i] = 1.0
+    for n in (0, 1):
+        u.coeffs[basis.group_index[(n, COS)][1 - 1]] = 1.0
     return u
 
 
@@ -272,7 +270,7 @@ def test_trajectory_rows_flag_perturbed_row(basis_88, grid_small):
     assert [r[-1] for r in trajectory_rows(traj, u0, cfg)] == [1] * 13
     bent = list(traj.fields)
     bent[8] = SpectralField(basis_88, 1.01 * bent[8].coeffs)
-    bad = Trajectory(traj.times, tuple(bent), basis_88, grid_small, "bent")
+    bad = Trajectory(traj.times, tuple(bent))
     flags = [r[-1] for r in trajectory_rows(bad, u0, cfg)]
     assert flags[8] == 0
     assert flags[:8] == [1] * 8
@@ -314,8 +312,6 @@ def test_run_verify_subset(tmp_path):
 
 def test_run_solve_small(tmp_path):
     extra = """
-[run]
-experiment = solve
 [solver]
 t_final = 0.25
 mesh_count = 12
@@ -324,7 +320,7 @@ kind = single_mode
 amplitude = 1e-3
 """
     cfg = load_config(_write_cfg(tmp_path, extra),
-                      {"out_dir": str(tmp_path / "out")})
+                      {"experiment": "solve", "out_dir": str(tmp_path / "out")})
     assert run_experiment(cfg) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["picard"]["converged"] is True
@@ -340,8 +336,6 @@ def test_solve_diagnostics_reuse_final_forcing_and_norm(tmp_path, monkeypatch):
     # after Picard, the diagnostics need N(u) at each mesh field once and the
     # final trajectory norm once
     extra = """
-[run]
-experiment = solve
 [solver]
 t_final = 0.25
 mesh_count = 6
@@ -363,7 +357,8 @@ amplitude = 1e-3
     counting(stokesbesov.solver, "nonlinear_coeffs", "convection")
     counting(stokesbesov.solver, "trajectory_norm", "trajectory_norm")
     counting(stokesbesov.harness, "trajectory_norm", "trajectory_norm")
-    cfg = load_config(_write_cfg(tmp_path, extra), {"out_dir": str(tmp_path / "out")})
+    cfg = load_config(_write_cfg(tmp_path, extra),
+                      {"experiment": "solve", "out_dir": str(tmp_path / "out")})
     assert run_experiment(cfg) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     iterations = summary["picard"]["iterations"]
@@ -373,8 +368,8 @@ amplitude = 1e-3
 
 
 def test_manifest_records_environment(tmp_path):
-    cfg = load_config(_write_cfg(tmp_path, "[run]\nexperiment = basis\n"),
-                      {"out_dir": str(tmp_path / "out")})
+    cfg = load_config(_write_cfg(tmp_path),
+                      {"experiment": "basis", "out_dir": str(tmp_path / "out")})
     assert run_experiment(cfg) == 0
     env = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
     assert env["numpy"] == np.__version__
@@ -384,9 +379,8 @@ def test_manifest_records_environment(tmp_path):
 
 
 def test_run_basis_cache(tmp_path):
-    extra = "[run]\nexperiment = basis\n"
-    cfg = load_config(_write_cfg(tmp_path, extra),
-                      {"out_dir": str(tmp_path / "out")})
+    cfg = load_config(_write_cfg(tmp_path),
+                      {"experiment": "basis", "out_dir": str(tmp_path / "out")})
     assert run_experiment(cfg) == 0
     doc = json.loads((tmp_path / "out" / "basis.json").read_text())
     assert doc["n_max"] == 8 and len(doc["modes"]) == 8 * 17
@@ -398,8 +392,6 @@ def test_run_basis_cache(tmp_path):
 def test_run_embed_small(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("""
-[run]
-experiment = embed
 [basis]
 n_max = 8
 k_max = 8
@@ -409,7 +401,7 @@ angular_count = 192
 [embed]
 widths = 0.4, 0.2
 """)
-    cfg = load_config(path, {"out_dir": str(tmp_path / "out")})
+    cfg = load_config(path, {"experiment": "embed", "out_dir": str(tmp_path / "out")})
     assert run_experiment(cfg) == 0
     rows = (tmp_path / "out" / "embedding.csv").read_text().strip().splitlines()
     assert rows[0] == "width,lp_norm,weak_l2_proxy,besov_critical"
@@ -466,13 +458,25 @@ def test_cli_unknown_check(capsys):
                                      ("basis", "build")])
 @pytest.mark.parametrize("section,key,value", [("basis", "n_max", 129),
                                                ("basis", "k_max", 129),
-                                               ("grid", "radial_order", 5000)])
+                                               ("grid", "radial_order", 5000),
+                                               ("grid", "radial_order", 1366)])
 def test_cli_refuses_out_of_range_sizes(tmp_path, capsys, command, section, key, value):
     path = tmp_path / "big.ini"
     path.write_text(f"[{section}]\n{key} = {value}\n")
     code = main([*command, "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"[{section}] {key}" in capsys.readouterr().err
+
+
+def test_cli_refuses_experiment_key(tmp_path, capsys):
+    # the subcommand picks the experiment; an INI that names one is refused
+    # rather than silently overridden
+    path = tmp_path / "run.ini"
+    path.write_text("[run]\nexperiment = embed\n")
+    code = main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "experiment" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_verify_embedding_reads_embed_section(tmp_path, capsys):

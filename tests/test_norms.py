@@ -191,7 +191,7 @@ def test_tail_smallness_equals_besov_at_jlo(basis_88, grid_small):
     from stokesbesov import active_bands
     rng = np.random.default_rng(24)
     f = SpectralField(basis_88, rng.standard_normal(basis_88.n_modes))
-    j_lo = active_bands(basis_88).j_lo
+    j_lo = active_bands(basis_88)[0]
     full = besov_norm(f, BesovIndex(critical_index(4.0), 4.0, INF),
                       grid_small).value
     assert tail_smallness(f, 4.0, j_lo, grid_small) == pytest.approx(

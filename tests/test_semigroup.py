@@ -23,10 +23,10 @@ def _unit_mode(basis, m=0):
 
 def _embed(field, target):
     """Re-express a low-truncation field in a finer basis by mode label."""
-    where = {(m.n, m.parity, m.k): i for i, m in enumerate(target.modes)}
     out = zero_field(target)
-    for c, m in zip(field.coeffs, field.basis.modes):
-        out.coeffs[where[(m.n, m.parity, m.k)]] = c
+    b = field.basis
+    for c, n, parity, k in zip(field.coeffs, b.angular, b.parity, b.radial):
+        out.coeffs[target.group_index[(n, parity)][k - 1]] = c
     return out
 
 

@@ -26,10 +26,7 @@ def _cfg(basis, grid, mesh=16, T=0.5, **kw):
 
 
 def _mode_index(basis, n, parity, k):
-    for i, m in enumerate(basis.modes):
-        if (m.n, m.parity, m.k) == (n, parity, k):
-            return i
-    raise LookupError((n, parity, k))
+    return basis.group_index[(n, ("cos", "sin").index(parity))][k - 1]
 
 
 def _two_mode(basis, eps):
@@ -111,7 +108,7 @@ def test_duhamel_constant_forcing(basis_88, grid_small):
         f = zero_field(basis_88)
         f.coeffs[0] = c
         fields.append(f)
-    forcing = Trajectory(times, tuple(fields), basis_88, grid_small, "test")
+    forcing = Trajectory(times, tuple(fields))
     for idx in (1, 5, 12):
         t = times[idx]
         got = duhamel_apply(forcing, idx, cfg).coeffs[0]
@@ -130,7 +127,7 @@ def test_duhamel_linear_forcing(basis_88, grid_small):
         f = zero_field(basis_88)
         f.coeffs[0] = t
         fields.append(f)
-    forcing = Trajectory(times, tuple(fields), basis_88, grid_small, "test")
+    forcing = Trajectory(times, tuple(fields))
     t = times[9]
     got = duhamel_apply(forcing, 9, cfg).coeffs[0]
     lam = LAMBDA_MIN
@@ -280,7 +277,7 @@ def test_residual_converged_and_perturbed(basis_88, grid_small):
 
     bent = list(traj.fields)
     bent[8] = SpectralField(basis_88, 1.01 * bent[8].coeffs)
-    bad = Trajectory(traj.times, tuple(bent), basis_88, grid_small, "bent")
+    bad = Trajectory(traj.times, tuple(bent))
     worse = residual(bad, u0, cfg)
     assert worse > 100.0 * max(base, 1e-12)
     assert worse > 1e-6

@@ -3,14 +3,19 @@
 The benchmark tracer (perfbench/tracer.py) wraps functions by module and
 name, and the package exports __all__; deleting or renaming a member must
 fail here, in the default suite, not only in the benchmark's own tests.
+The config key table must stay in step with the config dataclasses: a
+field with no key is a knob nobody can set, a key with no field an error
+at load time.
 """
 
+import dataclasses
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import stokesbesov
-from stokesbesov.harness import CHECKS, DRIFT_CHECKS
+from stokesbesov.harness import _CONFIG_KEYS, CHECKS, DRIFT_CHECKS, DataSpec, RunConfig
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -40,3 +45,22 @@ def test_exported_names_import():
     for module in (stokesbesov, stokesbesov.harness):
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], module.__name__
+
+
+def _fields(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_config_keys_name_real_fields():
+    stray = [(section, key) for (section, key), (_, name) in _CONFIG_KEYS.items()
+             if name not in _fields(DataSpec if section == "data" else RunConfig)]
+    assert stray == []
+
+
+def test_every_config_field_has_one_key():
+    reached = Counter((section == "data", name)
+                      for (section, _), (_, name) in _CONFIG_KEYS.items())
+    want = ({(False, name) for name in _fields(RunConfig) - {"experiment", "data"}}
+            | {(True, name) for name in _fields(DataSpec)})
+    assert {k: n for k, n in reached.items() if n != 1} == {}
+    assert set(reached) == want
