@@ -95,11 +95,9 @@ def build_basis(n_max: int = DEFAULT_N_MAX, k_max: int = DEFAULT_K_MAX) -> Basis
         raise ValueError(f"k_max must lie in [1, {MAX_K_MAX}]")
     n_max, k_max = int(n_max), int(k_max)
 
-    rows = np.empty((n_max + 1, k_max))
-    # deepest row first: primes the interlacing-bracket cache in one pass
-    bessel_zeros_row(n_max, k_max)
-    for n in range(n_max + 1):
-        rows[n] = bessel_zeros_row(n, k_max)
+    # top order first: its request solves every row's zeros in one block,
+    # and each lower row is then a slice of that block
+    rows = np.array([bessel_zeros_row(n, k_max) for n in range(n_max, -1, -1)])[::-1]
     lam_rows = rows * rows
 
     ns, ps, ks = [], [], []

@@ -11,11 +11,22 @@ ascending power series for x <= 12, where its cancellation stays within the
 with the Neumann identity J_0 + 2*sum_k J_{2k} = 1 above that.
 
 bessel_j_table(q_max, x, orders=...) computes only the rows a caller reads,
-each bit for bit the row of the full table up to q_max: the bits do not
-depend on which rows are requested.  The Miller start is unchanged by
-orders, ceil(max(q_max, max x)) + floor(15 max(x, 1)^(1/3)) + 22 rounded up
-to even (Gautschi, SIAM Review 9, 1967), so only q_max and the largest x of
-the call move bits.
+or only a few orders per x, each entry bit for bit that of the full table up
+to q_max: the bits do not depend on which orders are requested.  The Miller
+start is unchanged by orders, ceil(max(q_max, max x)) + floor(15 max(x,
+1)^(1/3)) + 22 rounded up to even (Gautschi, SIAM Review 9, 1967), so only
+q_max and the largest x of the call move bits.
+
+The zeros j_{m,k}, m <= n, k <= K, are solved as one block.  Zeros of one
+order lie more than j_{0,2} - j_{0,1} > 3 apart, so the k-th sign change of
+row m in one table of J_0..J_n on x = 0.25, 0.5, ... (up to McMahon's
+j_{n,K+1} + 2) brackets j_{m,k}; too few sign changes is a NumericalError.
+One Newton-bisection loop refines every bracket in lockstep, a step being
+one table call at the orders m - 1, m, m + 1 of each zero, and the
+interlacing j_{m-1,k} < j_{m,k} < j_{m-1,k+1} (DLMF 10.21(i)) is checked
+after convergence.  The block is cached.  A request outside it solves an
+enlarged block that keeps every entry already held, so a zero never changes
+once returned and a smaller basis's zeros are a prefix of a larger one's.
 """
 
 from __future__ import annotations
@@ -52,21 +63,23 @@ def gauss_legendre(order: int) -> QuadratureRule:
     return QuadratureRule(nodes=(x + 1.0) / 2.0, weights=w / 2.0, order=int(order))
 
 
-def _series_table(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Power-series J_q(x) at the sorted orders rows; x is 1-D and small.
+def _series_table(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Power-series J_q(x) at the orders, (r, 1) for one order per row or
+    (r, x.size) for one per element; x is 1-D and small.
 
     The leading factors (x/2)^q / q! come from one chain over every q up to
-    rows[-1], so a row is the same product whichever rows are asked for.
+    the top order, so an entry is the same product whichever are asked for.
     """
     half = 0.5 * x
     leads = [np.ones_like(x)]
-    for q in range(1, int(rows[-1]) + 1):
+    for q in range(1, int(orders.max()) + 1):
         leads.append(leads[-1] * half / q)
-    term = np.stack([leads[q] for q in rows])      # (rows, nx): (x/2)^q / q!
+    qs, pick = np.unique(orders, return_inverse=True)     # (x/2)^q / q! at each entry
+    term = np.stack([leads[q] for q in qs])[pick.reshape(orders.shape), np.arange(x.size)]
     total = term.copy()
     neg_z = -(half * half)
-    ks = np.arange(1, 60)[:, None]
-    denom = (ks * (rows + ks)).astype(float)[:, :, None]   # k (q + k), exact
+    ks = np.arange(1, 60)[:, None, None]
+    denom = (ks * (orders + ks)).astype(float)     # k (q + k), exact
     for k in range(1, 60):
         np.multiply(term, neg_z, out=term)
         np.divide(term, denom[k - 1], out=term)
@@ -74,18 +87,22 @@ def _series_table(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _miller_table(q_max: int, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Downward-recurrence J_q(x) at the sorted orders rows (each <= q_max),
-    vectorized over a 1-D array of x > 0.
+def _miller_table(q_max: int, orders: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Downward-recurrence J_q(x) at the orders (each <= q_max), shaped as
+    in _series_table, vectorized over a 1-D array of x > 0.
 
     The start index depends on q_max and max(x) alone, so the recurrence,
-    its rescalings and hence every row are the same whichever rows are kept.
+    its rescalings and hence every entry are the same whichever are kept.
     """
     xmax = float(x.max())
     start = int(np.ceil(max(q_max, xmax))) + int(15.0 * max(xmax, 1.0) ** (1.0 / 3.0)) + 22
     start += start % 2
-    slot = {int(q): i for i, q in enumerate(rows)}
-    tab = np.zeros((rows.size, x.size))
+    # step q writes J~_q to the entries of order q: whole rows, or single cells
+    rows, cols = np.divmod(np.argsort(orders, axis=None, kind="stable"), orders.shape[1])
+    qs, first = np.unique(orders[rows, cols], return_index=True)
+    slot = {q: (rows[a:b], cols[a:b] if orders.shape[1] > 1 else slice(None))
+            for q, a, b in zip(qs.tolist(), first, [*first[1:], rows.size])}
+    tab = np.zeros((orders.shape[0], x.size))
     jp = np.zeros_like(x)                 # J~_{k+1}
     jc = np.full_like(x, 1e-30)           # J~_k, k = start
     jm = np.empty_like(x)
@@ -103,9 +120,9 @@ def _miller_table(q_max: int, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         jm -= jp                          # J~_{k-1}
         jp, jc, jm = jc, jm, jp
         q = k - 1
-        i = slot.get(q)
-        if i is not None:
-            tab[i] = jc
+        cell = slot.get(q)
+        if cell is not None:
+            tab[cell] = jc[cell[1]]
         if q == 0:
             acc += jc
         elif q % 2 == 0:
@@ -127,30 +144,35 @@ def _miller_table(q_max: int, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
 def bessel_j_table(q_max: int, x, orders=None) -> np.ndarray:
     """J_q(x) for all orders q = 0..q_max, vectorized over an array of x >= 0.
 
-    With orders (a sequence of integers in 0..q_max, repeats allowed) only
-    those rows are computed, and row i of the result is J_{orders[i]}: the
-    same bits as that row of the full table.  Routes each element through
-    the power series or the Miller recurrence; this is the workhorse behind
-    basis tables and point evaluation.
+    With orders (integers in 0..q_max, repeats allowed) row i of the result
+    is J_{orders[i]}, or J_{orders[..., i]}(x) when orders has shape
+    x.shape + (r,), one sequence per x; every entry has the bits of the full
+    table.  Routes each element through the power series or the Miller
+    recurrence; this is the workhorse behind basis tables, point evaluation
+    and the zero finder.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if (x < 0).any():
         raise ValueError("bessel_j_table requires x >= 0")
     wanted = np.arange(q_max + 1) if orders is None else np.asarray(orders, dtype=int)
-    if wanted.ndim != 1 or wanted.size == 0 or wanted.min() < 0 or wanted.max() > q_max:
-        raise ValueError("orders must be a non-empty sequence within 0..q_max")
-    rows, pick = np.unique(wanted, return_inverse=True)
-    out = np.zeros((rows.size,) + x.shape)
+    per_x = wanted.ndim > 1
+    if (wanted.ndim == 0 or wanted.shape[:-1] != (x.shape if per_x else ())
+            or wanted.size == 0 or wanted.min() < 0 or wanted.max() > q_max):
+        raise ValueError("orders must be one non-empty sequence within 0..q_max, "
+                         "or one per x")
+    grid = wanted.reshape(x.size, -1).T if per_x else wanted[:, None]
+    shape, x = x.shape, x.ravel()
+    out = np.zeros((grid.shape[0], x.size))
     tiny = x < 1e-12
-    if tiny.any() and rows[0] == 0:
-        out[0][tiny] = 1.0                # J_0(0) = 1, J_q(0) = 0 for q >= 1
+    if tiny.any():
+        out[(grid == 0) & tiny] = 1.0     # J_0(0) = 1, J_q(0) = 0 for q >= 1
     small = (~tiny) & (x <= _SERIES_X_MAX)
-    if small.any():
-        out[:, small] = _series_table(rows, x[small])
     rest = (~tiny) & (~small)
+    if small.any():
+        out[:, small] = _series_table(grid[:, small] if per_x else grid, x[small])
     if rest.any():
-        out[:, rest] = _miller_table(q_max, rows, x[rest])
-    return out if orders is None else out[pick]
+        out[:, rest] = _miller_table(q_max, grid[:, rest] if per_x else grid, x[rest])
+    return out.reshape((-1,) + shape)
 
 
 def bessel_j(n: int, x) -> float:
@@ -169,13 +191,10 @@ def bessel_j_prime(n: int, x) -> float:
     return float(val[0]) if np.ndim(x) == 0 else val
 
 
-_MCMAHON_PI = np.pi
-
-
-def _mcmahon_guess(n: int, k) -> np.ndarray:
+def _mcmahon_guess(n, k) -> np.ndarray:
     """Asymptotic initializer for the k-th positive zero of J_n."""
     k = np.asarray(k, dtype=float)
-    beta = (k + 0.5 * n - 0.25) * _MCMAHON_PI
+    beta = (k + 0.5 * n - 0.25) * np.pi
     mu = 4.0 * n * n
     b8 = 8.0 * beta
     c1 = (mu - 1.0) / b8
@@ -187,91 +206,89 @@ def _mcmahon_guess(n: int, k) -> np.ndarray:
     return beta - c1 - c3 - c5 - c7
 
 
-def _jn_with_prime(n: int, x: np.ndarray):
-    """(J_n(x), J_n'(x)), with J_n' = (J_{n-1} - J_{n+1}) / 2 and J_{-1} = -J_1."""
-    jm, jn, jp = bessel_j_table(n + 1, x, orders=(abs(n - 1), n, n + 1))
-    return jn, 0.5 * ((jm if n >= 1 else -jm) - jp)
+def _jn_with_prime(n, x: np.ndarray):
+    """(J_n(x), J_n'(x)), with J_n' = (J_{n-1} - J_{n+1}) / 2 and J_{-1} = -J_1;
+    n is one order, or one order per x."""
+    n = np.asarray(n)
+    orders = np.stack([abs(n - 1), n, n + 1], axis=-1)
+    jm, jn, jp = bessel_j_table(int(n.max()) + 1, x, orders=orders)
+    return jn, 0.5 * (np.where(n >= 1, jm, -jm) - jp)
 
 
-def _newton_bisect(n: int, guess: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Newton iteration on J_n inside verified brackets, bisection fallback.
+def _newton_bisect(n, guess: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                   flo: np.ndarray) -> np.ndarray:
+    """Newton iteration on J_n inside brackets [lo, hi] with flo = J_n(lo) of
+    the other sign than J_n(hi), bisection fallback.  n broadcasts against
+    the brackets; each step evaluates only the zeros not yet converged.
 
     Convergence is judged on the Newton step itself, before the brackets
     are tightened: tightening first would pin a bracket endpoint onto the
     converged point and push the next candidate into the bisection branch.
     """
-    # both bracket ends in one table: only their signs are read
-    (flo, fhi), _ = _jn_with_prime(n, np.stack([lo, hi]))
-    if (flo * fhi >= 0).any():
-        raise NumericalError(f"zero bracket failed for order {n}")
     x = np.clip(guess, lo + 1e-12, hi - 1e-12)
-    done = np.zeros(x.shape, dtype=bool)
+    n, lo, hi, flo = (np.broadcast_to(a, x.shape).flatten() for a in (n, lo, hi, flo))
+    flat, live = x.ravel(), np.arange(x.size)
     for _ in range(200):
-        f, fp = _jn_with_prime(n, x)
-        safe_fp = np.where(fp != 0.0, fp, 1.0)
-        step = f / safe_fp
-        done |= (fp != 0.0) & (np.abs(step) <= 1e-15 * np.abs(x) + 1e-16)
-        if done.all():
+        if live.size == 0:
             return x
-        act = ~done
-        same = (f * flo) > 0.0
-        lo = np.where(act & same, x, lo)
-        flo = np.where(act & same, f, flo)
-        hi = np.where(act & ~same, x, hi)
-        cand = x - step
-        fallback = (fp == 0.0) | ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-        new = np.where(fallback, 0.5 * (lo + hi), cand)
-        x = np.where(act, new, x)
-        done |= act & ((hi - lo) <= 1e-15 * np.abs(x))
-    raise NumericalError(f"zero refinement did not converge for order {n}")
+        f, fp = _jn_with_prime(n[live], flat[live])
+        step = f / np.where(fp != 0.0, fp, 1.0)
+        act = (fp == 0.0) | (np.abs(step) > 1e-15 * np.abs(flat[live]) + 1e-16)
+        live, f, fp, step = live[act], f[act], fp[act], step[act]
+        xl = flat[live]
+        same = (f * flo[live]) > 0.0
+        lo[live] = np.where(same, xl, lo[live])
+        flo[live] = np.where(same, f, flo[live])
+        hi[live] = np.where(same, hi[live], xl)
+        low, high, cand = lo[live], hi[live], xl - step
+        fallback = (fp == 0.0) | ~np.isfinite(cand) | (cand <= low) | (cand >= high)
+        flat[live] = np.where(fallback, 0.5 * (low + high), cand)
+        live = live[(high - low) > 1e-15 * np.abs(flat[live])]
+    raise NumericalError(f"zero refinement did not converge for orders {np.unique(n[live])}")
 
 
-_zero_rows: dict[int, np.ndarray] = {}
+def _lockstep_zeros(n: int, count: int) -> np.ndarray:
+    """The first count positive zeros of J_0..J_n, shape (n + 1, count)."""
+    cols = count + 1                      # the extra zero bounds the interlacing check
+    xs = 0.25 * np.arange(1.0, 4.0 * (float(_mcmahon_guess(n, cols)) + 2.0) + 1.0)
+    table = bessel_j_table(n, xs)
+    change = table[:, :-1] * table[:, 1:] < 0.0
+    if (change.sum(axis=1) < cols).any():
+        raise NumericalError(f"too few sign changes of J_0..J_{n} below x = {xs[-1]:g}")
+    cells = np.nonzero(change & (np.cumsum(change, axis=1) <= cols))[1].reshape(n + 1, cols)
+    orders = np.arange(n + 1)[:, None]
+    zeros = _newton_bisect(orders, _mcmahon_guess(orders, np.arange(1, cols + 1)),
+                           xs[cells], xs[cells + 1], np.take_along_axis(table, cells, axis=1))
+    if not ((zeros[:-1, :-1] < zeros[1:, :-1]) & (zeros[1:, :-1] < zeros[:-1, 1:])).all():
+        raise NumericalError(f"zeros of J_0..J_{n} do not interlace")
+    return zeros[:, :count]
+
+
+_zero_block = np.empty((0, 0))
 
 
 def _zeros_row(n: int, count: int) -> np.ndarray:
-    have = _zero_rows.get(n)
-    if have is not None and have.size >= count:
-        return have[:count]
-    # Row n brackets come from row n-1 (zeros of consecutive orders
-    # interlace: j_{n-1,k} < j_{n,k} < j_{n-1,k+1}), so build every missing
-    # ancestor in one bottom-up pass, each with exactly the headroom its
-    # descendants need.  Asking rows one at a time from the outside would
-    # otherwise rebuild each ancestor once per order above it.
-    for m in range(0, n + 1):
-        need = count + (n - m)
-        have_m = _zero_rows.get(m)
-        if have_m is not None and have_m.size >= need:
-            continue
-        ks = np.arange(1, need + 1)
-        guess = _mcmahon_guess(m, ks)
-        if m == 0:
-            # McMahon is within 0.06 of every J_0 zero and the spacing is
-            # ~pi, so a fixed window brackets each zero.
-            lo, hi = guess - 0.6, guess + 0.6
-            lo[0] = max(lo[0], 1.0)
-        else:
-            upper = _zero_rows[m - 1]
-            lo = upper[:need] + 1e-9
-            hi = upper[1:need + 1] - 1e-9
-            guess = np.clip(guess, lo, hi)
-        _zero_rows[m] = _newton_bisect(m, guess, lo, hi)
-    return _zero_rows[n][:count]
+    """The first count zeros of J_n, a slice of the cached block."""
+    global _zero_block
+    held = _zero_block
+    if n >= held.shape[0] or count > held.shape[1]:
+        block = _lockstep_zeros(max(n, held.shape[0] - 1), max(count, held.shape[1]))
+        block[:held.shape[0], :held.shape[1]] = held
+        _zero_block = held = block
+    return held[n, :count]
 
 
 def bessel_zero(n: int, k: int) -> float:
     """k-th positive zero of J_n (k = 1, 2, ...), accurate to ~1e-13 relative."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError("order n must be a non-negative integer")
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError("zero index k must be a positive integer")
-    return float(_zeros_row(int(n), int(k))[k - 1])
+    return float(bessel_zeros_row(n, k)[-1])
 
 
 def bessel_zeros_row(n: int, k_max: int) -> np.ndarray:
     """First k_max positive zeros of J_n as an array (convenience wrapper)."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError("order n must be a non-negative integer")
+    if not isinstance(k_max, (int, np.integer)) or k_max < 1:
+        raise ValueError("zero count must be a positive integer")
     return _zeros_row(int(n), int(k_max)).copy()
 
 

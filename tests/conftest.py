@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
 import pytest
 
-from stokesbesov import build_basis, build_grid
+from stokesbesov import build_basis, build_grid, specfun
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 
@@ -27,6 +28,13 @@ _CRITERION_TITLES = {
     10: "critical embedding sharpness (L4 ~ width^-1/2, Besov <= 4x)",
     11: "verify-all determinism and budget",
 }
+
+
+@pytest.fixture
+def empty_zero_cache(monkeypatch):
+    """Start the test with no cached Bessel zeros; the session's block, which
+    the shared bases were built from, comes back afterwards."""
+    monkeypatch.setattr(specfun, "_zero_block", np.empty((0, 0)))
 
 
 @pytest.fixture(scope="session")

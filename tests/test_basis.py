@@ -9,7 +9,7 @@ import oracles
 from stokesbesov import (GridVectorField, SpectralField, analyze, apply_stokes,
                          bessel_zero, boundary_traces, build_basis, build_grid,
                          curl_values, field_values_at, load_basis, save_basis,
-                         synthesize, zero_field)
+                         specfun, synthesize, zero_field)
 from stokesbesov.basis import (COS, SIN, field_gradient_values, mode_values_at,
                                radial_rows)
 from stokesbesov.specfun import bessel_j_table
@@ -49,6 +49,32 @@ def test_mode_invariants(basis_88):
         assert lam == pytest.approx(bessel_zero(int(n), int(k)) ** 2, rel=1e-10)
         assert vel ** 2 == pytest.approx(lam * stream ** 2, rel=1e-12)
     assert np.all(np.diff(basis_88.lam) >= 0.0)
+
+
+@pytest.mark.parametrize("first, second", [((16, 16), (32, 32)), ((32, 32), (16, 16))])
+def test_smaller_basis_zeros_are_a_prefix(first, second, empty_zero_cache):
+    # in either order, and with requests outside both blocks in between, the
+    # cached zeros of the smaller basis are a slice of the larger one's
+    built = {first: build_basis(*first)}
+    bessel_zero(33, 1)
+    bessel_zero(0, 33)
+    built[second] = build_basis(*second)
+    assert np.array_equal(built[(16, 16)].zeros_rows, built[(32, 32)].zeros_rows[:17, :16])
+
+
+def test_zero_finder_table_calls(empty_zero_cache, monkeypatch):
+    """The (32, 32) zeros take one bracket table and one table per lockstep
+    Newton step, not a Newton loop per order."""
+    calls = []
+    real = specfun.bessel_j_table
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "bessel_j_table", counted)
+    build_basis(32, 32)
+    assert 0 < len(calls) <= 20
 
 
 def test_grid_weights_disk_area():

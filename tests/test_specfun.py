@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import oracles
-from stokesbesov import (bessel_j, bessel_j_prime, bessel_zero,
-                         bessel_zeros_row, beta_function, gauss_legendre)
+from stokesbesov import (NumericalError, bessel_j, bessel_j_prime, bessel_zero,
+                         bessel_zeros_row, beta_function, gauss_legendre, specfun)
 from stokesbesov.specfun import bessel_j_table
 
 J01 = 2.404825557695773
@@ -60,10 +60,45 @@ def test_zeros_against_mpmath_grid():
 
 
 def test_zeros_row_matches_scipy():
-    for n in (0, 3, 32):
-        ref = oracles.scipy_jn_zeros(n, 32)
-        got = bessel_zeros_row(n, 32)
+    # every order of the (64, 64) block; the top order first, so the first
+    # request solves the whole block
+    for n in range(64, -1, -1):
+        ref = oracles.scipy_jn_zeros(n, 64)
+        got = bessel_zeros_row(n, 64)
         assert np.max(np.abs(got - ref)) < 1e-10
+
+
+@pytest.mark.parametrize("n, k_max", [(-1, 3), (2.5, 3), (2, 0), (2, 2.5)])
+def test_zeros_row_rejects_bad_arguments(n, k_max):
+    with pytest.raises(ValueError):
+        bessel_zeros_row(n, k_max)
+
+
+def test_too_few_sign_changes_raise(empty_zero_cache, monkeypatch):
+    real = specfun.bessel_j_table
+
+    def flat_tail(q_max, x, orders=None):
+        table = real(q_max, x, orders)
+        if orders is None:               # the bracket table: no zero past x = 20
+            table[:, np.asarray(x) > 20.0] = 1.0
+        return table
+
+    monkeypatch.setattr(specfun, "bessel_j_table", flat_tail)
+    with pytest.raises(NumericalError, match="sign changes"):
+        bessel_zeros_row(3, 8)
+
+
+def test_non_interlacing_zeros_raise(empty_zero_cache, monkeypatch):
+    real = specfun._newton_bisect
+
+    def swapped(*args):
+        zeros = real(*args)
+        zeros[[1, 2]] = zeros[[2, 1]]    # J_1's zeros filed as J_2's and back
+        return zeros
+
+    monkeypatch.setattr(specfun, "_newton_bisect", swapped)
+    with pytest.raises(NumericalError, match="interlace"):
+        bessel_zeros_row(4, 6)
 
 
 def test_zero_interlacing_property():
@@ -120,6 +155,18 @@ def test_bessel_orders_rows_equal_full_table(regime):
         for orders in (o for o in picks if max(o) <= q_max):
             got = bessel_j_table(q_max, x, orders=orders)
             assert np.array_equal(got, full[orders])
+
+
+@pytest.mark.parametrize("regime", sorted(_ORDER_ARGS))
+def test_bessel_orders_per_x_equal_full_table(regime):
+    # one sequence of orders per x, as the zero finder asks: every entry is
+    # the full table's, bit for bit
+    x = _ORDER_ARGS[regime]
+    full = bessel_j_table(34, x)
+    orders = np.random.default_rng(5).integers(0, 35, x.shape + (3,))
+    got = bessel_j_table(34, x, orders=orders)
+    for row, picks in zip(got, np.moveaxis(orders, -1, 0)):
+        assert np.array_equal(row, np.take_along_axis(full, picks[None], axis=0)[0])
 
 
 def test_bessel_orders_vs_scipy():
