@@ -5,6 +5,10 @@ Everything here is driven by a RunConfig, which can be loaded from an INI
 file.  Identical config (including seeds) produces byte-identical CSV and
 JSON artifacts; the manifest is the one file allowed to differ between runs
 (it records wall time and the environment byte-identity depends on).
+
+Each check is declared once, by the @_check decorator on its function: the
+declaration holds the check's id, threshold and sense, and verify_checks is
+the one place that compares a check's value with them.
 """
 
 from __future__ import annotations
@@ -13,14 +17,15 @@ import configparser
 import dataclasses
 import json
 import math
+import operator
 import os
 import time
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, ResolutionError
-from .specfun import MAX_QUADRATURE_ORDER, bessel_zero, beta_function
+from .errors import ConfigError, ResolutionError
+from .specfun import MAX_QUADRATURE_ORDER, bessel_zero, bessel_zeros_row, beta_function
 from .basis import (
     MAX_K_MAX,
     MAX_N_MAX,
@@ -87,7 +92,6 @@ __all__ = [
     "generate_data",
     "weak_l2_proxy",
     "embedding_experiment",
-    "smallness_bisection",
     "verify_checks",
     "trajectory_rows",
     "write_csv",
@@ -308,16 +312,13 @@ def _validate_config(cfg: RunConfig) -> None:
 
 
 def _resolve_checks(check_ids, doubled: bool) -> list:
-    """(id, check) pairs to run: the named ids in their order, else the whole
+    """Check ids to run: the named ones in their order, else the whole
     registry, followed by the drift checks when doubled is set."""
-    known = {**CHECKS, **DRIFT_CHECKS}
-    unknown = [c for c in check_ids if c not in known]
+    unknown = [c for c in check_ids if c not in _LIMITS]
     if unknown:
         raise ConfigError(f"[verify] checks: unknown check ids {unknown}; "
-                          f"known ids: {', '.join(sorted(known))}")
-    if check_ids:
-        return [(c, known[c]) for c in check_ids]
-    return list(CHECKS.items()) + (list(DRIFT_CHECKS.items()) if doubled else [])
+                          f"known ids: {', '.join(sorted(_LIMITS))}")
+    return list(check_ids) or list(CHECKS) + (list(DRIFT_CHECKS) if doubled else [])
 
 
 def _run_basis(config: RunConfig) -> Basis:
@@ -456,36 +457,6 @@ def embedding_experiment(p: float, widths, basis: Basis, grid: PolarGrid) -> dic
     }
 
 
-def smallness_bisection(direction: SpectralField, config: SolverConfig,
-                        lo: float = 1e-4, hi: float = 2.0,
-                        steps: int = 20) -> float:
-    """Largest amplitude (within bisection resolution) at which the Picard
-    iteration still converges along the given direction.  The direction is
-    normalized in the critical Besov norm first, so delta_0 is comparable
-    across data shapes."""
-    idx = BesovIndex(critical_index(config.p), config.p, INF)
-    scale = besov_norm(direction, idx, config.grid).value
-    if scale == 0.0:
-        raise ValueError("direction has no critical-norm content")
-    unit = direction * (1.0 / scale)
-
-    def converges(amp: float) -> bool:
-        _, report = picard_solve(unit * amp, config)
-        return report.converged and not report.diverged
-
-    if not converges(lo):
-        raise NumericalError(f"Picard diverged already at amplitude {lo}")
-    if converges(hi):
-        return hi
-    for _ in range(steps):
-        mid = math.sqrt(lo * hi)      # geometric: amplitude spans decades
-        if converges(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 # ---------------------------------------------------------------------------
 # verification checks
 
@@ -495,8 +466,8 @@ class CheckResult:
     value: float
     threshold: float
     passed: bool
-    sense: str = "<="            # how value relates to threshold when passing
-    note: str = ""
+    sense: str                   # how value relates to threshold when passing
+    note: str
 
     def row(self):
         return [self.check_id, self.value, self.threshold,
@@ -507,8 +478,7 @@ class VerifyContext:
     """Shared lazily-built state for the check registry.
 
     Checks draw bases, grids and shared statistics from here so verify-all
-    builds each once.  `doubled` additionally enables the cross-truncation
-    drift checks.
+    builds each once; `config` is the run's RunConfig.
     """
 
     def __init__(self, config: RunConfig):
@@ -549,7 +519,27 @@ class VerifyContext:
         return fields
 
 
-def _check_partition_residual(ctx: VerifyContext) -> CheckResult:
+# id -> check(ctx), in run order; the drift checks run only when doubled
+CHECKS: dict = {}
+DRIFT_CHECKS: dict = {}
+_LIMITS: dict = {}               # id -> (threshold, sense)
+_SENSES = {"<=": operator.le, ">=": operator.ge, "<": operator.lt}
+
+
+def _check(check_id: str, threshold, sense: str = "<=", drift: bool = False):
+    """Register the decorated check(ctx) under check_id.  It returns (value,
+    note), or (value, note, also) when it needs a condition of its own, and
+    passes when also holds and `value sense threshold` does; threshold is a
+    number or a function of the RunConfig."""
+    def register(fn):
+        (DRIFT_CHECKS if drift else CHECKS)[check_id] = fn
+        _LIMITS[check_id] = (threshold, sense)
+        return fn
+    return register
+
+
+@_check("partition-residual", 1e-13)
+def _check_partition_residual(ctx: VerifyContext):
     rng = np.random.default_rng(ctx.config.seed)
     x = np.exp(rng.uniform(math.log(1e-2), math.log(1e3), size=20000))
     j_lo = int(math.floor(math.log2(x.min()))) - 1
@@ -558,11 +548,11 @@ def _check_partition_residual(ctx: VerifyContext) -> CheckResult:
     for j in range(j_lo, j_hi + 1):
         total += phi(j, x)
     worst = float(np.max(np.abs(total - 1.0)))
-    return CheckResult("partition-residual", worst, 1e-13, worst <= 1e-13,
-                       note="20000 log-uniform arguments, telescoped band sum")
+    return worst, "20000 log-uniform arguments, telescoped band sum"
 
 
-def _check_band_support(ctx: VerifyContext) -> CheckResult:
+@_check("band-support", 0.0)
+def _check_band_support(ctx: VerifyContext):
     worst = 0.0
     for j in (-3, 0, 2, 7):
         lo, hi = math.ldexp(1.0, j - 1), math.ldexp(1.0, j + 1)
@@ -571,11 +561,11 @@ def _check_band_support(ctx: VerifyContext) -> CheckResult:
         worst = max(worst, abs(float(phi(j, math.ldexp(1.0, j))) - 1.0))
         probe = np.exp(np.linspace(math.log(lo * 1.01), math.log(hi * 0.99), 64))
         worst = max(worst, float(np.max(np.abs(window(j, probe) - 1.0))))
-    return CheckResult("band-support", worst, 0.0, worst <= 0.0,
-                       note="support and plateau are exact by construction")
+    return worst, "support and plateau are exact by construction"
 
 
-def _check_reconstruction(ctx: VerifyContext) -> CheckResult:
+@_check("reconstruction", 1e-13)
+def _check_reconstruction(ctx: VerifyContext):
     basis = ctx.basis()
     bands = active_bands(basis)
     freq = np.sqrt(basis.lam)
@@ -586,8 +576,7 @@ def _check_reconstruction(ctx: VerifyContext) -> CheckResult:
         for row in rows:
             total += row * f.coeffs
         worst = max(worst, float(np.max(np.abs(total - f.coeffs))))
-    return CheckResult("reconstruction", worst, 1e-13, worst <= 1e-13,
-                       note="100 seeded fields, band sums vs identity")
+    return worst, "100 seeded fields, band sums vs identity"
 
 
 def _gram_deviation(basis: Basis, grid: PolarGrid) -> float:
@@ -601,27 +590,28 @@ def _gram_deviation(basis: Basis, grid: PolarGrid) -> float:
     return worst
 
 
-def _check_gram(ctx: VerifyContext) -> CheckResult:
+@_check("gram-orthonormality", 1e-9)
+def _check_gram(ctx: VerifyContext):
     n = min(ctx.config.n_max, 16)
     k = min(ctx.config.k_max, 16)
     worst = _gram_deviation(ctx.basis(n, k), ctx.grid())
-    return CheckResult("gram-orthonormality", worst, 1e-9, worst <= 1e-9,
-                       note=f"dense Gram via analyze(synthesize) at ({n}, {k})")
+    return worst, f"dense Gram via analyze(synthesize) at ({n}, {k})"
 
 
-def _check_boundary(ctx: VerifyContext) -> CheckResult:
+@_check("boundary-traces", 1e-8)
+def _check_boundary(ctx: VerifyContext):
     normal, curl = boundary_traces(ctx.basis())
     worst = max(float(normal.max()), float(curl.max()))
-    return CheckResult("boundary-traces", worst, 1e-8, worst <= 1e-8,
-                       note="max over modes of |u.nu| and |curl u| at r = 1")
+    return worst, "max over modes of |u.nu| and |curl u| at r = 1"
 
 
-def _check_spectrum_min(ctx: VerifyContext) -> CheckResult:
-    err = abs(ctx.basis().lambda_min - LAMBDA_MIN_REFERENCE)
-    return CheckResult("spectrum-min", err, 1e-9, err <= 1e-9)
+@_check("spectrum-min", 1e-9)
+def _check_spectrum_min(ctx: VerifyContext):
+    return abs(ctx.basis().lambda_min - LAMBDA_MIN_REFERENCE), ""
 
 
-def _check_cache_roundtrip(ctx: VerifyContext) -> CheckResult:
+@_check("cache-roundtrip", 0.0)
+def _check_cache_roundtrip(ctx: VerifyContext):
     import tempfile
     basis = ctx.basis(min(ctx.config.n_max, 8), min(ctx.config.k_max, 8))
     with tempfile.TemporaryDirectory() as td:
@@ -632,9 +622,7 @@ def _check_cache_roundtrip(ctx: VerifyContext) -> CheckResult:
             and np.array_equal(loaded.stream_norm, basis.stream_norm)
             and np.array_equal(loaded.velocity_norm, basis.velocity_norm)
             and np.array_equal(loaded.zero, basis.zero))
-    value = 0.0 if same else 1.0
-    return CheckResult("cache-roundtrip", value, 0.0, same,
-                       note="save/load reproduces every table bit for bit")
+    return (0.0 if same else 1.0), "save/load reproduces every table bit for bit"
 
 
 _BERNSTEIN_PAIRS = ((2.0, 4.0), (2.0, INF), (1.0, 2.0))
@@ -698,13 +686,12 @@ def _bernstein(ctx: VerifyContext, basis: Basis):
                       lambda: _bernstein_stat(basis, ctx.grid(), ctx.config.seed + 2))
 
 
-def _check_multiplier(ctx: VerifyContext) -> CheckResult:
+@_check("multiplier-uniformity", 10.0)
+def _check_multiplier(ctx: VerifyContext):
     stats, _ = _bernstein(ctx, ctx.basis())
     worst = max(mx / med for mx, med in stats.values())
-    detail = "; ".join(f"(r={r:g}, p={p:g}): max/median {mx / med:.3f}"
-                       for (r, p), (mx, med) in stats.items())
-    return CheckResult("multiplier-uniformity", worst, 10.0, worst <= 10.0,
-                       note=detail)
+    return worst, "; ".join(f"(r={r:g}, p={p:g}): max/median {mx / med:.3f}"
+                            for (r, p), (mx, med) in stats.items())
 
 
 def _resolved_radius(n_max: int, k_max: int) -> float:
@@ -712,10 +699,12 @@ def _resolved_radius(n_max: int, k_max: int) -> float:
     every mode with sqrt(lambda) <= R.  The rectangle is not a ball: the
     first excluded zeros are j_{n_max+1,1} (order side) and j_{0,k_max+1}
     (radial side), and completeness ends at whichever comes first."""
-    return min(bessel_zero(n_max + 1, 1), bessel_zero(0, k_max + 1))
+    order_side = bessel_zeros_row(n_max + 1, k_max + 1)[0]     # one block holds both
+    return min(order_side, bessel_zero(0, k_max + 1))
 
 
-def _check_multiplier_drift(ctx: VerifyContext) -> CheckResult:
+@_check("multiplier-drift", 0.25, drift=True)
+def _check_multiplier_drift(ctx: VerifyContext):
     """Per-band constants compared across a truncation doubling.
 
     Only bands fully inside the resolved ball of both truncations are
@@ -735,9 +724,8 @@ def _check_multiplier_drift(ctx: VerifyContext) -> CheckResult:
             c, f = coarse[key][j], fine[key][j]
             worst = max(worst, abs(f - c) / c)
             compared.append(j)
-    return CheckResult("multiplier-drift", worst, 0.25, worst <= 0.25,
-                       note="per-band constant drift on fully resolved bands "
-                            f"{sorted(set(compared))}, (16,16) vs (32,32)")
+    return worst, ("per-band constant drift on fully resolved bands "
+                   f"{sorted(set(compared))}, (16,16) vs (32,32)")
 
 
 def _scan_samples(ctx: VerifyContext, basis: Basis, count: int = 8):
@@ -751,10 +739,21 @@ def _scan_samples(ctx: VerifyContext, basis: Basis, count: int = 8):
     return fields
 
 
+@_check("semigroup-bounded", 2.0)
+def _check_bounded(ctx: VerifyContext):
+    basis = ctx.basis()
+    samples = _scan_samples(ctx, basis)
+    t_grid = np.exp(np.linspace(math.log(1e-3), 0.0, 6))
+    scan = scan_besov_bounded(0.0, 4.0, INF, t_grid, samples, ctx.grid())
+    return (scan.max_ratio, "sup-t Besov ratio over band and broadband samples",
+            np.all(np.isfinite(scan.ratio)))
+
+
 _SMOOTHING_TUPLES = ((0.0, 0.0, 4.0, 4.0), (0.0, -0.5, 4.0, 4.0), (1.0, 0.0, 2.0, 4.0))
 
 
-def _check_smoothing(ctx: VerifyContext) -> CheckResult:
+@_check("semigroup-smoothing", 0.1)
+def _check_smoothing(ctx: VerifyContext):
     basis = ctx.basis()
     grid = ctx.grid()
     samples = _scan_samples(ctx, basis)
@@ -766,36 +765,23 @@ def _check_smoothing(ctx: VerifyContext) -> CheckResult:
     for s, s0, p, p0 in _SMOOTHING_TUPLES:
         scan = scan_smoothing(s, s0, p, p0, t_grid, samples, grid, profiles=profiles)
         if not np.all(np.isfinite(scan.ratio)):
-            return CheckResult("semigroup-smoothing", INF, 0.1, False,
-                               note=f"non-finite ratio at tuple ({s}, {s0}, {p}, {p0})")
+            return INF, f"non-finite ratio at tuple ({s}, {s0}, {p}, {p0})"
         excess = scan.slope - scan.slope_claimed
         worst = max(worst, excess)
         notes.append(f"({s:g},{s0:g},{p:g},{p0:g}): slope {scan.slope:.3f} "
                      f"vs claimed {scan.slope_claimed:.3f}")
-    return CheckResult("semigroup-smoothing", worst, 0.1, worst <= 0.1,
-                       note="; ".join(notes))
+    return worst, "; ".join(notes)
 
 
-def _check_bounded(ctx: VerifyContext) -> CheckResult:
-    basis = ctx.basis()
-    samples = _scan_samples(ctx, basis)
-    t_grid = np.exp(np.linspace(math.log(1e-3), 0.0, 6))
-    scan = scan_besov_bounded(0.0, 4.0, INF, t_grid, samples, ctx.grid())
-    value = scan.max_ratio
-    return CheckResult("semigroup-bounded", value, 2.0,
-                       bool(np.all(np.isfinite(scan.ratio))) and value <= 2.0,
-                       note="sup-t Besov ratio over band and broadband samples")
-
-
-def _check_continuity(ctx: VerifyContext) -> CheckResult:
+@_check("semigroup-continuity", 1e-6)
+def _check_continuity(ctx: VerifyContext):
     basis = ctx.basis()
     f = ctx.random_fields(basis, 1, ctx.config.seed + 4)[0]
     idx = BesovIndex(0.0, 4.0, 1.0)
     grid = ctx.grid()
     base = besov_norm(f, idx, grid).value
     drift = abs(besov_norm(heat_apply(f, 1e-9), idx, grid).value - base) / base
-    return CheckResult("semigroup-continuity", drift, 1e-6, drift <= 1e-6,
-                       note="Besov norm ratio at t = 1e-9 vs t = 0")
+    return drift, "Besov norm ratio at t = 1e-9 vs t = 0"
 
 
 def _fit_gaussian_constant(basis: Basis, seed: int, t_values) -> float:
@@ -845,30 +831,32 @@ def _gaussian_constant(ctx: VerifyContext, basis: Basis):
     return ctx.cached(("kernel", basis.cache_key), build)
 
 
-def _check_kernel_gaussian(ctx: VerifyContext) -> CheckResult:
+@_check("kernel-gaussian", 50.0)
+def _check_kernel_gaussian(ctx: VerifyContext):
     c, t_lo = _gaussian_constant(ctx, ctx.basis())
-    return CheckResult("kernel-gaussian", c, 50.0, c <= 50.0,
-                       note=f"fitted C over {_KERNEL_PAIRS} pairs, "
-                            f"t in [{t_lo:.4g}, 0.2]")
+    return c, f"fitted C over {_KERNEL_PAIRS} pairs, t in [{t_lo:.4g}, 0.2]"
 
 
-def _check_kernel_drift(ctx: VerifyContext) -> CheckResult:
-    cs = [_gaussian_constant(ctx, ctx.basis(*trunc))[0]
-          for trunc in ((16, 16), (32, 32))]
-    drift = abs(cs[1] - cs[0]) / cs[0]
-    return CheckResult("kernel-drift", drift, 0.25, drift <= 0.25,
-                       note=f"C: {cs[0]:.4f} -> {cs[1]:.4f}")
+def _drift(ctx: VerifyContext, constant):
+    """Relative change of constant(basis) from the (16,16) to the (32,32)
+    truncation, and the note that shows both."""
+    a, b = (constant(ctx.basis(*trunc)) for trunc in ((16, 16), (32, 32)))
+    return abs(b - a) / a, f"C: {a:.4f} -> {b:.4f}"
 
 
-def _check_gradient_smoothing(ctx: VerifyContext) -> CheckResult:
+@_check("kernel-drift", 0.25, drift=True)
+def _check_kernel_drift(ctx: VerifyContext):
+    return _drift(ctx, lambda basis: _gaussian_constant(ctx, basis)[0])
+
+
+@_check("gradient-smoothing", 5.0)
+def _check_gradient_smoothing(ctx: VerifyContext):
     basis = ctx.basis()
     samples = _scan_samples(ctx, basis, count=5)
     t_grid = np.exp(np.linspace(math.log(1e-3), 0.0, 6))
     scan = scan_gradient(4.0, t_grid, samples, ctx.grid())
-    value = scan.max_ratio
-    return CheckResult("gradient-smoothing", value, 5.0,
-                       bool(np.all(np.isfinite(scan.ratio))) and value <= 5.0,
-                       note="sup of t^{1/2} |grad e^{-tA} u|_p / |u|_p, p = 4")
+    return (scan.max_ratio, "sup of t^{1/2} |grad e^{-tA} u|_p / |u|_p, p = 4",
+            np.all(np.isfinite(scan.ratio)))
 
 
 def _gradient_constant(ctx: VerifyContext, basis: Basis) -> float:
@@ -876,35 +864,30 @@ def _gradient_constant(ctx: VerifyContext, basis: Basis) -> float:
         4.0, _scan_samples(ctx, basis, count=5), ctx.grid()).max_ratio)
 
 
-def _check_gradient_besov(ctx: VerifyContext) -> CheckResult:
-    value = _gradient_constant(ctx, ctx.basis())
-    return CheckResult("gradient-besov", value, 5.0, value <= 5.0,
-                       note="gradient L^p vs inhomogeneous Besov s = 1 bound")
+@_check("gradient-besov", 5.0)
+def _check_gradient_besov(ctx: VerifyContext):
+    return (_gradient_constant(ctx, ctx.basis()),
+            "gradient L^p vs inhomogeneous Besov s = 1 bound")
 
 
-def _check_gradient_drift(ctx: VerifyContext) -> CheckResult:
-    values = [_gradient_constant(ctx, ctx.basis(*trunc))
-              for trunc in ((16, 16), (32, 32))]
-    drift = abs(values[1] - values[0]) / values[0]
+@_check("gradient-drift", 0.25, drift=True)
+def _check_gradient_drift(ctx: VerifyContext):
     # drift is exactly zero when the extremal sample lives in the low
     # bands shared by both truncations; that is stability, not a bug
-    return CheckResult("gradient-drift", drift, 0.25, drift <= 0.25,
-                       note=f"C: {values[0]:.4f} -> {values[1]:.4f}")
+    return _drift(ctx, lambda basis: _gradient_constant(ctx, basis))
 
 
-def _check_beta_pi(ctx: VerifyContext) -> CheckResult:
-    err = abs(beta_function(0.5, 0.5) - BETA_HALF_HALF)
-    return CheckResult("beta-pi", err, 1e-10, err <= 1e-10,
-                       note="B(1/2, 1/2) = pi")
+@_check("beta-pi", 1e-10)
+def _check_beta_pi(ctx: VerifyContext):
+    return abs(beta_function(0.5, 0.5) - BETA_HALF_HALF), "B(1/2, 1/2) = pi"
 
 
-def _check_beta_duhamel(ctx: VerifyContext) -> CheckResult:
+@_check("beta-duhamel", 1e-8)
+def _check_beta_duhamel(ctx: VerifyContext):
     d, p = 2.0, 4.0
     first = abs(beta_function(d / p, 1.0 - d / p) - BETA_HALF_HALF)
     second = abs(beta_function(d / p, 0.5 - d / (2 * p)) - BETA_HALF_QUARTER)
-    worst = max(first, second)
-    return CheckResult("beta-duhamel", worst, 1e-8, worst <= 1e-8,
-                       note="the two time-weight constants at (d, p) = (2, 4)")
+    return max(first, second), "the two time-weight constants at (d, p) = (2, 4)"
 
 
 def _nonlinear_ctx(ctx: VerifyContext):
@@ -915,17 +898,18 @@ def _nonlinear_ctx(ctx: VerifyContext):
     return basis, ws
 
 
-def _check_nonlinear_energy(ctx: VerifyContext) -> CheckResult:
+@_check("nonlinear-energy", 1e-9)
+def _check_nonlinear_energy(ctx: VerifyContext):
     basis, ws = _nonlinear_ctx(ctx)
     worst = 0.0
     for f in ctx.random_fields(basis, 100, ctx.config.seed + 6, decay=0.08):
         res = energy_identity_residual(f, ws)
         worst = max(worst, abs(res.advection))
-    return CheckResult("nonlinear-energy", worst, 1e-9, worst <= 1e-9,
-                       note="max |<N(u), u>| over 100 unit-l2 samples")
+    return worst, "max |<N(u), u>| over 100 unit-l2 samples"
 
 
-def _check_homogeneity(ctx: VerifyContext) -> CheckResult:
+@_check("nonlinear-homogeneity", 1e-12)
+def _check_homogeneity(ctx: VerifyContext):
     basis, ws = _nonlinear_ctx(ctx)
     f = ctx.random_fields(basis, 1, ctx.config.seed + 7, decay=0.08)[0]
     base = nonlinear_coeffs(f, ws).coeffs
@@ -934,11 +918,11 @@ def _check_homogeneity(ctx: VerifyContext) -> CheckResult:
         scaled = nonlinear_coeffs(f * s, ws).coeffs
         worst = max(worst, float(np.max(np.abs(scaled - s * s * base)))
                     / float(np.max(np.abs(base))))
-    return CheckResult("nonlinear-homogeneity", worst, 1e-12, worst <= 1e-12,
-                       note="N(s u) = s^2 N(u), relative")
+    return worst, "N(s u) = s^2 N(u), relative"
 
 
-def _check_weak_strong(ctx: VerifyContext) -> CheckResult:
+@_check("weak-strong", 1e-7)
+def _check_weak_strong(ctx: VerifyContext):
     basis, ws = _nonlinear_ctx(ctx)
     worst = 0.0
     for f in ctx.random_fields(basis, 3, ctx.config.seed + 8, decay=0.08):
@@ -946,8 +930,7 @@ def _check_weak_strong(ctx: VerifyContext) -> CheckResult:
         strong = _strong_form_coeffs(f, basis, ws.grid)
         worst = max(worst, float(np.max(np.abs(weak - strong)))
                     / float(np.max(np.abs(weak))))
-    return CheckResult("weak-strong", worst, 1e-7, worst <= 1e-7,
-                       note="integrated-by-parts vs pointwise (u . grad) u")
+    return worst, "integrated-by-parts vs pointwise (u . grad) u"
 
 
 def _strong_form_coeffs(u: SpectralField, basis: Basis, grid: PolarGrid) -> np.ndarray:
@@ -959,7 +942,8 @@ def _strong_form_coeffs(u: SpectralField, basis: Basis, grid: PolarGrid) -> np.n
     return analyze(GridVectorField(grid, adv_x, adv_y), basis, grid).coeffs
 
 
-def _check_helmholtz(ctx: VerifyContext) -> CheckResult:
+@_check("helmholtz", 1e-8)
+def _check_helmholtz(ctx: VerifyContext):
     basis, ws = _nonlinear_ctx(ctx)
     grid = ctx.grid()
     # non-solenoidal grid field: solenoidal sample plus a gradient
@@ -976,35 +960,34 @@ def _check_helmholtz(ctx: VerifyContext) -> CheckResult:
     parts = proj.l2() ** 2 + lp_norm(rem, grid, 2.0) ** 2
     pyth = abs(total - parts) / total
     leftover = float(max(np.max(np.abs(rem2.ux)), np.max(np.abs(rem2.uy))))
-    worst = max(idem, pyth, leftover)
-    return CheckResult("helmholtz", worst, 1e-8, worst <= 1e-8,
-                       note="projection idempotent, energies split")
+    return max(idem, pyth, leftover), "projection idempotent, energies split"
 
 
-def _check_dealiasing(ctx: VerifyContext) -> CheckResult:
+@_check("dealiasing", 10.0, sense=">=")
+def _check_dealiasing(ctx: VerifyContext):
     basis, ws = _nonlinear_ctx(ctx)
     f = ctx.random_fields(basis, 1, ctx.config.seed + 10, decay=0.3)[0]
     report = dealiasing_check(f, ws)
-    return CheckResult("dealiasing", report.margin, 10.0,
-                       report.passed and report.margin >= 10.0, sense=">=",
-                       note="refinement margin on a decayed-spectrum sample")
+    return (report.margin, "refinement margin on a decayed-spectrum sample",
+            report.passed)
 
 
-def _check_picard_small(ctx: VerifyContext) -> CheckResult:
+@_check("picard-small", lambda config: 10 * config.picard_tol)
+def _check_picard_small(ctx: VerifyContext):
     cfg = _solver_config(ctx.config, ctx.basis(8, 8), ctx.grid(64, 128),
                          p=4.0, T=0.5, mesh_count=64)
     rng = np.random.default_rng(ctx.config.seed + 11)
     c = rng.standard_normal(cfg.basis.n_modes) * np.exp(-0.1 * cfg.basis.lam)
     u0 = SpectralField(cfg.basis, 1e-3 * c / np.linalg.norm(c))
     traj, report = picard_solve(u0, cfg)
-    res = residual(traj, u0, cfg)
-    ok = report.converged and not report.diverged and res <= 10 * cfg.picard_tol
-    return CheckResult("picard-small", res, 10 * cfg.picard_tol, ok,
-                       note=f"iterations {report.iterations}, "
-                            f"ratios {[f'{r:.2e}' for r in report.ratios]}")
+    return (residual(traj, u0, cfg),
+            f"iterations {report.iterations}, "
+            f"ratios {[f'{r:.2e}' for r in report.ratios]}",
+            report.converged and not report.diverged)
 
 
-def _check_etd_agreement(ctx: VerifyContext) -> CheckResult:
+@_check("etd-agreement", 1e-6)
+def _check_etd_agreement(ctx: VerifyContext):
     cfg = _solver_config(ctx.config, ctx.basis(8, 8), ctx.grid(64, 128),
                          p=4.0, T=0.5, mesh_count=96)
     rng = np.random.default_rng(ctx.config.seed + 12)
@@ -1015,13 +998,12 @@ def _check_etd_agreement(ctx: VerifyContext) -> CheckResult:
     mild = evaluate_at(traj, u0, t_star, cfg)
     etd = etd_timestep(u0, t_star / 512, 512, cfg)
     rel = (mild - etd.fields[-1]).l2() / etd.fields[-1].l2()
-    return CheckResult("etd-agreement", rel, 1e-6,
-                       report.converged and rel <= 1e-6,
-                       note="mild evaluation vs two-stage exponential "
-                            "integrator at t = 0.1")
+    return (rel, "mild evaluation vs two-stage exponential integrator at t = 0.1",
+            report.converged)
 
 
-def _check_duality(ctx: VerifyContext) -> CheckResult:
+@_check("duality-pairing", 1e-10)
+def _check_duality(ctx: VerifyContext):
     basis = ctx.basis(8, 8)
     grid = ctx.grid()
     fields = ctx.random_fields(basis, 4, ctx.config.seed + 13)
@@ -1030,11 +1012,11 @@ def _check_duality(ctx: VerifyContext) -> CheckResult:
         f, g = fields[i], fields[i + 1]
         pair = dual_pairing(f, g, grid)
         worst = max(worst, abs(pair - float(f.coeffs @ g.coeffs)))
-    return CheckResult("duality-pairing", worst, 1e-10, worst <= 1e-10,
-                       note="band-sum pairing vs spectral inner product")
+    return worst, "band-sum pairing vs spectral inner product"
 
 
-def _check_weak_star(ctx: VerifyContext) -> CheckResult:
+@_check("weak-star", 1.0, sense="<")
+def _check_weak_star(ctx: VerifyContext):
     basis = ctx.basis(8, 8)
     grid = ctx.grid()
     f, g = ctx.random_fields(basis, 2, ctx.config.seed + 14)
@@ -1045,58 +1027,20 @@ def _check_weak_star(ctx: VerifyContext) -> CheckResult:
     worst = float(np.max(vals[1:] / vals[:-1]))
     mixed = np.abs(weak_star_continuity(f, g, t_seq, grid))
     settled = bool(mixed[-1] <= 0.1 * mixed[0])
-    return CheckResult("weak-star", worst, 1.0, worst < 1.0 and settled,
-                       sense="<",
-                       note="self-pairing defect strictly decreasing; mixed "
-                            "pairing settles to its limit")
+    return (worst, "self-pairing defect strictly decreasing; mixed "
+                   "pairing settles to its limit", settled)
 
 
-def _check_embedding(ctx: VerifyContext) -> CheckResult:
+@_check("embedding", 4.0)
+def _check_embedding(ctx: VerifyContext):
     p, widths = ctx.config.embed_p, ctx.config.embed_widths
     report = embedding_experiment(p, widths, ctx.basis(), ctx.grid())
     # 3/4 of the scaling law's L^p spread (max w / min w)^(1 - 2/p)
     lp_floor = 0.75 * (max(widths) / min(widths)) ** (1.0 - 2.0 / p)
-    ok = (report["besov_spread"] <= 4.0 and report["weak_spread"] <= 2.0
-          and report["lp_spread"] > lp_floor)
-    return CheckResult("embedding", report["besov_spread"], 4.0, ok,
-                       note=f"L{p:g} spread {report['lp_spread']:.3f}, "
-                            f"weak-L2 spread {report['weak_spread']:.3f}")
-
-
-CHECKS = {
-    "partition-residual": _check_partition_residual,
-    "band-support": _check_band_support,
-    "reconstruction": _check_reconstruction,
-    "gram-orthonormality": _check_gram,
-    "boundary-traces": _check_boundary,
-    "spectrum-min": _check_spectrum_min,
-    "cache-roundtrip": _check_cache_roundtrip,
-    "multiplier-uniformity": _check_multiplier,
-    "semigroup-bounded": _check_bounded,
-    "semigroup-smoothing": _check_smoothing,
-    "semigroup-continuity": _check_continuity,
-    "kernel-gaussian": _check_kernel_gaussian,
-    "gradient-smoothing": _check_gradient_smoothing,
-    "gradient-besov": _check_gradient_besov,
-    "beta-pi": _check_beta_pi,
-    "beta-duhamel": _check_beta_duhamel,
-    "nonlinear-energy": _check_nonlinear_energy,
-    "nonlinear-homogeneity": _check_homogeneity,
-    "weak-strong": _check_weak_strong,
-    "helmholtz": _check_helmholtz,
-    "dealiasing": _check_dealiasing,
-    "picard-small": _check_picard_small,
-    "etd-agreement": _check_etd_agreement,
-    "duality-pairing": _check_duality,
-    "weak-star": _check_weak_star,
-    "embedding": _check_embedding,
-}
-
-DRIFT_CHECKS = {
-    "multiplier-drift": _check_multiplier_drift,
-    "kernel-drift": _check_kernel_drift,
-    "gradient-drift": _check_gradient_drift,
-}
+    return (report["besov_spread"],
+            f"L{p:g} spread {report['lp_spread']:.3f}, "
+            f"weak-L2 spread {report['weak_spread']:.3f}",
+            report["weak_spread"] <= 2.0 and report["lp_spread"] > lp_floor)
 
 
 def verify_checks(config: RunConfig, check_ids=None) -> list:
@@ -1108,14 +1052,19 @@ def verify_checks(config: RunConfig, check_ids=None) -> list:
     if config.basis_cache:
         ctx.basis()             # refuse a bad cache even if no selected check reads it
     results = []
-    for check_id, fn in selected:
+    for check_id in selected:
+        threshold, sense = _LIMITS[check_id]
+        if callable(threshold):
+            threshold = threshold(config)
         try:
-            results.append(fn(ctx))
+            value, note, *also = {**CHECKS, **DRIFT_CHECKS}[check_id](ctx)
         except (ResolutionError, ConfigError):
             raise
         except Exception as exc:     # a crashed check is a failed check
-            results.append(CheckResult(check_id, INF, 0.0, False,
-                                       note=f"error: {exc}"))
+            value, note, also = INF, f"error: {exc}", [False]
+        passed = all(also) and _SENSES[sense](value, threshold)
+        results.append(CheckResult(check_id, value, threshold, bool(passed),
+                                   sense, note))
     return results
 
 

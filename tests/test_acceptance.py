@@ -143,17 +143,15 @@ def test_criterion_07_beta_identities():
 
 
 def test_criterion_08_nonlinear_identities(ctx):
-    from stokesbesov.harness import (_check_homogeneity,
-                                     _check_nonlinear_energy,
-                                     _check_weak_strong, _nonlinear_ctx)
+    from stokesbesov.harness import CHECKS, _nonlinear_ctx
     from stokesbesov.nonlinear import dealiasing_check, energy_identity_residual
     basis, ws = _nonlinear_ctx(ctx)
     fields = ctx.random_fields(basis, 100, ctx.config.seed + 6, decay=0.08)
     assert dealiasing_check(fields[0], ws).passed
     worst = max(abs(energy_identity_residual(f, ws).advection) for f in fields)
     assert worst <= 1e-9
-    assert _check_homogeneity(ctx).value <= 1e-12
-    assert _check_weak_strong(ctx).value <= 1e-7
+    assert CHECKS["nonlinear-homogeneity"](ctx)[0] <= 1e-12
+    assert CHECKS["weak-strong"](ctx)[0] <= 1e-7
 
 
 def test_criterion_09_small_data_solver(ctx):

@@ -8,16 +8,19 @@ import pytest
 
 import stokesbesov.harness
 import stokesbesov.solver
-from stokesbesov import (ConfigError, NumericalError, ResolutionError,
+from stokesbesov import specfun
+from stokesbesov import (ConfigError, ResolutionError,
                          SolverConfig, SpectralField, besov_norm, BesovIndex,
                          critical_index, picard_solve, save_basis, synthesize,
                          zero_field)
 from stokesbesov.basis import COS, SIN
 from stokesbesov.cli import main
-from stokesbesov.harness import (DataSpec, RunConfig, embedding_experiment,
-                                 generate_data, load_config, run_experiment,
-                                 smallness_bisection, trajectory_rows,
-                                 weak_l2_proxy, write_csv, _fmt, _sanitize)
+from stokesbesov.harness import (CHECKS, DRIFT_CHECKS, DataSpec, RunConfig,
+                                 embedding_experiment, generate_data,
+                                 load_config, run_experiment, trajectory_rows,
+                                 verify_checks, weak_l2_proxy, write_csv,
+                                 _fmt, _resolved_radius, _sanitize)
+from stokesbesov.norms import INF
 from stokesbesov.solver import Trajectory
 
 
@@ -205,7 +208,7 @@ def test_embedding_validates_p(basis_88, grid_small):
 
 
 # ---------------------------------------------------------------------------
-# smallness bisection
+# trajectory diagnostics
 
 def _two_mode_direction(basis):
     u = zero_field(basis)
@@ -213,32 +216,6 @@ def _two_mode_direction(basis):
         u.coeffs[basis.group_index[(n, COS)][1 - 1]] = 1.0
     return u
 
-
-def test_smallness_hits_ceiling(basis_88, grid_small):
-    cfg = SolverConfig(basis=basis_88, grid=grid_small, p=4.0, T=0.5,
-                       mesh_count=16)
-    out = smallness_bisection(_two_mode_direction(basis_88), cfg,
-                              lo=0.1, hi=2.0, steps=2)
-    assert out == 2.0
-
-
-def test_smallness_rejects_diverging_floor(basis_88, grid_small):
-    cfg = SolverConfig(basis=basis_88, grid=grid_small, p=4.0, T=0.5,
-                       mesh_count=16)
-    with pytest.raises(NumericalError, match="diverged already"):
-        smallness_bisection(_two_mode_direction(basis_88), cfg,
-                            lo=40.0, hi=80.0, steps=2)
-
-
-def test_smallness_rejects_zero_direction(basis_88, grid_small):
-    cfg = SolverConfig(basis=basis_88, grid=grid_small, p=4.0, T=0.5,
-                       mesh_count=16)
-    with pytest.raises(ValueError):
-        smallness_bisection(zero_field(basis_88), cfg)
-
-
-# ---------------------------------------------------------------------------
-# trajectory diagnostics
 
 def _small_solve(basis, grid, mesh=12):
     cfg = SolverConfig(basis=basis, grid=grid, p=4.0, T=0.5, mesh_count=mesh)
@@ -426,6 +403,69 @@ def test_byte_determinism(tmp_path):
     ma.pop("wall_time_s"), mb.pop("wall_time_s")
     ma["config"].pop("out_dir"), mb["config"].pop("out_dir")
     assert ma == mb
+
+
+# ---------------------------------------------------------------------------
+# the check runner
+
+@pytest.mark.parametrize("check_id", list(CHECKS) + list(DRIFT_CHECKS))
+def test_one_comparator_decides_every_check(check_id, monkeypatch):
+    """A value at the threshold passes unless the sense is strict, one step
+    to the failing side fails, and so do NaN and a false extra condition."""
+    registry = CHECKS if check_id in CHECKS else DRIFT_CHECKS
+    config = RunConfig()
+
+    def run(*returned):
+        monkeypatch.setitem(registry, check_id, lambda ctx: returned)
+        [result] = verify_checks(config, (check_id,))
+        assert (result.check_id, result.value, result.note) == (check_id, *returned[:2])
+        return result
+
+    sense = {"dealiasing": ">=", "weak-star": "<"}.get(check_id, "<=")
+    nan = run(math.nan, "nan")
+    assert (nan.passed, nan.sense) == (False, sense)
+    threshold = nan.threshold
+    if check_id == "picard-small":
+        assert threshold == 10 * config.picard_tol
+    failing_side = -INF if sense == ">=" else INF
+    assert run(threshold, "at").passed is (sense != "<")
+    assert run(np.nextafter(threshold, failing_side), "past").passed is False
+    inside = np.nextafter(threshold, -failing_side)
+    assert run(inside, "inside").passed is True
+    assert run(inside, "inside", True).passed is True
+    assert run(inside, "inside", False).passed is False
+
+
+def test_crashed_check_fails_and_the_rest_run(tmp_path, monkeypatch, capsys):
+    def crash(ctx):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(CHECKS, "weak-star", crash)
+    path = _write_cfg(tmp_path, "[verify]\nchecks = weak-star, beta-pi\n")
+    out = tmp_path / "out"
+    assert main(["verify", "all", "--config", str(path), "--out", str(out)]) == 4
+    crashed, healthy = json.loads((out / "summary.json").read_text())["checks"]
+    # a crashed row keeps its check's threshold and sense from the registry
+    assert crashed == {"check_id": "weak-star", "value": None, "threshold": 1.0,
+                       "passed": False, "sense": "<", "note": "error: boom"}
+    assert (healthy["check_id"], healthy["passed"]) == ("beta-pi", True)
+    printed = capsys.readouterr().out
+    assert "weak-star: FAIL (value inf, threshold 1.0)" in printed
+    assert "1 check(s) failed: weak-star" in printed
+
+
+def test_resolved_radius_solves_one_zero_block(empty_zero_cache, monkeypatch):
+    solves = []
+    real = specfun._lockstep_zeros
+
+    def counted(n, count):
+        solves.append((n, count))
+        return real(n, count)
+
+    monkeypatch.setattr(specfun, "_lockstep_zeros", counted)
+    # min(j_{3,1}, j_{0,3}), from mpmath.besseljzero
+    assert _resolved_radius(2, 2) == pytest.approx(6.38016189592398, rel=1e-13)
+    assert solves == [(3, 3)]
 
 
 # ---------------------------------------------------------------------------
