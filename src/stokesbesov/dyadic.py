@@ -17,6 +17,8 @@ plateau values hold exactly, not just approximately.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .basis import Basis, SpectralField
@@ -88,17 +90,9 @@ def active_bands(basis: Basis) -> range:
     """
     if basis.n_modes == 0:
         raise ValueError("basis has no modes")
-    f_lo = float(np.sqrt(basis.lam[0]))
-    f_hi = float(np.sqrt(basis.lam[-1]))
-    # both predicates are monotone in j: walk to the exact threshold
-    j_lo = int(np.floor(np.log2(f_lo)))
-    while np.ldexp(1.0, j_lo + 1) > f_lo:
-        j_lo -= 1
-    while not np.ldexp(1.0, j_lo + 1) > f_lo:
-        j_lo += 1
-    j_hi = int(np.ceil(np.log2(f_hi)))
-    while np.ldexp(1.0, j_hi - 1) < f_hi:
-        j_hi += 1
-    while not np.ldexp(1.0, j_hi - 1) < f_hi:
-        j_hi -= 1
-    return range(j_lo, j_hi + 1)
+    # f = m 2^e with 1/2 <= m < 1, so 2^(e-1) <= f < 2^e: the least j with
+    # 2^(j+1) > f is e - 1, the greatest with 2^(j-1) < f is e, or e - 1
+    # when f = 2^(e-1) exactly
+    _, e_lo = math.frexp(float(np.sqrt(basis.lam[0])))
+    m_hi, e_hi = math.frexp(float(np.sqrt(basis.lam[-1])))
+    return range(e_lo - 1, e_hi - (m_hi == 0.5) + 1)

@@ -65,7 +65,6 @@ from .semigroup import (
     weak_star_continuity,
 )
 from .nonlinear import (
-    NonlinearWorkspace,
     dealiasing_check,
     energy_identity_residual,
     helmholtz_project,
@@ -289,20 +288,29 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError("[grid] angular_count must be even and at least 8")
     if not 2.0 < cfg.p < INF:
         raise ConfigError("[solver] p: the solution space requires d < p < inf (here d = 2)")
-    if cfg.T <= 0.0 or cfg.mesh_count < 1:
-        raise ConfigError("[solver] t_final must be positive and mesh_count >= 1")
-    if cfg.gamma < 1.0:
-        raise ConfigError("[solver] gamma must be >= 1 (gamma = 1 is the uniform mesh)")
-    if cfg.picard_tol <= 0.0 or cfg.max_picard < 1:
+    # every bound is written as what it accepts, so that NaN fails it
+    if not 0.0 < cfg.T < INF or cfg.mesh_count < 1:
+        raise ConfigError("[solver] t_final must be positive and finite, and mesh_count >= 1")
+    if not 1.0 <= cfg.gamma < INF:
+        raise ConfigError("[solver] gamma must be finite and >= 1 (gamma = 1 is the uniform mesh)")
+    if not cfg.picard_tol > 0.0 or cfg.max_picard < 1:
         raise ConfigError("[solver] picard_tol must be positive and max_picard >= 1")
+    for key, seed in (("[run] seed", cfg.seed), ("[data] seed", cfg.data.seed)):
+        if seed < 0:
+            raise ConfigError(f"{key} must be >= 0, got {seed}")
+    for key in ("amplitude", "slope", "width", "center"):
+        if not np.all(np.isfinite(getattr(cfg.data, key))):
+            raise ConfigError(f"[data] {key} must be finite")
+    if not cfg.data.width > 0.0:
+        raise ConfigError("[data] width must be positive")
     if cfg.data.kind not in _DATA_KINDS:
         raise ConfigError(f"[data] kind: unknown generator {cfg.data.kind!r}")
     if cfg.data.parity not in _PARITY_CODES:
         raise ConfigError(f"[data] parity: expected cos or sin, got {cfg.data.parity!r}")
     if not 2.0 < cfg.embed_p < INF:
         raise ConfigError("[embed] p must satisfy 2 < p < inf")
-    if any(w <= 0 for w in cfg.embed_widths):
-        raise ConfigError("[embed] widths must be positive")
+    if not all(0.0 < w < INF for w in cfg.embed_widths):
+        raise ConfigError("[embed] widths must be positive and finite")
     if len(set(cfg.embed_widths)) < 2:
         raise ConfigError("[embed] widths must hold at least two distinct values")
     if cfg.experiment == "basis" and cfg.basis_cache:
@@ -894,28 +902,27 @@ def _nonlinear_ctx(ctx: VerifyContext):
     n = min(ctx.config.n_max, 16)
     k = min(ctx.config.k_max, 16)
     basis = ctx.basis(n, k)
-    ws = NonlinearWorkspace(basis, ctx.grid())
-    return basis, ws
+    return basis, ctx.grid().tables(basis)
 
 
 @_check("nonlinear-energy", 1e-9)
 def _check_nonlinear_energy(ctx: VerifyContext):
-    basis, ws = _nonlinear_ctx(ctx)
+    basis, tables = _nonlinear_ctx(ctx)
     worst = 0.0
     for f in ctx.random_fields(basis, 100, ctx.config.seed + 6, decay=0.08):
-        res = energy_identity_residual(f, ws)
+        res = energy_identity_residual(f, tables)
         worst = max(worst, abs(res.advection))
     return worst, "max |<N(u), u>| over 100 unit-l2 samples"
 
 
 @_check("nonlinear-homogeneity", 1e-12)
 def _check_homogeneity(ctx: VerifyContext):
-    basis, ws = _nonlinear_ctx(ctx)
+    basis, tables = _nonlinear_ctx(ctx)
     f = ctx.random_fields(basis, 1, ctx.config.seed + 7, decay=0.08)[0]
-    base = nonlinear_coeffs(f, ws).coeffs
+    base = nonlinear_coeffs(f, tables).coeffs
     worst = 0.0
     for s in (2.0, -1.0, 0.5):
-        scaled = nonlinear_coeffs(f * s, ws).coeffs
+        scaled = nonlinear_coeffs(f * s, tables).coeffs
         worst = max(worst, float(np.max(np.abs(scaled - s * s * base)))
                     / float(np.max(np.abs(base))))
     return worst, "N(s u) = s^2 N(u), relative"
@@ -923,11 +930,11 @@ def _check_homogeneity(ctx: VerifyContext):
 
 @_check("weak-strong", 1e-7)
 def _check_weak_strong(ctx: VerifyContext):
-    basis, ws = _nonlinear_ctx(ctx)
+    basis, tables = _nonlinear_ctx(ctx)
     worst = 0.0
     for f in ctx.random_fields(basis, 3, ctx.config.seed + 8, decay=0.08):
-        weak = nonlinear_coeffs(f, ws).coeffs
-        strong = _strong_form_coeffs(f, basis, ws.grid)
+        weak = nonlinear_coeffs(f, tables).coeffs
+        strong = _strong_form_coeffs(f, basis, tables.grid)
         worst = max(worst, float(np.max(np.abs(weak - strong)))
                     / float(np.max(np.abs(weak))))
     return worst, "integrated-by-parts vs pointwise (u . grad) u"
@@ -944,7 +951,7 @@ def _strong_form_coeffs(u: SpectralField, basis: Basis, grid: PolarGrid) -> np.n
 
 @_check("helmholtz", 1e-8)
 def _check_helmholtz(ctx: VerifyContext):
-    basis, ws = _nonlinear_ctx(ctx)
+    basis, _ = _nonlinear_ctx(ctx)
     grid = ctx.grid()
     # non-solenoidal grid field: solenoidal sample plus a gradient
     f = ctx.random_fields(basis, 1, ctx.config.seed + 9, decay=0.08)[0]
@@ -965,9 +972,9 @@ def _check_helmholtz(ctx: VerifyContext):
 
 @_check("dealiasing", 10.0, sense=">=")
 def _check_dealiasing(ctx: VerifyContext):
-    basis, ws = _nonlinear_ctx(ctx)
+    basis, tables = _nonlinear_ctx(ctx)
     f = ctx.random_fields(basis, 1, ctx.config.seed + 10, decay=0.3)[0]
-    report = dealiasing_check(f, ws)
+    report = dealiasing_check(f, tables)
     return (report.margin, "refinement margin on a decayed-spectrum sample",
             report.passed)
 
@@ -1204,7 +1211,7 @@ def run_experiment(config: RunConfig) -> int:
                   trajectory_rows(traj, u0, solver_cfg, mild, terms))
         artifacts.append("trajectory.csv")
         norm = trajectory_norm(traj, solver_cfg.p, grid, terms=terms)
-        summary = {"picard": report.summary(),
+        summary = {"picard": dataclasses.asdict(report),
                    "residual": residual(traj, u0, solver_cfg, mild, norm),
                    "trajectory_norm": norm}
         code = 0 if report.converged and not report.diverged else 3

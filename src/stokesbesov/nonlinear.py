@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (COS, GRADIENT, SIN, Basis, GridVectorField, PolarGrid,
-                    SpectralField, Transform, analyze, apply_stokes, build_grid,
-                    curl_values, synthesize)
+from .basis import (COS, GRADIENT, SIN, Basis, GridVectorField, ModeTables,
+                    PolarGrid, SpectralField, Transform, analyze, apply_stokes,
+                    build_grid, curl_values, synthesize)
 from .errors import ResolutionError
 
 
@@ -56,40 +56,6 @@ class EnergyResidual:
     dissipation_gap: float        # | <Au, u> - ||curl u||^2 |
 
 
-class NonlinearWorkspace:
-    """Shared read-only state for nonlinear evaluations on one (basis, grid).
-
-    Holds the factorized mode tables for the working grid and lazily for the
-    1.5x-refined check grid, plus the static resolution margins.  The
-    dealiasing precondition is established once per workspace (run
-    dealiasing_check on representative data), not re-verified inside every
-    nonlinear_coeffs call.
-    """
-
-    def __init__(self, basis: Basis, grid: PolarGrid):
-        self.basis = basis
-        self.grid = grid
-        self.tables = grid.tables(basis)
-        self._fine_grid = None
-        # fastest oscillations a velocity gradient carries
-        self.angular_need = 2 * (basis.n_max + 2)
-        self.radial_need = int(math.ceil(2.0 * math.sqrt(basis.lambda_max) / math.pi))
-
-    @property
-    def resolved(self) -> bool:
-        return (self.grid.angular_count >= self.angular_need
-                and self.grid.radial_order >= self.radial_need)
-
-    @property
-    def fine_grid(self) -> PolarGrid:
-        if self._fine_grid is None:
-            r = int(math.ceil(self.grid.radial_order * DEALIAS_FACTOR))
-            a = int(math.ceil(self.grid.angular_count * DEALIAS_FACTOR))
-            a += a % 2
-            self._fine_grid = build_grid(r, a)
-        return self._fine_grid
-
-
 # The weak form contracts u (x) u with each mode's gradient: since
 # d_y (e_m)_y = -d_x (e_m)_x it is -integral of D G_xx + P (G_yx + G_xy), and
 # the J_n terms of G_yx + G_xy cancel, leaving the order shifts n -+ 2.
@@ -99,33 +65,40 @@ _CONVECTION = Transform(
     scale=GRADIENT.scale)
 
 
-def _convection_coeffs(u: SpectralField, grid: PolarGrid) -> np.ndarray:
-    """Weak-form coefficients of P div(u (x) u) on the given grid, no gates."""
-    v = synthesize(u, grid)
+def _convection_coeffs(u: SpectralField, tables: ModeTables) -> np.ndarray:
+    """Weak-form coefficients of P div(u (x) u) on the tables' grid, no gates."""
+    v = synthesize(u, tables.grid)
     P = v.ux * v.uy
     D = np.square(v.ux, out=v.ux)      # the samples are ours: square in place
     D -= np.square(v.uy, out=v.uy)
-    return grid.tables(u.basis).adjoint(_CONVECTION, (D, P))
+    return tables.adjoint(_CONVECTION, (D, P))
 
 
-def nonlinear_coeffs(u: SpectralField, ws: NonlinearWorkspace) -> SpectralField:
-    """N(u) as a spectral field; output is divergence-free by construction
-    (its coefficients are taken against divergence-free modes)."""
-    if u.basis.cache_key != ws.basis.cache_key:
-        raise ValueError("field does not match the workspace basis")
-    if not ws.resolved:
+def nonlinear_coeffs(u: SpectralField, tables: ModeTables) -> SpectralField:
+    """N(u) as a spectral field, tables = grid.tables(basis); output is
+    divergence-free by construction (its coefficients are taken against
+    divergence-free modes)."""
+    basis, grid = tables.basis, tables.grid
+    if u.basis.cache_key != basis.cache_key:
+        raise ValueError("field does not match the basis of the mode tables")
+    # fastest oscillations a velocity gradient carries
+    angular_need = 2 * (basis.n_max + 2)
+    radial_need = int(math.ceil(2.0 * math.sqrt(basis.lambda_max) / math.pi))
+    if grid.angular_count < angular_need or grid.radial_order < radial_need:
         raise ResolutionError(
-            f"grid {ws.grid.shape} is below the dealiasing margin "
-            f"(needs radial >= {ws.radial_need}, angular >= {ws.angular_need})")
-    return SpectralField(u.basis, _convection_coeffs(u, ws.grid))
+            f"grid {grid.shape} is below the dealiasing margin "
+            f"(needs radial >= {radial_need}, angular >= {angular_need})")
+    return SpectralField(u.basis, _convection_coeffs(u, tables))
 
 
-def dealiasing_check(u: SpectralField, ws: NonlinearWorkspace) -> DealiasReport:
+def dealiasing_check(u: SpectralField, tables: ModeTables) -> DealiasReport:
     """Recompute a few randomly chosen coefficients of N(u) on the 1.5x grid
     and compare; pass iff the worst change is at most DEALIAS_TOL relative to
     the coefficient scale of N(u)."""
-    coarse = _convection_coeffs(u, ws.grid)
-    fine = _convection_coeffs(u, ws.fine_grid)
+    r = int(math.ceil(tables.grid.radial_order * DEALIAS_FACTOR))
+    a = int(math.ceil(tables.grid.angular_count * DEALIAS_FACTOR))
+    coarse = _convection_coeffs(u, tables)
+    fine = _convection_coeffs(u, build_grid(r, a + a % 2).tables(u.basis))
     scale = float(np.abs(coarse).max())
     rng = np.random.default_rng(_PROBE_SEED)
     picks = rng.choice(u.basis.n_modes, size=min(DEALIAS_PROBES, u.basis.n_modes),
@@ -155,15 +128,15 @@ def helmholtz_project(v: GridVectorField, basis: Basis, grid: PolarGrid):
     return proj, remainder
 
 
-def energy_identity_residual(u: SpectralField, ws: NonlinearWorkspace) -> EnergyResidual:
+def energy_identity_residual(u: SpectralField, tables: ModeTables) -> EnergyResidual:
     """Numerical residuals of the two energy-budget identities:
     advection neutrality <N(u), u> = 0 and dissipation <Au, u> = ||curl u||^2
     (spectral pairing versus curl quadrature, two genuinely distinct routes)."""
     if not np.any(u.coeffs):
         return EnergyResidual(0.0, 0.0)
-    n_u = _convection_coeffs(u, ws.grid)
+    n_u = _convection_coeffs(u, tables)
     advection = abs(float(np.dot(n_u, u.coeffs)))
     pairing = float(np.dot(apply_stokes(u).coeffs, u.coeffs))
-    w = curl_values(u, ws.grid)
-    dissipation = float(np.sum(ws.grid.weights * w * w))
+    w = curl_values(u, tables.grid)
+    dissipation = float(np.sum(tables.grid.weights * w * w))
     return EnergyResidual(advection, abs(pairing - dissipation))

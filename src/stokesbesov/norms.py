@@ -219,7 +219,8 @@ def trajectory_norm(traj, p: float, grid: PolarGrid, terms=None) -> float:
     terms is trajectory_terms(traj, p, grid) when the caller already has it.
     """
     block, weighted = trajectory_terms(traj, p, grid) if terms is None else terms
-    return float(max(0.0, *block) + max(0.0, *weighted))
+    # np.max, unlike max(), carries a NaN through: a NaN norm must not read 0
+    return float(np.max(block, initial=0.0) + np.max(weighted, initial=0.0))
 
 
 def tail_smallness(u0: SpectralField, p: float, J: int, grid: PolarGrid) -> float:

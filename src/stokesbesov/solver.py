@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Basis, PolarGrid, SpectralField
-from .nonlinear import NonlinearWorkspace, nonlinear_coeffs
+from .nonlinear import nonlinear_coeffs
 from .norms import D, trajectory_norm
 from .semigroup import heat_apply
 
@@ -54,7 +54,7 @@ class SolverConfig:
             raise ValueError("horizon T must be positive")
         if self.mesh_count < 1:
             raise ValueError("mesh needs at least one cell")
-        if self.gamma < 1.0:
+        if not self.gamma >= 1.0:
             raise ValueError("grading exponent must be >= 1")
 
     def mesh(self) -> np.ndarray:
@@ -82,14 +82,6 @@ class PicardReport:
     iterations: int
     converged: bool
     diverged: bool
-
-    def summary(self) -> dict:
-        return {"differences": list(self.differences),
-                "ratios": list(self.ratios),
-                "final_residual": self.final_residual,
-                "iterations": self.iterations,
-                "converged": self.converged,
-                "diverged": self.diverged}
 
 
 def _decay_weights(z: np.ndarray):
@@ -147,8 +139,27 @@ def duhamel_apply(forcing: Trajectory, t_index: int, config: SolverConfig) -> Sp
     return SpectralField(config.basis, swept[t_index])
 
 
-def _forcing_matrix(fields, ws: NonlinearWorkspace) -> np.ndarray:
-    return np.stack([nonlinear_coeffs(f, ws).coeffs for f in fields])
+@dataclass(frozen=True)
+class MildForcing:
+    """The forcing side of a mesh trajectory's mild formula: the mesh times,
+    N(u) at every mesh field and its mesh-point Duhamel integrals.  Built
+    by mild_forcing: once per Picard iterate, and once per trajectory for
+    evaluate_at and residual to share."""
+
+    times: np.ndarray
+    forcing: np.ndarray
+    swept: np.ndarray
+
+
+def mild_forcing(traj: Trajectory, config: SolverConfig) -> MildForcing:
+    """Check that traj is sampled on the config mesh and build its forcing
+    matrix and Duhamel sweep."""
+    times = config.mesh()
+    if not np.array_equal(traj.times, times):
+        raise ValueError("trajectory is not sampled on the config mesh")
+    tables = config.grid.tables(config.basis)
+    forcing = np.stack([nonlinear_coeffs(f, tables).coeffs for f in traj.fields])
+    return MildForcing(times, forcing, _duhamel_sweep(forcing, times, config.basis.lam))
 
 
 def picard_solve(u0: SpectralField, config: SolverConfig):
@@ -156,12 +167,11 @@ def picard_solve(u0: SpectralField, config: SolverConfig):
 
     Starts from the heat flow and applies the Duhamel map until the
     solution-space norm of the update drops below picard_tol.  Divergence
-    (update ratio >= 1 three times in a row) stops the iteration and is
-    reported, not raised: contraction is only guaranteed for small data.
+    (update ratio >= 1 three times in a row, or an update norm that is not
+    finite) stops the iteration and is reported, not raised: contraction is
+    only guaranteed for small data.
     """
     times = config.mesh()
-    lam = config.basis.lam
-    ws = NonlinearWorkspace(config.basis, config.grid)
     linear = np.stack([heat_apply(u0, t).coeffs for t in times])
     current = tuple(SpectralField(config.basis, row) for row in linear)
     diffs, ratios = [], []
@@ -169,8 +179,7 @@ def picard_solve(u0: SpectralField, config: SolverConfig):
     rising = 0
     iterations = 0
     for iterations in range(1, config.max_picard + 1):
-        forcing = _forcing_matrix(current, ws)
-        swept = _duhamel_sweep(forcing, times, lam)
+        swept = mild_forcing(Trajectory(times, current), config).swept
         updated = tuple(SpectralField(config.basis, linear[i] - swept[i])
                         for i in range(times.size))
         delta = Trajectory(times, tuple(a - b for a, b in zip(updated, current)))
@@ -184,7 +193,7 @@ def picard_solve(u0: SpectralField, config: SolverConfig):
         if diff <= config.picard_tol:
             converged = True
             break
-        if rising >= 3:
+        if rising >= 3 or not math.isfinite(diff):
             diverged = True
             break
     traj = Trajectory(times, current)
@@ -224,7 +233,7 @@ def etd_timestep(u0: SpectralField, dt: float, steps: int,
     lam = config.basis.lam
     if not math.isfinite(dt * config.basis.lambda_max):
         raise ValueError("dt * lambda_max is not finite")
-    ws = NonlinearWorkspace(config.basis, config.grid)
+    tables = config.grid.tables(config.basis)
     z = lam * dt
     decay = np.exp(-z)
     phi1, phi2 = _phi12(z)
@@ -233,9 +242,9 @@ def etd_timestep(u0: SpectralField, dt: float, steps: int,
     blowup = None
     u = u0.coeffs.copy()
     for n in range(steps):
-        f_u = -nonlinear_coeffs(SpectralField(config.basis, u), ws).coeffs
+        f_u = -nonlinear_coeffs(SpectralField(config.basis, u), tables).coeffs
         stage = decay * u + dt * phi1 * f_u
-        f_s = -nonlinear_coeffs(SpectralField(config.basis, stage), ws).coeffs
+        f_s = -nonlinear_coeffs(SpectralField(config.basis, stage), tables).coeffs
         nxt = stage + dt * phi2 * (f_s - f_u)
         if not np.all(np.isfinite(nxt)):
             blowup = float(times[-1])
@@ -244,28 +253,6 @@ def etd_timestep(u0: SpectralField, dt: float, steps: int,
         times.append(float((n + 1) * dt))
         fields.append(SpectralField(config.basis, u.copy()))
     return Trajectory(np.array(times), tuple(fields), blowup_time=blowup)
-
-
-@dataclass(frozen=True)
-class MildForcing:
-    """The forcing side of a mesh trajectory's mild formula: the mesh times,
-    N(u) at every mesh field and its mesh-point Duhamel integrals.  Built
-    once by mild_forcing and shared by evaluate_at and residual."""
-
-    times: np.ndarray
-    forcing: np.ndarray
-    swept: np.ndarray
-
-
-def mild_forcing(traj: Trajectory, config: SolverConfig) -> MildForcing:
-    """Check that traj is sampled on the config mesh and build its forcing
-    matrix and Duhamel sweep."""
-    times = config.mesh()
-    if not np.array_equal(traj.times, times):
-        raise ValueError("trajectory is not sampled on the config mesh")
-    ws = NonlinearWorkspace(config.basis, config.grid)
-    forcing = _forcing_matrix(traj.fields, ws)
-    return MildForcing(times, forcing, _duhamel_sweep(forcing, times, config.basis.lam))
 
 
 def evaluate_at(traj: Trajectory, u0: SpectralField, t,

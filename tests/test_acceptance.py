@@ -145,10 +145,11 @@ def test_criterion_07_beta_identities():
 def test_criterion_08_nonlinear_identities(ctx):
     from stokesbesov.harness import CHECKS, _nonlinear_ctx
     from stokesbesov.nonlinear import dealiasing_check, energy_identity_residual
-    basis, ws = _nonlinear_ctx(ctx)
+    basis, tables = _nonlinear_ctx(ctx)
+    assert tables.basis is basis
     fields = ctx.random_fields(basis, 100, ctx.config.seed + 6, decay=0.08)
-    assert dealiasing_check(fields[0], ws).passed
-    worst = max(abs(energy_identity_residual(f, ws).advection) for f in fields)
+    assert dealiasing_check(fields[0], tables).passed
+    worst = max(abs(energy_identity_residual(f, tables).advection) for f in fields)
     assert worst <= 1e-9
     assert CHECKS["nonlinear-homogeneity"](ctx)[0] <= 1e-12
     assert CHECKS["weak-strong"](ctx)[0] <= 1e-7

@@ -118,3 +118,34 @@ def test_active_bands_empty_basis_errors():
     basis_like = type("Stub", (), {"n_modes": 0, "lam": np.array([])})()
     with pytest.raises(ValueError):
         active_bands(basis_like)
+
+
+def _bands_by_walking(f_lo, f_hi):
+    """The threshold walk active_bands used before the frexp formula."""
+    j_lo = int(np.floor(np.log2(f_lo)))
+    while np.ldexp(1.0, j_lo + 1) > f_lo:
+        j_lo -= 1
+    while not np.ldexp(1.0, j_lo + 1) > f_lo:
+        j_lo += 1
+    j_hi = int(np.ceil(np.log2(f_hi)))
+    while np.ldexp(1.0, j_hi - 1) < f_hi:
+        j_hi += 1
+    while not np.ldexp(1.0, j_hi - 1) < f_hi:
+        j_hi -= 1
+    return range(j_lo, j_hi + 1)
+
+
+def test_active_bands_frexp_matches_threshold_walk():
+    # every power of two and its neighbouring floats on both sides: the
+    # band edges sit exactly there
+    powers = np.ldexp(1.0, np.arange(-40, 40))
+    freqs = np.concatenate([powers, np.nextafter(powers, 0.0),
+                            np.nextafter(powers, np.inf),
+                            np.random.default_rng(5).uniform(1e-3, 1e3, 200)])
+    stub = type("Stub", (), {"n_modes": 2})()
+    for f_lo in freqs[::7]:
+        for f_hi in freqs:
+            stub.lam = np.array([f_lo * f_lo, f_hi * f_hi])
+            assert np.array_equal(np.sqrt(stub.lam), [f_lo, f_hi])   # probes land
+            got, want = active_bands(stub), _bands_by_walking(f_lo, f_hi)
+            assert (got.start, got.stop) == (want.start, want.stop)

@@ -499,7 +499,15 @@ def test_cli_unknown_check(capsys):
 @pytest.mark.parametrize("section,key,value", [("basis", "n_max", 129),
                                                ("basis", "k_max", 129),
                                                ("grid", "radial_order", 5000),
-                                               ("grid", "radial_order", 1366)])
+                                               ("grid", "radial_order", 1366),
+                                               ("solver", "gamma", "nan"),
+                                               ("solver", "picard_tol", "nan"),
+                                               ("run", "seed", -3),
+                                               ("data", "seed", -1),
+                                               ("data", "width", -0.5),
+                                               ("data", "amplitude", "nan"),
+                                               ("data", "center", "nan, 0"),
+                                               ("embed", "widths", "0.4, nan")])
 def test_cli_refuses_out_of_range_sizes(tmp_path, capsys, command, section, key, value):
     path = tmp_path / "big.ini"
     path.write_text(f"[{section}]\n{key} = {value}\n")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stokesbesov import (NonlinearWorkspace, ResolutionError, SpectralField,
+from stokesbesov import (ResolutionError, SpectralField,
                          build_basis, build_grid, dealiasing_check,
                          energy_identity_residual, helmholtz_project,
                          nonlinear_coeffs, synthesize, zero_field)
@@ -14,8 +14,8 @@ LAMBDA_MIN = 5.783185962946785
 
 
 @pytest.fixture(scope="module")
-def ws88(basis_88, grid_small):
-    return NonlinearWorkspace(basis_88, grid_small)
+def tables88(basis_88, grid_small):
+    return grid_small.tables(basis_88)
 
 
 def _unit_random(basis, seed):
@@ -24,27 +24,27 @@ def _unit_random(basis, seed):
     return SpectralField(basis, c / np.linalg.norm(c))
 
 
-def test_nonlinear_zero_field(basis_88, ws88):
-    out = nonlinear_coeffs(zero_field(basis_88), ws88)
+def test_nonlinear_zero_field(basis_88, tables88):
+    out = nonlinear_coeffs(zero_field(basis_88), tables88)
     assert not out.coeffs.any()
 
 
-def test_advection_neutrality(basis_88, ws88):
+def test_advection_neutrality(basis_88, tables88):
     # weak-form <N(u), u> vanishes: convection only moves energy around
     for seed in (41, 42, 43):
         u = _unit_random(basis_88, seed)
-        n_u = nonlinear_coeffs(u, ws88)
+        n_u = nonlinear_coeffs(u, tables88)
         assert abs(float(n_u.coeffs @ u.coeffs)) < 1e-10
 
 
-def test_quadratic_homogeneity(basis_88, ws88):
+def test_quadratic_homogeneity(basis_88, tables88):
     u = _unit_random(basis_88, 44)
-    base = nonlinear_coeffs(u, ws88).coeffs
-    scaled = nonlinear_coeffs(SpectralField(basis_88, 3.0 * u.coeffs), ws88).coeffs
+    base = nonlinear_coeffs(u, tables88).coeffs
+    scaled = nonlinear_coeffs(SpectralField(basis_88, 3.0 * u.coeffs), tables88).coeffs
     assert np.max(np.abs(scaled - 9.0 * base)) <= 1e-12 * np.max(np.abs(scaled))
 
 
-def test_single_mode_is_steady(basis_88, ws88):
+def test_single_mode_is_steady(basis_88, tables88):
     """For one real eigenmode the convection term is a pure gradient, so its
     divergence-free part vanishes identically, not just against u itself.
     This is what makes single-mode data useless for contraction-rate studies
@@ -52,7 +52,7 @@ def test_single_mode_is_steady(basis_88, ws88):
     for m in (0, 3, 10, 25):
         u = zero_field(basis_88)
         u.coeffs[m] = 1.0
-        out = nonlinear_coeffs(u, ws88)
+        out = nonlinear_coeffs(u, tables88)
         assert np.max(np.abs(out.coeffs)) < 1e-9
 
 
@@ -80,8 +80,8 @@ def test_helmholtz_idempotent(basis_88, grid_small):
     assert np.max(np.abs(again.coeffs)) < 1e-12
 
 
-def test_dealiasing_passes_on_working_grid(basis_88, ws88):
-    report = dealiasing_check(_unit_random(basis_88, 47), ws88)
+def test_dealiasing_passes_on_working_grid(basis_88, tables88):
+    report = dealiasing_check(_unit_random(basis_88, 47), tables88)
     assert report.passed
     assert report.margin > 10.0
     assert len(report.probes) == DEALIAS_PROBES
@@ -89,48 +89,48 @@ def test_dealiasing_passes_on_working_grid(basis_88, ws88):
 
 def test_dealiasing_fails_on_marginal_grid(basis_88):
     # (24, 22) clears the static gate but aliases the quadratic products
-    ws = NonlinearWorkspace(basis_88, build_grid(24, 22))
-    assert ws.resolved
-    report = dealiasing_check(_unit_random(basis_88, 48), ws)
+    tables = build_grid(24, 22).tables(basis_88)
+    nonlinear_coeffs(_unit_random(basis_88, 48), tables)
+    report = dealiasing_check(_unit_random(basis_88, 48), tables)
     assert not report.passed
     assert report.margin < 1.0
 
 
-def test_dealiasing_zero_field(basis_88, ws88):
-    report = dealiasing_check(zero_field(basis_88), ws88)
+def test_dealiasing_zero_field(basis_88, tables88):
+    report = dealiasing_check(zero_field(basis_88), tables88)
     assert report.passed
     assert report.margin == np.inf
     assert report.scale == 0.0
 
 
 def test_static_gate_rejects_coarse_grid(basis_88):
-    ws = NonlinearWorkspace(basis_88, build_grid(16, 64))
-    assert not ws.resolved
-    with pytest.raises(ResolutionError):
-        nonlinear_coeffs(_unit_random(basis_88, 49), ws)
+    tables = build_grid(16, 64).tables(basis_88)
+    with pytest.raises(ResolutionError, match=r"grid \(16, 64\) is below the dealiasing "
+                       r"margin \(needs radial >= \d+, angular >= 20\)"):
+        nonlinear_coeffs(_unit_random(basis_88, 49), tables)
 
 
-def test_workspace_basis_mismatch(basis_11, ws88):
+def test_workspace_basis_mismatch(basis_11, tables88):
     with pytest.raises(ValueError):
-        nonlinear_coeffs(zero_field(basis_11), ws88)
+        nonlinear_coeffs(zero_field(basis_11), tables88)
 
 
-def test_energy_identities_unit_mode(basis_88, ws88):
+def test_energy_identities_unit_mode(basis_88, tables88):
     u = zero_field(basis_88)
     u.coeffs[0] = 1.0
-    res = energy_identity_residual(u, ws88)
+    res = energy_identity_residual(u, tables88)
     assert res.advection < 1e-12
     # both dissipation routes should land on lambda_min
     assert res.dissipation_gap < 1e-8 * LAMBDA_MIN
 
 
-def test_energy_identities_random(basis_88, ws88):
-    res = energy_identity_residual(_unit_random(basis_88, 50), ws88)
+def test_energy_identities_random(basis_88, tables88):
+    res = energy_identity_residual(_unit_random(basis_88, 50), tables88)
     assert res.advection < 1e-9
     assert res.dissipation_gap < 1e-7
 
 
-def test_energy_identities_zero(basis_88, ws88):
-    res = energy_identity_residual(zero_field(basis_88), ws88)
+def test_energy_identities_zero(basis_88, tables88):
+    res = energy_identity_residual(zero_field(basis_88), tables88)
     assert res.advection == 0.0
     assert res.dissipation_gap == 0.0

@@ -1,17 +1,18 @@
 """Graded mesh, Duhamel machinery, Picard iteration, and the ETD oracle."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from stokesbesov import (BesovIndex, ConfigError, SolverConfig, SpectralField,
-                         besov_norm, critical_index, duhamel_apply,
-                         etd_timestep, evaluate_at, heat_apply,
+                         besov_norm, build_basis, build_grid, critical_index,
+                         duhamel_apply, etd_timestep, evaluate_at, heat_apply,
                          linear_trajectory, picard_solve, residual,
                          trajectory_norm, zero_field)
 from stokesbesov.cli import main
-from stokesbesov.harness import load_config
+from stokesbesov.harness import DataSpec, generate_data, load_config
 from stokesbesov.semigroup import loglog_slope
 from stokesbesov.solver import Trajectory
 
@@ -180,6 +181,52 @@ def test_picard_contraction_scales_with_data(basis_88, grid_small):
         quotients.append(report.ratios[0])
     slope = loglog_slope(eps, np.array(quotients))
     assert slope == pytest.approx(1.0, abs=0.15)
+
+
+def test_trajectory_norm_of_a_nan_field_is_nan(basis_88, grid_small):
+    # a NaN update norm must not read as 0.0, or Picard would call it converged
+    cfg = _cfg(basis_88, grid_small, mesh=4)
+    traj = linear_trajectory(_two_mode(basis_88, 1e-3), cfg)
+    fields = list(traj.fields)
+    fields[2] = SpectralField(basis_88, np.full(basis_88.n_modes, np.nan))
+    assert math.isnan(trajectory_norm(Trajectory(traj.times, tuple(fields)), cfg.p,
+                                      grid_small))
+
+
+@pytest.mark.parametrize("amplitude", [1e100, 1e200])
+def test_picard_overflow_reports_diverged(amplitude):
+    basis, grid = build_basis(4, 4), build_grid(32, 64)
+    u0 = generate_data(DataSpec(kind="band_random", band=2, amplitude=amplitude),
+                       basis, grid)
+    _, report = picard_solve(u0, _cfg(basis, grid, mesh=4))
+    assert report.diverged
+    assert not report.converged
+    assert not math.isfinite(report.differences[-1])
+
+
+_OVERFLOW_INI = """[basis]
+n_max = 4
+k_max = 4
+[grid]
+radial_order = 32
+angular_count = 64
+[solver]
+mesh_count = 4
+[data]
+kind = band_random
+band = 2
+amplitude = 1e100
+"""
+
+
+def test_cli_solve_exits_3_on_overflow(tmp_path):
+    path = tmp_path / "overflow.ini"
+    path.write_text(_OVERFLOW_INI)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 3
+    picard = json.loads((out / "summary.json").read_text())["picard"]
+    assert picard["diverged"] is True
+    assert picard["converged"] is False
 
 
 def test_etd_linear_decay(basis_88, grid_small):
