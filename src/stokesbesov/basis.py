@@ -166,6 +166,11 @@ class SpectralField:
         """L^2 norm of the field; exact because the modes are orthonormal."""
         return float(np.linalg.norm(self.coeffs))
 
+    def top_order(self) -> int:
+        """Highest angular order with a nonzero coefficient (0 for the zero
+        field): it bounds the angular degree of every pointwise product."""
+        return int(np.max(self.basis.angular, where=self.coeffs != 0, initial=0))
+
     def __add__(self, other):
         self._check(other)
         return SpectralField(self.basis, self.coeffs + other.coeffs)

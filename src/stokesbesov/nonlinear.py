@@ -21,6 +21,22 @@ at least 2x the fastest mode oscillation in each direction) and refuses
 otherwise; dealiasing_check measures actual aliasing by recomputing probe
 coefficients on a 1.5x grid, and deliberately bypasses the static gate so
 that under-resolved setups can be demonstrated rather than just refused.
+
+The gate reads the full grid, but the quadrature runs on its coarsest
+exact angular sub-grid, PolarGrid.exact_subgrid(2 n + n_max), n the top
+order with a nonzero coefficient.  At each radius w = u_x + i u_y has
+angular frequencies in [-(n-1), n+1] (norms module docstring), so
+D + 2iP = w^2 has them in [-2(n-1), 2(n+1)].  The _CONVECTION terms of
+output order m pair into Im[w^2 e^{-i(m+2)th}] J_{m+2} and
+Im[w^2 e^{i(m-2)th}] J_{m-2}, so the integrand of every coefficient is a
+trig polynomial of degree <= 2 n + m <= 2 n + n_max, and N equispaced
+angles integrate it exactly once N exceeds that degree: the sub-grid's
+coefficients equal the full grid's up to rounding (the same fact behind
+Orszag's 3/2 rule).  The bound is tight: N = 2 n + n_max angles alias.
+nonlinear_coeffs, the advection residual of energy_identity_residual and
+the working side of dealiasing_check integrate on the sub-grid; the 1.5x
+side of dealiasing_check stays on its full grid, so it remains an
+independent quadrature in angle as well as in radius.
 """
 
 from __future__ import annotations
@@ -65,13 +81,19 @@ _CONVECTION = Transform(
     scale=GRADIENT.scale)
 
 
-def _convection_coeffs(u: SpectralField, tables: ModeTables) -> np.ndarray:
-    """Weak-form coefficients of P div(u (x) u) on the tables' grid, no gates."""
-    v = synthesize(u, tables.grid)
+def _convection_coeffs(u: SpectralField, grid: PolarGrid) -> np.ndarray:
+    """Weak-form coefficients of P div(u (x) u) by quadrature on grid, no gates."""
+    v = synthesize(u, grid)
     P = v.ux * v.uy
     D = np.square(v.ux, out=v.ux)      # the samples are ours: square in place
     D -= np.square(v.uy, out=v.uy)
-    return tables.adjoint(_CONVECTION, (D, P))
+    return grid.tables(u.basis).adjoint(_CONVECTION, (D, P))
+
+
+def _exact_grid(u: SpectralField, grid: PolarGrid) -> PolarGrid:
+    """The coarsest sub-grid of grid whose angles integrate N(u) exactly
+    (module docstring)."""
+    return grid.exact_subgrid(2 * u.top_order() + u.basis.n_max)
 
 
 def nonlinear_coeffs(u: SpectralField, tables: ModeTables) -> SpectralField:
@@ -88,7 +110,7 @@ def nonlinear_coeffs(u: SpectralField, tables: ModeTables) -> SpectralField:
         raise ResolutionError(
             f"grid {grid.shape} is below the dealiasing margin "
             f"(needs radial >= {radial_need}, angular >= {angular_need})")
-    return SpectralField(u.basis, _convection_coeffs(u, tables))
+    return SpectralField(u.basis, _convection_coeffs(u, _exact_grid(u, grid)))
 
 
 def dealiasing_check(u: SpectralField, tables: ModeTables) -> DealiasReport:
@@ -97,8 +119,8 @@ def dealiasing_check(u: SpectralField, tables: ModeTables) -> DealiasReport:
     the coefficient scale of N(u)."""
     r = int(math.ceil(tables.grid.radial_order * DEALIAS_FACTOR))
     a = int(math.ceil(tables.grid.angular_count * DEALIAS_FACTOR))
-    coarse = _convection_coeffs(u, tables)
-    fine = _convection_coeffs(u, build_grid(r, a + a % 2).tables(u.basis))
+    coarse = _convection_coeffs(u, _exact_grid(u, tables.grid))
+    fine = _convection_coeffs(u, build_grid(r, a + a % 2))
     scale = float(np.abs(coarse).max())
     rng = np.random.default_rng(_PROBE_SEED)
     picks = rng.choice(u.basis.n_modes, size=min(DEALIAS_PROBES, u.basis.n_modes),
@@ -134,7 +156,7 @@ def energy_identity_residual(u: SpectralField, tables: ModeTables) -> EnergyResi
     (spectral pairing versus curl quadrature, two genuinely distinct routes)."""
     if not np.any(u.coeffs):
         return EnergyResidual(0.0, 0.0)
-    n_u = _convection_coeffs(u, tables)
+    n_u = _convection_coeffs(u, _exact_grid(u, tables.grid))
     advection = abs(float(np.dot(n_u, u.coeffs)))
     pairing = float(np.dot(apply_stokes(u).coeffs, u.coeffs))
     w = curl_values(u, tables.grid)

@@ -104,8 +104,7 @@ def _quadrature_grid(f: SpectralField, grid: PolarGrid, p: float) -> PolarGrid:
     if p == INF:
         return grid.refined()
     if (p / 2.0).is_integer():
-        top = int(np.max(f.basis.angular, where=f.coeffs != 0, initial=0))
-        return grid.exact_subgrid(int(p) * top)
+        return grid.exact_subgrid(int(p) * f.top_order())
     return grid
 
 
@@ -241,5 +240,7 @@ def tail_smallness(u0: SpectralField, p: float, J: int, grid: PolarGrid) -> floa
             TruncationWarning, stacklevel=2)
         return 0.0
     s = critical_index(p)
-    return max([0.0] + [2.0 ** (j * s) * band_lp
-                        for j, band_lp in band_profile(u0, grid, p) if j >= J])
+    # np.max, unlike max(), carries a NaN through: NaN data must not read small
+    return float(np.max([2.0 ** (j * s) * band_lp
+                         for j, band_lp in band_profile(u0, grid, p) if j >= J],
+                        initial=0.0))

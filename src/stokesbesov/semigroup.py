@@ -25,6 +25,7 @@ from .norms import (D, BesovIndex, band_profile, besov_from_profile, besov_norm,
                     dual_pairing, gradient_lp_norm, lp_norm)
 
 KERNEL_TAIL_TOL = 1e-12
+_KERNEL_BLOCK = 32          # points per matmul batch in kernel_matrix
 
 
 def heat_apply(f: SpectralField, t: float) -> SpectralField:
@@ -64,8 +65,15 @@ def kernel_matrix(x, y, t, basis: Basis) -> np.ndarray:
             "at this truncation")
     ex, ey = np.broadcast_arrays(mode_values_at(basis, np.asarray(x, dtype=float)),
                                  mode_values_at(basis, np.asarray(y, dtype=float)))
-    kern = np.stack([np.einsum("m,pmi,pmj->pij", np.exp(-tv * basis.lam), ex, ey)
-                     for tv in ts.ravel()])
+    decay = [np.exp(-tv * basis.lam) for tv in ts.ravel()]
+    kern = np.empty((len(decay), ex.shape[0], 2, 2))
+    # (e_x e^{-t lambda})^T e_y per point, a block of points at a time: the
+    # weighted copy of e_x is the only temporary, and it stays block-sized
+    for lo in range(0, ex.shape[0], _KERNEL_BLOCK):
+        blk = slice(lo, lo + _KERNEL_BLOCK)
+        ex_t = ex[blk].transpose(0, 2, 1)
+        for i, w in enumerate(decay):
+            np.matmul(ex_t * w, ey[blk], out=kern[i, blk])
     kern = kern.reshape(ts.shape + kern.shape[1:])
     return kern[..., 0, :, :] if np.ndim(x) == np.ndim(y) == 1 else kern
 

