@@ -217,29 +217,29 @@ class PolarGrid:
     radial_weights: np.ndarray = field(init=False)
     angular_weight: float = field(init=False)
     weights: np.ndarray = field(init=False)
-    x: np.ndarray = field(init=False)
-    y: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self._place(2.0 * np.pi * np.arange(self.angular_count) / self.angular_count, {})
-
-    def _place(self, thetas: np.ndarray, radial_stacks: dict):
-        """Derived arrays from the angles; radial_stacks (basis cache key ->
-        radial Bessel stack) is shared with every sub-grid."""
         self.radii = self.radial_rule.nodes
-        self.thetas = thetas
+        self.thetas = 2.0 * np.pi * np.arange(self.angular_count) / self.angular_count
         self.radial_weights = self.radial_rule.weights * self.radii
         self.angular_weight = 2.0 * np.pi / self.angular_count
         self.weights = np.outer(self.radial_weights,
                                 np.full(self.angular_count, self.angular_weight))
-        self.x = np.outer(self.radii, np.cos(self.thetas))
-        self.y = np.outer(self.radii, np.sin(self.thetas))
         self._tables = {}
         self._refined = None
-        self._radial_stacks = radial_stacks
-        self._subgrids = {self.angular_count: self}
-        self._divisors = [n for n in range(1, self.angular_count + 1)
-                          if self.angular_count % n == 0]
+        # basis cache key -> radial Bessel stack, shared with every sub-grid
+        self._radial_stacks = {}
+        self._subgrids = {}
+
+    @property
+    def x(self) -> np.ndarray:
+        """Cartesian x of the nodes, computed on access (not stored)."""
+        return np.outer(self.radii, np.cos(self.thetas))
+
+    @property
+    def y(self) -> np.ndarray:
+        """Cartesian y of the nodes, computed on access (not stored)."""
+        return np.outer(self.radii, np.sin(self.thetas))
 
     @property
     def radial_order(self) -> int:
@@ -254,17 +254,18 @@ class PolarGrid:
         return float(np.sum(self.weights * values))
 
     def exact_subgrid(self, degree: int) -> "PolarGrid":
-        """The grid on every s-th angle, s the largest divisor of
-        angular_count that leaves more than degree angles: its trapezoid
-        rule still integrates every trig polynomial of that degree exactly.
-        It keeps the angles thetas[::s] bit for bit, the radial rule and the
-        radial Bessel stacks; the grid itself when no coarser one qualifies."""
-        count = next((n for n in self._divisors if n > degree), self.angular_count)
+        """The grid on N = degree + 1 equispaced angles: its trapezoid rule
+        integrates every trig polynomial of that degree exactly.  Its angles
+        are the ones build_grid(radial_order, N) makes, bit for bit; it keeps
+        the radial rule and shares the radial Bessel stacks.  The grid itself
+        when degree + 1 >= angular_count."""
+        count = int(degree) + 1
+        if count >= self.angular_count:
+            return self
         sub = self._subgrids.get(count)
         if sub is None:
-            sub = object.__new__(PolarGrid)
-            sub.radial_rule, sub.angular_count = self.radial_rule, count
-            sub._place(self.thetas[::self.angular_count // count], self._radial_stacks)
+            sub = PolarGrid(self.radial_rule, count)
+            sub._radial_stacks = self._radial_stacks
             self._subgrids[count] = sub
         return sub
 
@@ -356,11 +357,16 @@ class ModeTables:
     def __init__(self, basis: Basis, grid: PolarGrid):
         self.basis = basis
         self.grid = grid
-        orders = np.arange(basis.n_max + 3)
-        ang = np.empty((orders.size, 2, grid.angular_count))
-        ang[:, COS] = np.cos(np.outer(orders, grid.thetas))
-        ang[:, SIN] = np.sin(np.outer(orders, grid.thetas))
-        self.angular = ang.reshape(2 * orders.size, grid.angular_count)
+        count = grid.angular_count
+        # m th_i = 2 pi k / N with k = m i mod N reduced exactly in integers:
+        # no entry carries the rounding of a float product m th_i, and the
+        # order-1 row is cos and sin of thetas, bit for bit
+        k = np.outer(np.arange(basis.n_max + 3), np.arange(count)) % count
+        angles = 2.0 * np.pi * k / count
+        ang = np.empty((angles.shape[0], 2, count))
+        np.cos(angles, out=ang[:, COS])
+        np.sin(angles, out=ang[:, SIN])
+        self.angular = ang.reshape(2 * angles.shape[0], count)
         self.radial = grid._radial_stacks.get(basis.cache_key)
         if self.radial is None:
             self.radial = radial_rows(basis.zeros_rows, grid.radii, range(-2, 3))

@@ -956,8 +956,9 @@ def _check_helmholtz(ctx: VerifyContext):
     # non-solenoidal grid field: solenoidal sample plus a gradient
     f = ctx.random_fields(basis, 1, ctx.config.seed + 9, decay=0.08)[0]
     v = synthesize(f, grid)
-    gx = grid.x * np.exp(-grid.x ** 2 - grid.y ** 2)
-    gy = grid.y * np.exp(-grid.x ** 2 - grid.y ** 2)
+    x, y = grid.x, grid.y
+    gx = x * np.exp(-x ** 2 - y ** 2)
+    gy = y * np.exp(-x ** 2 - y ** 2)
     mixed = GridVectorField(grid, v.ux + gx, v.uy + gy)
     proj, rem = helmholtz_project(mixed, basis, grid)
     # idempotence and pythagoras in the quadrature metric
@@ -1144,14 +1145,16 @@ def trajectory_rows(traj: Trajectory, u0: SpectralField,
         terms = trajectory_terms(traj, config.p, grid)
     for t, f, value, block, weighted in zip(traj.times, traj.fields, mild_values, *terms):
         defect = (value - f).l2()
-        curl = curl_values(f, grid)
+        # |curl u|^2 has angular degree <= 2 n, n the top live order
+        sub = grid.exact_subgrid(2 * f.top_order())
+        curl = curl_values(f, sub)
         rows.append([
             float(t),
             f.l2(),
             weighted,
             block,
             0.5 * f.l2() ** 2,
-            math.sqrt(grid.integrate(curl * curl)),
+            math.sqrt(sub.integrate(curl * curl)),
             1 if defect <= 10.0 * config.picard_tol else 0,
         ])
     return rows

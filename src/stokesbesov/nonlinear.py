@@ -22,21 +22,22 @@ otherwise; dealiasing_check measures actual aliasing by recomputing probe
 coefficients on a 1.5x grid, and deliberately bypasses the static gate so
 that under-resolved setups can be demonstrated rather than just refused.
 
-The gate reads the full grid, but the quadrature runs on its coarsest
-exact angular sub-grid, PolarGrid.exact_subgrid(2 n + n_max), n the top
-order with a nonzero coefficient.  At each radius w = u_x + i u_y has
-angular frequencies in [-(n-1), n+1] (norms module docstring), so
-D + 2iP = w^2 has them in [-2(n-1), 2(n+1)].  The _CONVECTION terms of
-output order m pair into Im[w^2 e^{-i(m+2)th}] J_{m+2} and
-Im[w^2 e^{i(m-2)th}] J_{m-2}, so the integrand of every coefficient is a
-trig polynomial of degree <= 2 n + m <= 2 n + n_max, and N equispaced
-angles integrate it exactly once N exceeds that degree: the sub-grid's
-coefficients equal the full grid's up to rounding (the same fact behind
-Orszag's 3/2 rule).  The bound is tight: N = 2 n + n_max angles alias.
-nonlinear_coeffs, the advection residual of energy_identity_residual and
-the working side of dealiasing_check integrate on the sub-grid; the 1.5x
-side of dealiasing_check stays on its full grid, so it remains an
-independent quadrature in angle as well as in radius.
+The gate reads the full grid, but the quadrature runs on its exact
+angular sub-grid PolarGrid.exact_subgrid(2 n + n_max), the same radial rule
+on 2 n + n_max + 1 equispaced angles, n the top order with a nonzero
+coefficient.  At each radius w = u_x + i u_y has angular frequencies in
+[-(n-1), n+1] (norms module docstring), so D + 2iP = w^2 has them in
+[-2(n-1), 2(n+1)].  The _CONVECTION terms of output order m pair into
+Im[w^2 e^{-i(m+2)th}] J_{m+2} and Im[w^2 e^{i(m-2)th}] J_{m-2}, so the
+integrand of every coefficient is a trig polynomial of degree
+<= 2 n + m <= 2 n + n_max, and N equispaced angles integrate it exactly
+once N exceeds that degree: the sub-grid's coefficients equal the full
+grid's up to rounding (the same fact behind Orszag's 3/2 rule).  The bound
+is tight: N = 2 n + n_max angles alias.  nonlinear_coeffs, the advection
+residual of energy_identity_residual and the working side of
+dealiasing_check integrate on the sub-grid; the 1.5x side of
+dealiasing_check stays on its full grid, so it remains an independent
+quadrature in angle as well as in radius.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ def _convection_coeffs(u: SpectralField, grid: PolarGrid) -> np.ndarray:
 
 
 def _exact_grid(u: SpectralField, grid: PolarGrid) -> PolarGrid:
-    """The coarsest sub-grid of grid whose angles integrate N(u) exactly
-    (module docstring)."""
+    """The sub-grid of grid with the fewest angles that integrate N(u)
+    exactly (module docstring)."""
     return grid.exact_subgrid(2 * u.top_order() + u.basis.n_max)
 
 

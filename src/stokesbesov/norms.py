@@ -12,13 +12,13 @@ three times denser in each direction; truncated fields have bounded
 gradients, so the refinement error is controlled and documented rather than
 hidden.
 
-Even integer p on a SpectralField integrates on the grid's coarsest exact
-angular sub-grid, PolarGrid.exact_subgrid(p n), n the top order with a
-nonzero coefficient.  At each radius the velocity of the modes of order
-<= n is w = u_x + i u_y, a sum of J_{m+1} e^{i(m+1)th} and
-J_{m-1} e^{-i(m-1)th} over m <= n, so its angular frequencies lie in
-[-(n-1), n+1] and |u|^2 = w conj(w) has angular degree <= 2n.  The squared
-Frobenius magnitude of the gradient is
+Even integer p on a SpectralField integrates on the grid's exact angular
+sub-grid PolarGrid.exact_subgrid(p n), the same radial rule on p n + 1
+equispaced angles, n the top order with a nonzero coefficient.  At each
+radius the velocity of the modes of order <= n is w = u_x + i u_y, a sum
+of J_{m+1} e^{i(m+1)th} and J_{m-1} e^{-i(m-1)th} over m <= n, so its
+angular frequencies lie in [-(n-1), n+1] and |u|^2 = w conj(w) has angular
+degree <= 2n.  The squared Frobenius magnitude of the gradient is
 |d_x w|^2 + |d_y w|^2 = 2(|d_z w|^2 + |d_zbar w|^2), and d_z, d_zbar move
 every frequency down and up by one ([-n, n] and [-(n-2), n+2]), so it has
 degree <= 2n as well.  |u|^p = (|u|^2)^(p/2) then has degree <= p n, and
@@ -99,8 +99,8 @@ def _lp_from_squares(sq: np.ndarray, weights: np.ndarray, p: float) -> float:
 
 def _quadrature_grid(f: SpectralField, grid: PolarGrid, p: float) -> PolarGrid:
     """The grid an L^p norm of f integrates on: the refined companion for
-    p = inf, the coarsest exact angular sub-grid for even p (module
-    docstring), else grid itself."""
+    p = inf, the exact angular sub-grid for even p (module docstring), else
+    grid itself."""
     if p == INF:
         return grid.refined()
     if (p / 2.0).is_integer():
@@ -112,7 +112,7 @@ def lp_norm(v, grid: PolarGrid, p) -> float:
     """L^p norm of the pointwise velocity magnitude over the disk.
 
     Accepts a SpectralField (synthesized on its quadrature grid: the
-    coarsest exact angular sub-grid for even p, the refined companion grid
+    exact angular sub-grid for even p, the refined companion grid
     for p = inf) or raw GridVectorField samples (p = inf then maximizes
     over the nodes the data lives on).
     """

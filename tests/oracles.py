@@ -72,6 +72,14 @@ def mp_bessel_j(n: int, x: float) -> float:
         return float(mpmath.besselj(n, x))
 
 
+def mp_angular_table(orders: int, count: int) -> np.ndarray:
+    """cos(m th_i) and sin(m th_i), th_i = 2 pi i / count, at 50 digits and
+    rounded to float, shape (orders, 2, count) over m = 0 .. orders-1."""
+    with mpmath.workdps(50):
+        return np.array([[[float(fn(2 * mpmath.pi * m * i / count)) for i in range(count)]
+                          for fn in (mpmath.cos, mpmath.sin)] for m in range(orders)])
+
+
 def quad_beta(a: float, b: float) -> float:
     """Beta(a, b) by adaptive quadrature of t^(a-1) (1-t)^(b-1) on (0, 1).
 

@@ -370,19 +370,50 @@ def test_radial_stack_equals_full_table_rows(n_max, radial, angular):
 
 @pytest.mark.parametrize("angular", [256, 240, 768])
 def test_subgrid_is_every_sth_node(basis_88, angular):
-    """exact_subgrid keeps the parent's angles, radial rule and radial
-    stacks.  At 240 and 768 angles a freshly built N-angle grid differs from
-    the parent's slice by an ulp, so a sub-grid that rebuilt its own angles
-    fails the array_equal below."""
+    """exact_subgrid(degree) keeps degree + 1 angles, at 2 pi i / N as every
+    grid places them, so where N divides the parent's count its angles are
+    every s-th node of the parent up to an ulp.  It keeps the radial rule
+    and the radial stacks."""
     grid = build_grid(16, angular)
-    for degree in range(angular):
+    for degree in range(angular - 1):
         sub = grid.exact_subgrid(degree)
         count = sub.angular_count
-        assert count > degree and angular % count == 0
-        assert np.array_equal(sub.thetas, grid.thetas[::angular // count])
+        assert count == degree + 1
+        assert np.array_equal(sub.thetas, 2.0 * np.pi * np.arange(count) / count)
+        if angular % count == 0:
+            assert np.max(np.abs(sub.thetas - grid.thetas[::angular // count])) \
+                <= 2.0 * np.pi * np.finfo(float).eps
         assert np.array_equal(sub.weights, np.outer(grid.radial_weights,
                                                      np.full(count, 2.0 * np.pi / count)))
         assert sub.radial_rule is grid.radial_rule
     assert grid.exact_subgrid(5).tables(basis_88).radial is grid.tables(basis_88).radial
-    assert grid.exact_subgrid(angular) is grid
+    assert grid.exact_subgrid(angular - 1) is grid
     assert grid.exact_subgrid(10 * angular) is grid
+
+
+@pytest.mark.parametrize("count", [8, 50, 66, 130])
+def test_subgrid_angles_are_build_grid_angles(count):
+    """A sub-grid on N angles, N a divisor of the parent's count or not, has
+    the angles build_grid makes for N, bit for bit."""
+    for angular in (240, 256):
+        sub = build_grid(16, angular).exact_subgrid(count - 1)
+        assert np.array_equal(sub.thetas, build_grid(16, count).thetas)
+
+
+def test_grid_coordinates_are_computed_on_access(grid_small):
+    """x and y are the outer products of the radii with cos and sin of the
+    angles; the grid stores neither."""
+    for grid in (grid_small, grid_small.exact_subgrid(48)):
+        assert np.array_equal(grid.x, np.outer(grid.radii, np.cos(grid.thetas)))
+        assert np.array_equal(grid.y, np.outer(grid.radii, np.sin(grid.thetas)))
+        assert "x" not in vars(grid) and "y" not in vars(grid)
+
+
+def test_angular_table_reduces_the_index_exactly(basis_1616):
+    """The angular table at N = 49, orders 0..18, is within 1e-15 of a
+    50-digit reference: each entry is cos or sin of 2 pi ((m i) mod N) / N,
+    never of a rounded product m th_i (which misses by up to 2.8e-14 here)."""
+    tables = build_grid(8, 256).exact_subgrid(48).tables(basis_1616)
+    assert tables.grid.angular_count == 49
+    want = oracles.mp_angular_table(basis_1616.n_max + 3, 49).reshape(-1, 49)
+    assert np.max(np.abs(tables.angular - want)) <= 1e-15

@@ -63,19 +63,24 @@ def _low_order(basis, top, seed):
     return SpectralField(basis, c / np.linalg.norm(c))
 
 
-@pytest.mark.parametrize("trunc,shape,sub", [((4, 4), (32, 96), 16),
-                                             ((8, 8), (48, 240), 30),
-                                             ((16, 16), (64, 256), 64)])
+@pytest.mark.parametrize("trunc,shape,sub", [((4, 4), (32, 96), 13),
+                                             ((8, 8), (48, 240), 25),
+                                             ((16, 16), (64, 256), 49)])
 def test_convection_on_exact_subgrid_matches_full_grid(trunc, shape, sub):
-    """nonlinear_coeffs integrates on the angles exact_subgrid(2 n + n_max)
-    keeps; the integrand's degree is below that count, so the full grid's
-    quadrature gives the same coefficients up to rounding."""
+    """nonlinear_coeffs integrates on the 2 n + n_max + 1 angles
+    exact_subgrid(2 n + n_max) keeps, none a divisor of the grid's count;
+    the integrand's degree is below that count, so the full grid's
+    quadrature gives the same coefficients up to rounding, and one angle
+    fewer aliases."""
     basis, grid = build_basis(*trunc), build_grid(*shape)
     u = _unit_random(basis, 51)
     assert grid.exact_subgrid(3 * basis.n_max).angular_count == sub
     full = _convection_coeffs(u, grid)
+    scale = np.max(np.abs(full))
     got = nonlinear_coeffs(u, grid.tables(basis)).coeffs
-    assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full))
+    assert np.max(np.abs(got - full)) <= 1e-13 * scale
+    aliased = _convection_coeffs(u, grid.exact_subgrid(3 * basis.n_max - 1))
+    assert np.max(np.abs(aliased - full)) > 1e-8 * scale
 
 
 @pytest.mark.parametrize("top", [3, 8])
@@ -108,7 +113,7 @@ def test_convection_subgrid_reuses_the_radial_tables(basis_88, monkeypatch):
     monkeypatch.setattr(stokesbesov.basis, "bessel_j_table", counted)
     nonlinear_coeffs(_unit_random(basis_88, 53), tables)
     assert calls == []
-    assert grid.exact_subgrid(3 * basis_88.n_max).angular_count == 32
+    assert grid.exact_subgrid(3 * basis_88.n_max).angular_count == 25
     assert grid.exact_subgrid(3 * basis_88.n_max)._tables
 
 

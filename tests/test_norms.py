@@ -294,12 +294,12 @@ def test_axisymmetric_mode_l4_matches_radial_oracle(basis_88, grid_small, k):
 
 @pytest.mark.parametrize("top,p", [(2, 4.0), (4, 2.0), (4, 4.0), (8, 2.0), (8, 4.0)])
 def test_angle_rule_is_tight(basis_88, grid_wide, top, p):
-    """The rule keeps N = 2 p n angles for these fields, n the top order;
-    N = p n, one step coarser, aliases the degree-p n term of |u|^p and
+    """The rule keeps N = p n + 1 angles for these fields, n the top order;
+    N = p n, one fewer, aliases the degree-p n term of |u|^p and
     |grad u|^p into the mean and misses."""
     f = _low_order(basis_88, top, 40 + top)
     count = grid_wide.exact_subgrid(int(p) * top).angular_count
-    assert count == 2 * int(p) * top
+    assert count == int(p) * top + 1
     coarse = build_grid(grid_wide.radial_order, int(p) * top)
     v = synthesize(f, coarse)
     assert abs(lp_norm(v, coarse, p) / lp_norm(f, grid_wide, p) - 1.0) > 1e-8
@@ -307,6 +307,24 @@ def test_angle_rule_is_tight(basis_88, grid_wide, top, p):
     mag = np.sqrt(np.sum(ten * ten, axis=(2, 3)))
     missed = float(np.sum(coarse.weights * mag ** p) ** (1.0 / p))
     assert abs(missed / gradient_lp_norm(f, grid_wide, p) - 1.0) > 1e-8
+
+
+@pytest.mark.parametrize("trunc,angular,p,count", [((16, 16), 256, 4.0, 65),
+                                                    ((8, 8), 240, 6.0, 49)])
+def test_non_divisor_angle_counts_are_exact(trunc, angular, p, count):
+    """A full field needs p n + 1 angles, a count that divides neither 256
+    nor 240 here: the sub-grid's L^p norm is the full grid's up to
+    rounding, and one angle fewer aliases."""
+    basis, grid = build_basis(*trunc), build_grid(48, angular)
+    f = _low_order(basis, basis.n_max, 60)
+    sub = grid.exact_subgrid(int(p) * basis.n_max)
+    assert sub.angular_count == count and angular % count
+    v = synthesize(f, grid)
+    full = _hypot_lp(v.ux, v.uy, grid, p)
+    assert abs(lp_norm(f, grid, p) - full) <= 1e-13 * full
+    fewer = grid.exact_subgrid(count - 2)
+    v = synthesize(f, fewer)
+    assert abs(_hypot_lp(v.ux, v.uy, fewer, p) / full - 1.0) > 1e-8
 
 
 def _full_grid_lp(sq, grid, p):
