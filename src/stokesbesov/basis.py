@@ -373,6 +373,20 @@ class ModeTables:
             grid._radial_stacks[basis.cache_key] = self.radial
         self.slot = (2 * basis.angular + basis.parity) * basis.k_max + basis.radial - 1
         self._scatter = {}
+        self._envelope = None
+
+    @property
+    def velocity_envelope(self) -> np.ndarray:
+        """Per mode, E_m = |scale_m| max_i (|J_{n-1}(j r_i)| + |J_{n+1}(j r_i)|)
+        over the radial nodes: |u_x + i u_y| of mode m is at most E_m at every
+        node of every grid on this radial rule, so sum_m |c_m| E_m bounds the
+        velocity magnitude of the field c there."""
+        if self._envelope is None:
+            b = self.basis
+            peak = np.array([(np.abs(rows[1]) + np.abs(rows[3])).max(axis=-1)
+                             for rows in self.radial])
+            self._envelope = np.abs(VELOCITY.scale(b)) * peak[b.angular, b.radial - 1]
+        return self._envelope
 
     def scatter(self, spec: Transform):
         """Sign table of a transform, shape (channels, angular rows,

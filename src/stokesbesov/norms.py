@@ -27,6 +27,32 @@ so the sub-grid's quadrature equals the full grid's up to rounding; the
 radial Gauss rule is the same on both.  The bound is tight: N = p n angles
 alias the degree-p n term into the mean.  p = inf (refined grid), odd or
 fractional p, GridVectorField input and the pairings stay on the full grid.
+
+A power sum of |u|^p that under- or overflows is recomputed from squares
+scaled by a power of two (_lp_from_squares), so lp_norm(2^k f) equals
+2^k lp_norm(f) while the squares stay normal (|u| within about 1e+-154).
+
+Sup-only consumers skip the terms that cannot reach the sup.  A mode's
+velocity obeys |u_x + i u_y| <= E_m at every node on the radial rule,
+E_m = ModeTables.velocity_envelope (|scale_m| times the largest
+|J_{n-1}| + |J_{n+1}| over the radial nodes), so a field c has |u| <=
+sum_m |c_m| E_m at every node of every grid on that rule, sub-grids
+included.  The quadrature weights are positive and sum to W, hence
+
+    2^{js} ||phi_j f||_{L^p} <= W^{1/p} sum_m |c_m| |phi_j(m)| 2^{js} E_m,
+
+and the same without phi_j and 2^{js} bounds ||f||_{L^p}.  The factor
+1 + 1e-9 on these bounds covers the synthesis rounding, about 1e-13
+relative; samples whose squares underflow add an absolute error below
+2^-535, which the slack covers for every bound above 2^-505.
+trajectory_norm and tail_smallness evaluate their terms in descending
+bound order and stop once the next bound is <= the largest value found
+and that value is >= 2^-500: every skipped term is then <= that value,
+so the sup is the exhaustive one bit for bit.  When a bound is not finite,
+or a field bound exceeds 2^500 (where squares could overflow), every term
+is evaluated.  trajectory_terms, besov_norm and band_profile stay
+exhaustive: their per-term values are artifacts (trajectory.csv columns,
+NormReport.bands).
 """
 
 from __future__ import annotations
@@ -38,11 +64,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import GridVectorField, PolarGrid, SpectralField, field_gradient_values, synthesize
-from .dyadic import active_bands, apply_band, apply_window
+from .dyadic import _multiplier, active_bands, apply_band, apply_window
 from .errors import TruncationWarning
 
 INF = math.inf
 D = 2                   # space dimension of the disk
+
+# a power sum inside this range has neither underflowed nor overflowed
+_POWER_SUM_MIN, _POWER_SUM_MAX = 2.0 ** -900, 2.0 ** 900
+# relative slack of the term bounds, against synthesis rounding of ~1e-13
+_BOUND_SLACK = 1.0 + 1e-9
+# skipping needs a largest value of at least this, and field bounds of at
+# most the ceiling (module docstring)
+_SKIP_FLOOR, _SKIP_CEILING = 2.0 ** -500, 2.0 ** 500
 
 
 def critical_index(p: float) -> float:
@@ -80,21 +114,39 @@ class NormReport:
     value: float
 
 
-def _lp_from_squares(sq: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """L^p norm over the quadrature weights of a pointwise magnitude given by
-    its square sq, which is overwritten.
+def _power_sum(sq: np.ndarray, weights: np.ndarray, p: float, out) -> float:
+    """sum of weights * sq^(p/2), the p-th powers written to out (a new
+    array when None).  Even integer p takes sq^(p/2) exactly, without a
+    square root."""
+    if (p / 2.0).is_integer():
+        out = np.power(sq, int(p) // 2, out=out)
+    else:
+        out = np.sqrt(sq, out=out)
+        np.power(out, p, out=out)
+    return float(np.vdot(weights, out))
 
-    Even integer p takes |u|^p = sq^(p/2) exactly (no square root), in place;
-    p = inf is the max of the magnitude, other p integrate sqrt(sq)^p.
+
+def _lp_from_squares(sq: np.ndarray, weights: np.ndarray, p: float, out=None) -> float:
+    """L^p norm over the quadrature weights of a pointwise magnitude given by
+    its square sq; out, when given, is a scratch array of sq's shape that is
+    overwritten.  p = inf is the max of the magnitude.
+
+    When the power sum leaves [2^-900, 2^900], or reads 0 or inf while the
+    largest square is finite and nonzero, the p-th powers have underflowed
+    or overflowed: the squares are then scaled by a power of two 2^-2e that
+    brings the largest to [1/2, 2), and the root is scaled back by 2^e.  A
+    sum inside the range is returned as computed, bit for bit.
     """
     if p == INF:
         return math.sqrt(float(sq.max()))
-    if (p / 2.0).is_integer():
-        np.power(sq, int(p) // 2, out=sq)
-    else:
-        np.sqrt(sq, out=sq)
-        np.power(sq, p, out=sq)
-    return float(np.vdot(weights, sq)) ** (1.0 / p)
+    total = _power_sum(sq, weights, p, out)
+    if not _POWER_SUM_MIN <= total <= _POWER_SUM_MAX:
+        top = float(sq.max())
+        if 0.0 < top < INF:
+            e = math.frexp(top)[1] // 2
+            total = _power_sum(np.ldexp(sq, -2 * e), weights, p, None)
+            return math.ldexp(total ** (1.0 / p), e)
+    return total ** (1.0 / p)
 
 
 def _quadrature_grid(f: SpectralField, grid: PolarGrid, p: float) -> PolarGrid:
@@ -119,17 +171,18 @@ def lp_norm(v, grid: PolarGrid, p) -> float:
     p = _check_p(p)
     if isinstance(v, SpectralField):
         v = synthesize(v, _quadrature_grid(v, grid, p))
-        # the samples are ours: square them in place
+        # the samples are ours: square them in place, and take the powers
+        # in uy once it has been added
         sq = np.square(v.ux, out=v.ux)
         sq += np.square(v.uy, out=v.uy)
-    elif isinstance(v, GridVectorField):
+        return _lp_from_squares(sq, v.grid.weights, p, out=v.uy)
+    if isinstance(v, GridVectorField):
         if p != INF and v.grid.shape != grid.shape and v.grid.shape != grid.refined().shape:
             raise ValueError("grid samples do not match the quadrature grid")
-        sq = np.square(v.ux)
-        sq += np.square(v.uy)
-    else:
-        raise TypeError("expected a SpectralField or GridVectorField")
-    return _lp_from_squares(sq, v.grid.weights, p)
+        sq, scratch = np.square(v.ux), np.square(v.uy)
+        sq += scratch
+        return _lp_from_squares(sq, v.grid.weights, p, out=scratch)
+    raise TypeError("expected a SpectralField or GridVectorField")
 
 
 def gradient_lp_norm(f: SpectralField, grid: PolarGrid, p) -> float:
@@ -185,13 +238,46 @@ def dual_pairing(f: SpectralField, g: SpectralField, grid: PolarGrid) -> float:
     return total
 
 
-def trajectory_terms(traj, p: float, grid: PolarGrid):
-    """The per-time terms of trajectory_norm, one entry per snapshot:
+def _term_bounds(fields, grid: PolarGrid, p: float, bands) -> np.ndarray:
+    """Upper bounds, one row per field (of one basis), on the band terms
+    2^{j s} ||phi_j f||_{L^p} for j in bands (s = -1 + D/p), one column each,
+    and on ||f||_{L^p} in the last column (module docstring).  All NaN when
+    a field bound exceeds _SKIP_CEILING or is not finite."""
+    basis = fields[0].basis
+    g = grid.refined() if p == INF else grid
+    s = critical_index(p)
+    weights = np.ones((basis.n_modes, len(bands) + 1))
+    for col, j in enumerate(bands):
+        weights[:, col] = 2.0 ** (j * s) * np.abs(_multiplier(basis, j, False))
+    weights *= g.tables(basis).velocity_envelope[:, None]
+    with np.errstate(invalid="ignore", over="ignore"):    # inf data: NaN bounds
+        bounds = np.array([np.abs(f.coeffs) @ weights for f in fields])
+        bounds *= float(g.weights.sum()) ** (1.0 / p) * _BOUND_SLACK
+    if not bounds[:, -1].max() <= _SKIP_CEILING:      # NaN fails it too
+        bounds[:] = np.nan
+    return bounds
 
-        (||u(t)||_{B^{-1+D/p}_{p,inf}},  t^{(1-D/p)/2} ||u(t)||_{L^p})
 
-    as two arrays.  Requires D < p < inf.
-    """
+def _bounded_sup(bounds: np.ndarray, term) -> float:
+    """np.max([term(i) for each flat index i of bounds], initial=0.0), bit
+    for bit, where term(i) <= bounds[i].  The terms run in descending bound
+    order and stop once the next bound is <= the largest value found, if
+    that value is at least _SKIP_FLOOR; every term runs when a bound is not
+    finite."""
+    bounds = bounds.reshape(-1)
+    if not np.isfinite(bounds).all():
+        # np.max, unlike max(), carries a NaN through: a NaN norm must not read 0
+        return float(np.max([term(i) for i in range(bounds.size)], initial=0.0))
+    best = 0.0
+    for i in np.argsort(-bounds, kind="stable"):
+        if bounds[i] <= best and best >= _SKIP_FLOOR:
+            break
+        best = max(best, term(int(i)))
+    return float(best)
+
+
+def _trajectory_times(traj, p: float):
+    """Validated snapshot times and the weight exponent (1 - D/p)/2."""
     p = _check_p(p)
     if not (D < p < INF):
         raise ValueError("trajectory norm requires 2 < p < inf")
@@ -200,8 +286,18 @@ def trajectory_terms(traj, p: float, grid: PolarGrid):
         raise ValueError("trajectory has no snapshots")
     if (times < 0.0).any() or (np.diff(times) <= 0.0).any():
         raise ValueError("trajectory times must be nonnegative and strictly increasing")
+    return times, 0.5 * (1.0 - D / p)
+
+
+def trajectory_terms(traj, p: float, grid: PolarGrid):
+    """The per-time terms of trajectory_norm, one entry per snapshot:
+
+        (||u(t)||_{B^{-1+D/p}_{p,inf}},  t^{(1-D/p)/2} ||u(t)||_{L^p})
+
+    as two arrays, every term evaluated.  Requires D < p < inf.
+    """
+    times, alpha = _trajectory_times(traj, p)
     idx = BesovIndex(critical_index(p), p, INF)
-    alpha = 0.5 * (1.0 - D / p)
     block = np.array([besov_norm(f, idx, grid).value for f in traj.fields])
     weighted = np.array([t ** alpha * lp_norm(f, grid, p)
                          for t, f in zip(times, traj.fields)])
@@ -216,10 +312,33 @@ def trajectory_norm(traj, p: float, grid: PolarGrid, terms=None) -> float:
     Requires D < p < inf.  A leading t = 0 snapshot is allowed: the weight
     vanishes there and the block-norm sup legitimately includes the datum.
     terms is trajectory_terms(traj, p, grid) when the caller already has it.
+
+    Without terms, only the terms that can reach a sup are evaluated.  One
+    (T, modes) @ (modes, bands + 1) product bounds every term through the
+    modes' velocity envelopes E_m, W^{1/p} sum_m |c_m| |phi_j(m)| 2^{js} E_m
+    for a band term, with a slack of 1 + 1e-9 against synthesis rounding of
+    about 1e-13 (module docstring).  Each sup runs in descending bound order
+    and stops once the next bound is <= the largest value found, which no
+    skipped term can exceed: the result is the exhaustive one bit for bit.
+    trajectory_terms stays exhaustive; its values are trajectory.csv columns.
     """
-    block, weighted = trajectory_terms(traj, p, grid) if terms is None else terms
-    # np.max, unlike max(), carries a NaN through: a NaN norm must not read 0
-    return float(np.max(block, initial=0.0) + np.max(weighted, initial=0.0))
+    if terms is not None:
+        block, weighted = terms
+        return float(np.max(block, initial=0.0) + np.max(weighted, initial=0.0))
+    times, alpha = _trajectory_times(traj, p)
+    fields = traj.fields
+    bands = active_bands(fields[0].basis)
+    bounds = _term_bounds(fields, grid, p, bands)
+    s, nb = critical_index(p), len(bands)
+
+    def band_term(i):
+        j = bands[i % nb]
+        return 2.0 ** (j * s) * lp_norm(apply_band(fields[i // nb], j), grid, p)
+
+    block = _bounded_sup(bounds[:, :-1], band_term)
+    weighted = _bounded_sup(bounds[:, -1] * times ** alpha,
+                            lambda i: times[i] ** alpha * lp_norm(fields[i], grid, p))
+    return float(block + weighted)
 
 
 def tail_smallness(u0: SpectralField, p: float, J: int, grid: PolarGrid) -> float:
@@ -228,6 +347,7 @@ def tail_smallness(u0: SpectralField, p: float, J: int, grid: PolarGrid) -> floa
     The local-solvability smallness diagnostic: data is admissible when this
     is small for some J.  If J lies above the last active band the truncated
     spectrum cannot see the tail; the result is 0 with a TruncationWarning.
+    Like trajectory_norm, it evaluates only the bands that can reach the sup.
     """
     p = _check_p(p)
     if not (D < p):
@@ -240,7 +360,7 @@ def tail_smallness(u0: SpectralField, p: float, J: int, grid: PolarGrid) -> floa
             TruncationWarning, stacklevel=2)
         return 0.0
     s = critical_index(p)
-    # np.max, unlike max(), carries a NaN through: NaN data must not read small
-    return float(np.max([2.0 ** (j * s) * band_lp
-                         for j, band_lp in band_profile(u0, grid, p) if j >= J],
-                        initial=0.0))
+    bands = [j for j in active_bands(u0.basis) if j >= J]
+    bounds = _term_bounds((u0,), grid, p, bands)
+    return _bounded_sup(bounds[:, :-1], lambda i: 2.0 ** (bands[i] * s)
+                        * lp_norm(apply_band(u0, bands[i]), grid, p))

@@ -8,13 +8,14 @@ import oracles
 import pytest
 
 from stokesbesov import (BesovIndex, SpectralField, TruncationWarning,
-                         besov_norm, build_basis, build_grid, critical_index,
-                         dual_pairing, heat_apply, lp_norm, tail_smallness,
-                         trajectory_norm, zero_field)
-from stokesbesov.basis import (COS, GridVectorField, field_gradient_values,
+                         active_bands, apply_band, besov_norm, build_basis,
+                         build_grid, critical_index, dual_pairing, heat_apply,
+                         lp_norm, picard_solve, tail_smallness, trajectory_norm,
+                         zero_field)
+from stokesbesov.basis import (COS, SIN, GridVectorField, field_gradient_values,
                                synthesize)
-from stokesbesov.norms import INF, gradient_lp_norm
-from stokesbesov.solver import SolverConfig, linear_trajectory
+from stokesbesov.norms import INF, _term_bounds, gradient_lp_norm, trajectory_terms
+from stokesbesov.solver import SolverConfig, Trajectory, linear_trajectory
 
 LAMBDA_MIN = 5.783185962946785
 
@@ -366,3 +367,107 @@ def test_subgrid_norms_reuse_the_radial_tables(basis_88, monkeypatch):
     besov_norm(f, BesovIndex(critical_index(4.0), 4.0, INF), grid)
     assert len(grid._subgrids) > 2
     assert len(calls) == basis_88.n_max + 1
+
+
+@pytest.mark.parametrize("p", [4.0, 6.0])
+def test_lp_norm_scales_by_powers_of_two(basis_88, grid_small, p):
+    """lp_norm(2^k f) = 2^k lp_norm(f) over k in [-300, 300]: the p-th
+    powers of the squares under- or overflow there, and the rescaled sum
+    must not."""
+    f = SpectralField(basis_88, np.random.default_rng(60).standard_normal(basis_88.n_modes))
+    base = lp_norm(f, grid_small, p)
+    for k in range(-300, 301):
+        scaled = lp_norm(SpectralField(basis_88, np.ldexp(f.coeffs, k)), grid_small, p)
+        assert scaled == pytest.approx(math.ldexp(base, k), rel=1e-13, abs=0.0)
+    v = synthesize(f, grid_small)
+    tiny = GridVectorField(grid_small, v.ux * 2.0 ** -300, v.uy * 2.0 ** -300)
+    assert lp_norm(tiny, grid_small, p) == pytest.approx(base * 2.0 ** -300, rel=1e-13)
+
+
+def test_lp_norm_keeps_ordinary_sums_bit_for_bit(basis_88, grid_small):
+    # inside [2^-900, 2^900] the power sum is used as computed
+    f = SpectralField(basis_88, np.random.default_rng(61).standard_normal(basis_88.n_modes))
+    g = grid_small.exact_subgrid(4 * f.top_order())
+    v = synthesize(f, g)
+    sq = v.ux ** 2 + v.uy ** 2
+    assert lp_norm(f, grid_small, 4.0) == float(np.vdot(g.weights, sq ** 2)) ** 0.25
+
+
+def _bound_fields(basis):
+    """Random, single-mode (n = 0 included: J_{-1} folds into J_1) and
+    band-filtered coefficient rows."""
+    rng = np.random.default_rng(62)
+    rows = [rng.standard_normal(basis.n_modes) for _ in range(3)]
+    rows.append(rng.standard_normal(basis.n_modes) * basis.lam ** -0.5)
+    for n, parity in ((0, COS), (1, COS), (1, SIN), (basis.n_max, SIN)):
+        for k in (1, basis.k_max):
+            row = np.zeros(basis.n_modes)
+            row[basis.group_index[(n, parity)][k - 1]] = 1.0
+            rows.append(row)
+    rows += [apply_band(SpectralField(basis, rows[0]), j).coeffs for j in active_bands(basis)]
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("trunc,shape", [((8, 8), (32, 64)), ((16, 16), (64, 128))])
+@pytest.mark.parametrize("p", [3.0, 4.0, 6.0, 7.5])
+def test_term_bounds_hold(trunc, shape, p):
+    """Every band term 2^{js} ||phi_j f||_p and every ||f||_p lies below its
+    envelope bound."""
+    basis, grid = build_basis(*trunc), build_grid(*shape)
+    bands = active_bands(basis)
+    s = critical_index(p)
+    fields = [SpectralField(basis, c) for c in _bound_fields(basis)]
+    bounds = _term_bounds(fields, grid, p, bands)
+    for row, f in zip(bounds, fields):
+        values = [2.0 ** (j * s) * lp_norm(apply_band(f, j), grid, p) for j in bands]
+        values.append(lp_norm(f, grid, p))
+        assert (np.array(values) <= row).all()
+
+
+def _exhaustive_norm(traj, p, grid):
+    block, weighted = trajectory_terms(traj, p, grid)
+    return float(max(block) + max(weighted))
+
+
+def _trajectories(basis, grid):
+    cfg = SolverConfig(basis=basis, grid=grid, p=4.0, T=0.5, mesh_count=8)
+    rng = np.random.default_rng(63)
+    u0 = SpectralField(basis, rng.standard_normal(basis.n_modes) * 0.05)
+    solved, _ = picard_solve(u0, cfg)
+    times = cfg.mesh()
+    scales = rng.uniform(0.1, 3.0, size=(times.size, 1))
+    rand = Trajectory(times, tuple(SpectralField(basis, row) for row in
+                                   rng.standard_normal((times.size, basis.n_modes)) * scales))
+    return {"heat": linear_trajectory(u0, cfg), "picard": solved, "random": rand}
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+def test_trajectory_norm_is_the_exhaustive_sup(basis_88, grid_small, p):
+    for name, traj in _trajectories(basis_88, grid_small).items():
+        assert trajectory_norm(traj, p, grid_small) == _exhaustive_norm(traj, p, grid_small), name
+
+
+@pytest.mark.parametrize("value", [np.inf, 1e200])
+def test_trajectory_norm_of_overflowing_fields_matches_the_terms(basis_88, grid_small, value):
+    cfg = SolverConfig(basis=basis_88, grid=grid_small, p=4.0, T=0.5, mesh_count=4)
+    fields = list(linear_trajectory(SpectralField(basis_88, np.ones(basis_88.n_modes)), cfg).fields)
+    fields[2] = SpectralField(basis_88, np.full(basis_88.n_modes, value))
+    traj = Trajectory(cfg.mesh(), tuple(fields))
+    block, weighted = trajectory_terms(traj, 4.0, grid_small)
+    want = float(np.max(block, initial=0.0) + np.max(weighted, initial=0.0))
+    assert not math.isfinite(want)
+    assert np.array_equal(trajectory_norm(traj, 4.0, grid_small), want, equal_nan=True)
+
+
+def test_tail_smallness_skips_bands_below_the_sup(basis_88, grid_small, monkeypatch):
+    import stokesbesov.norms
+    f = SpectralField(basis_88, np.random.default_rng(64).standard_normal(basis_88.n_modes))
+    j_lo = active_bands(basis_88)[0]
+    idx = BesovIndex(critical_index(4.0), 4.0, INF)
+    full = besov_norm(f, idx, grid_small).value
+    calls = []
+    real = stokesbesov.norms.lp_norm
+    monkeypatch.setattr(stokesbesov.norms, "lp_norm",
+                        lambda *args: calls.append(1) or real(*args))
+    assert tail_smallness(f, 4.0, j_lo, grid_small) == full
+    assert len(calls) < len(active_bands(basis_88))

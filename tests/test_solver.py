@@ -245,6 +245,54 @@ def test_cli_solve_exits_3_on_overflow(tmp_path):
     assert picard["converged"] is False
 
 
+def test_cli_solve_keeps_tiny_amplitudes(tmp_path):
+    # |u|^4 of 1e-100 data underflows to 0 unless the power sum is rescaled
+    path = tmp_path / "tiny.ini"
+    path.write_text(_OVERFLOW_INI.replace("n_max = 4", "n_max = 6")
+                    .replace("k_max = 4", "k_max = 6").replace("1e100", "1e-100"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["trajectory_norm"] > 0.0
+    lines = (out / "trajectory.csv").read_text().strip().splitlines()
+    column = lines[0].split(",").index("lp_norm_weighted")
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 5
+    assert all(float(r[column]) > 0.0 for r in rows if float(r[0]) > 0.0)
+
+
+def test_picard_update_norm_evaluates_a_third_of_its_terms(monkeypatch):
+    """The update norm of one Picard step at (8,8) on 32x64, M = 16: the
+    exhaustive sup takes 17 x (6 bands + 1) = 119 L^p norms, the bounded
+    one at most a third of them, with the same value."""
+    import stokesbesov.norms
+    import stokesbesov.solver
+    from stokesbesov.norms import trajectory_terms
+    basis, grid = build_basis(8, 8), build_grid(32, 64)
+    u0 = generate_data(DataSpec(kind="band_random", band=2, amplitude=1.0), basis, grid)
+    calls, seen = [], []
+    real_lp, real_norm = stokesbesov.norms.lp_norm, stokesbesov.solver.trajectory_norm
+
+    def counted_lp(*args):
+        calls.append(1)
+        return real_lp(*args)
+
+    def recorded_norm(traj, p, grid):
+        calls.clear()
+        value = real_norm(traj, p, grid)
+        seen.append((traj, value, len(calls)))
+        return value
+
+    monkeypatch.setattr(stokesbesov.norms, "lp_norm", counted_lp)
+    monkeypatch.setattr(stokesbesov.solver, "trajectory_norm", recorded_norm)
+    picard_solve(u0, _cfg(basis, grid, mesh=16, max_picard=1))
+    (delta, value, bounded), = seen
+    calls.clear()
+    block, weighted = trajectory_terms(delta, 4.0, grid)
+    assert len(calls) == 119
+    assert value == float(max(block) + max(weighted))
+    assert bounded <= 119 // 3
+
+
 def test_etd_linear_decay(basis_88, grid_small):
     u0 = zero_field(basis_88)
     u0.coeffs[0] = 1.0
