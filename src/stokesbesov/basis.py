@@ -159,9 +159,6 @@ class SpectralField:
         if self.coeffs.shape != (self.basis.n_modes,):
             raise ValueError("coefficient vector does not match the basis size")
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.basis, self.coeffs.copy())
-
     def l2(self) -> float:
         """L^2 norm of the field; exact because the modes are orthonormal."""
         return float(np.linalg.norm(self.coeffs))
@@ -318,6 +315,20 @@ class Transform:
         step = self.shifts[1] - self.shifts[0] if len(self.shifts) > 1 else 1
         return slice(self.shifts[0] + 2, self.shifts[-1] + 3, step)
 
+    def sign_table(self, n_max: int, orders: int) -> np.ndarray:
+        """The terms as signs, (channels, 2 orders, (n_max+1) * len(shifts) * 2)
+        over angular rows 2m, 2m+1 = cos, sin(m th) and profiles ordered (n,
+        shift, parity), with negative orders folded."""
+        n = np.arange(n_max + 1)
+        table = np.zeros((self.channels, 2 * orders, n.size, len(self.shifts), 2))
+        for shift, channel, trig, coef in self.terms:
+            m = n + shift
+            for parity, t, c in ((COS, trig, coef),
+                                 (SIN, 1 - trig, coef if trig == COS else -coef)):
+                sign = np.where((t == SIN) & (m < 0), -c, c)
+                table[channel, 2 * np.abs(m) + t, n, self.shifts.index(shift), parity] += sign
+        return table.reshape(self.channels, 2 * orders, -1)
+
 
 # u_x + i u_y = i j J_{n+1} e^{i(n+1)th},  u_x - i u_y = i j J_{n-1} e^{i(n-1)th}
 VELOCITY = Transform(
@@ -389,22 +400,11 @@ class ModeTables:
         return self._envelope
 
     def scatter(self, spec: Transform):
-        """Sign table of a transform, shape (channels, angular rows,
-        (n_max+1) * len(shifts) * 2) over the profiles ordered (n, shift,
-        parity), and the per-mode coefficient scale."""
+        """Sign table of a transform over the angular rows (Transform.sign_table)
+        and the per-mode coefficient scale."""
         hit = self._scatter.get(spec)
         if hit is None:
-            n = np.arange(self.basis.n_max + 1)
-            table = np.zeros((spec.channels, self.angular.shape[0], n.size,
-                              len(spec.shifts), 2))
-            for shift, channel, trig, coef in spec.terms:
-                m = n + shift
-                for parity, t, c in ((COS, trig, coef),
-                                     (SIN, 1 - trig, coef if trig == COS else -coef)):
-                    sign = np.where((t == SIN) & (m < 0), -c, c)
-                    table[channel, 2 * np.abs(m) + t, n,
-                          spec.shifts.index(shift), parity] += sign
-            hit = (table.reshape(spec.channels, self.angular.shape[0], -1),
+            hit = (spec.sign_table(self.basis.n_max, self.angular.shape[0] // 2),
                    spec.scale(self.basis))
             self._scatter[spec] = hit
         return hit
@@ -493,35 +493,25 @@ def curl_values(f: SpectralField, grid: PolarGrid) -> np.ndarray:
 
 
 def mode_values_at(basis: Basis, points: np.ndarray) -> np.ndarray:
-    """Velocity of every mode at arbitrary points, shape (P, n_modes, 2)."""
+    """Velocity of every mode at arbitrary points, shape (P, n_modes, 2), as
+    VELOCITY's terms at the points' radii and angles."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     r = np.hypot(pts[:, 0], pts[:, 1])
     if (r > 1.0 + 1e-12).any():
         raise ValueError("evaluation points must lie in the closed unit disk")
-    th = np.arctan2(pts[:, 1], pts[:, 0])
-    out = np.zeros((pts.shape[0], basis.n_modes, 2))
-    rows = radial_rows(basis.zeros_rows, r, (-1, 1))     # J_{n-1}, J_{n+1}
-    for n in range(basis.n_max + 1):
-        jm, jp = rows[n]                   # (k_max, P) each
-        sm = 1.0 if n >= 1 else -1.0       # sign of sin((n-1) th) folded to |n-1|
-        am = abs(n - 1)
-        cp_, sp_ = np.cos((n + 1) * th), np.sin((n + 1) * th)
-        cm_, sm_ = np.cos(am * th), sm * np.sin(am * th)
-        idx = basis.group_index[(n, COS)]
-        scale = (basis.zero[idx] / (2.0 * basis.velocity_norm[idx]))[:, None]
-        out[:, idx, 0] = (-(jp * sp_ + jm * sm_) * scale).T
-        out[:, idx, 1] = ((jp * cp_ - jm * cm_) * scale).T
-        if n >= 1:
-            idx = basis.group_index[(n, SIN)]
-            out[:, idx, 0] = ((jp * cp_ + jm * cm_) * scale).T
-            out[:, idx, 1] = ((jp * sp_ - jm * sm_) * scale).T
+    orders = basis.n_max + 2
+    m_th = np.multiply.outer(np.arange(orders), np.arctan2(pts[:, 1], pts[:, 0]))
+    trig = np.stack([np.cos(m_th), np.sin(m_th)], axis=1).reshape(2 * orders, -1)
+    signs = VELOCITY.sign_table(basis.n_max, orders)
+    # one signed trig value per (channel, n, shift, parity): a sum of one term
+    signed = np.matmul(signs.swapaxes(1, 2), trig).reshape(2, basis.n_max + 1, 2, 2, 1, -1)
+    rows = radial_rows(basis.zeros_rows, r, VELOCITY.shifts)
+    scale = VELOCITY.scale(basis)
+    out = np.empty((r.size, basis.n_modes, 2))
+    # a group at a time, so no temporary outgrows (channels, shifts, k_max, P)
+    for (n, q), idx in basis.group_index.items():
+        out[:, idx] = ((rows[n] * signed[:, n, :, q]).sum(axis=1) * scale[idx, None]).T
     return out
-
-
-def field_values_at(f: SpectralField, points: np.ndarray) -> np.ndarray:
-    """Velocity of a spectral field at arbitrary points, shape (P, 2)."""
-    vals = mode_values_at(f.basis, points)
-    return np.einsum("pmc,m->pc", vals, f.coeffs)
 
 
 def boundary_traces(basis: Basis):

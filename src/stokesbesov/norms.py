@@ -139,7 +139,8 @@ def _lp_from_squares(sq: np.ndarray, weights: np.ndarray, p: float, out=None) ->
     """
     if p == INF:
         return math.sqrt(float(sq.max()))
-    total = _power_sum(sq, weights, p, out)
+    with np.errstate(over="ignore"):        # an overflow is rescaled below
+        total = _power_sum(sq, weights, p, out)
     if not _POWER_SUM_MIN <= total <= _POWER_SUM_MAX:
         top = float(sq.max())
         if 0.0 < top < INF:
@@ -238,12 +239,11 @@ def dual_pairing(f: SpectralField, g: SpectralField, grid: PolarGrid) -> float:
     return total
 
 
-def _term_bounds(fields, grid: PolarGrid, p: float, bands) -> np.ndarray:
-    """Upper bounds, one row per field (of one basis), on the band terms
-    2^{j s} ||phi_j f||_{L^p} for j in bands (s = -1 + D/p), one column each,
-    and on ||f||_{L^p} in the last column (module docstring).  All NaN when
-    a field bound exceeds _SKIP_CEILING or is not finite."""
-    basis = fields[0].basis
+def _term_bounds(basis, coeffs: np.ndarray, grid: PolarGrid, p: float, bands) -> np.ndarray:
+    """Upper bounds, one row per coefficient row f of coeffs, on the band
+    terms 2^{j s} ||phi_j f||_{L^p} for j in bands (s = -1 + D/p), one
+    column each, and on ||f||_{L^p} in the last column (module docstring).
+    All NaN when a field bound exceeds _SKIP_CEILING or is not finite."""
     g = grid.refined() if p == INF else grid
     s = critical_index(p)
     weights = np.ones((basis.n_modes, len(bands) + 1))
@@ -251,7 +251,7 @@ def _term_bounds(fields, grid: PolarGrid, p: float, bands) -> np.ndarray:
         weights[:, col] = 2.0 ** (j * s) * np.abs(_multiplier(basis, j, False))
     weights *= g.tables(basis).velocity_envelope[:, None]
     with np.errstate(invalid="ignore", over="ignore"):    # inf data: NaN bounds
-        bounds = np.array([np.abs(f.coeffs) @ weights for f in fields])
+        bounds = np.array([np.abs(row) @ weights for row in coeffs])
         bounds *= float(g.weights.sum()) ** (1.0 / p) * _BOUND_SLACK
     if not bounds[:, -1].max() <= _SKIP_CEILING:      # NaN fails it too
         bounds[:] = np.nan
@@ -298,9 +298,8 @@ def trajectory_terms(traj, p: float, grid: PolarGrid):
     """
     times, alpha = _trajectory_times(traj, p)
     idx = BesovIndex(critical_index(p), p, INF)
-    block = np.array([besov_norm(f, idx, grid).value for f in traj.fields])
-    weighted = np.array([t ** alpha * lp_norm(f, grid, p)
-                         for t, f in zip(times, traj.fields)])
+    block = np.array([besov_norm(f, idx, grid).value for _, f in traj])
+    weighted = np.array([t ** alpha * lp_norm(f, grid, p) for t, f in traj])
     return block, weighted
 
 
@@ -326,18 +325,17 @@ def trajectory_norm(traj, p: float, grid: PolarGrid, terms=None) -> float:
         block, weighted = terms
         return float(np.max(block, initial=0.0) + np.max(weighted, initial=0.0))
     times, alpha = _trajectory_times(traj, p)
-    fields = traj.fields
-    bands = active_bands(fields[0].basis)
-    bounds = _term_bounds(fields, grid, p, bands)
+    bands = active_bands(traj.basis)
+    bounds = _term_bounds(traj.basis, traj.coeffs, grid, p, bands)
     s, nb = critical_index(p), len(bands)
 
     def band_term(i):
         j = bands[i % nb]
-        return 2.0 ** (j * s) * lp_norm(apply_band(fields[i // nb], j), grid, p)
+        return 2.0 ** (j * s) * lp_norm(apply_band(traj.field(i // nb), j), grid, p)
 
     block = _bounded_sup(bounds[:, :-1], band_term)
     weighted = _bounded_sup(bounds[:, -1] * times ** alpha,
-                            lambda i: times[i] ** alpha * lp_norm(fields[i], grid, p))
+                            lambda i: times[i] ** alpha * lp_norm(traj.field(i), grid, p))
     return float(block + weighted)
 
 
@@ -361,6 +359,6 @@ def tail_smallness(u0: SpectralField, p: float, J: int, grid: PolarGrid) -> floa
         return 0.0
     s = critical_index(p)
     bands = [j for j in active_bands(u0.basis) if j >= J]
-    bounds = _term_bounds((u0,), grid, p, bands)
+    bounds = _term_bounds(u0.basis, u0.coeffs[None], grid, p, bands)
     return _bounded_sup(bounds[:, :-1], lambda i: 2.0 ** (bands[i] * s)
                         * lp_norm(apply_band(u0, bands[i]), grid, p))

@@ -33,8 +33,6 @@ def heat_apply(f: SpectralField, t: float) -> SpectralField:
     t = float(t)
     if t < 0.0:
         raise ValueError("heat flow runs forward only (t >= 0)")
-    if t == 0.0:
-        return f.copy()
     return SpectralField(f.basis, f.coeffs * np.exp(-t * f.basis.lam))
 
 
@@ -63,8 +61,7 @@ def kernel_matrix(x, y, t, basis: Basis) -> np.ndarray:
             f"kernel tail unresolved at t={float(np.min(ts))!r}: exp(-t lambda_max) "
             f"exceeds {KERNEL_TAIL_TOL:g} of the leading term; need t >= {t_min!r} "
             "at this truncation")
-    ex, ey = np.broadcast_arrays(mode_values_at(basis, np.asarray(x, dtype=float)),
-                                 mode_values_at(basis, np.asarray(y, dtype=float)))
+    ex, ey = np.broadcast_arrays(mode_values_at(basis, x), mode_values_at(basis, y))
     decay = [np.exp(-tv * basis.lam) for tv in ts.ravel()]
     kern = np.empty((len(decay), ex.shape[0], 2, 2))
     # (e_x e^{-t lambda})^T e_y per point, a block of points at a time: the

@@ -19,6 +19,9 @@ so there is no stiffness restriction from lambda_max; small z switches to
 series to dodge cancellation.  A second-order exponential integrator
 (etd_timestep) provides an independent discretization of the same equation
 for cross-validation; divergence and blow-up are reported, never raised.
+
+A Trajectory is one (len(times), n_modes) coefficient array; the Picard
+updates, the Duhamel sweeps and evaluate_at act on whole arrays.
 """
 
 from __future__ import annotations
@@ -64,14 +67,25 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Finite sample of a solution path: one spectral field per time."""
+    """Finite sample of a solution path: row i of the (len(times), n_modes)
+    array coeffs is the field at times[i]."""
 
+    basis: Basis
     times: np.ndarray
-    fields: tuple
+    coeffs: np.ndarray
     blowup_time: float | None = None
 
+    def __post_init__(self):
+        self.times = np.asarray(self.times, dtype=float)
+        self.coeffs = np.asarray(self.coeffs, dtype=float)
+        if self.coeffs.shape != (len(self.times), self.basis.n_modes):
+            raise ValueError("coefficient array does not match the times and the basis size")
+
+    def field(self, i: int) -> SpectralField:
+        return SpectralField(self.basis, self.coeffs[i])
+
     def __iter__(self):
-        return iter(zip(self.times, self.fields))
+        return ((t, self.field(i)) for i, t in enumerate(self.times))
 
 
 @dataclass(frozen=True)
@@ -84,10 +98,11 @@ class PicardReport:
     diverged: bool
 
 
-def _decay_weights(z: np.ndarray):
-    """Cell weights (a, b) of the exponential moments against a linear
-    interpolant; series below z = 1e-4 where the closed forms cancel."""
-    z = np.asarray(z, dtype=float)
+def _cell_step(acc, left, right, h, lam: np.ndarray) -> np.ndarray:
+    """e^{-lambda h} acc plus the exact moment (a, b of the module docstring)
+    of a forcing linear from left to right over a cell of width h; series
+    below z = 1e-4, where the closed forms cancel."""
+    z = lam * h
     small = z < _SERIES_Z
     zs = np.where(small, 1.0, z)            # keep the closed form finite
     ez = np.exp(-zs)
@@ -98,14 +113,13 @@ def _decay_weights(z: np.ndarray):
     b = np.where(small,
                  z / 2.0 - z * z / 6.0 + z ** 3 / 24.0 - z ** 4 / 120.0,
                  1.0 - g)
-    return a, b
+    return np.exp(-z) * acc + (a * left + b * right) / lam
 
 
 def linear_trajectory(u0: SpectralField, config: SolverConfig) -> Trajectory:
     """Heat flow of the data sampled on the graded mesh."""
     times = config.mesh()
-    fields = tuple(heat_apply(u0, t) for t in times)
-    return Trajectory(times, fields)
+    return Trajectory(u0.basis, times, np.stack([heat_apply(u0, t).coeffs for t in times]))
 
 
 def _duhamel_sweep(forcing_coeffs: np.ndarray, times: np.ndarray,
@@ -119,34 +133,28 @@ def _duhamel_sweep(forcing_coeffs: np.ndarray, times: np.ndarray,
     out = np.zeros_like(forcing_coeffs)
     acc = np.zeros_like(lam)
     for i in range(1, times.size):
-        h = times[i] - times[i - 1]
-        z = lam * h
-        a, b = _decay_weights(z)
-        cell = (a * forcing_coeffs[i - 1] + b * forcing_coeffs[i]) / lam
-        acc = np.exp(-z) * acc + cell
+        acc = _cell_step(acc, forcing_coeffs[i - 1], forcing_coeffs[i],
+                         times[i] - times[i - 1], lam)
         out[i] = acc
     return out
 
 
 def duhamel_apply(forcing: Trajectory, t_index: int, config: SolverConfig) -> SpectralField:
     """Duhamel integral of a forcing trajectory at mesh point t_index."""
-    times = config.mesh()
-    if forcing.times.size < t_index + 1 or not np.array_equal(
-            forcing.times[:t_index + 1], times[:t_index + 1]):
+    times = config.mesh()[:t_index + 1]
+    if times.size <= t_index or not np.array_equal(forcing.times[:t_index + 1], times):
         raise ValueError("forcing is not sampled on the config mesh up to t_index")
-    coeffs = np.stack([f.coeffs for f in forcing.fields[:t_index + 1]])
-    swept = _duhamel_sweep(coeffs, times[:t_index + 1], config.basis.lam)
+    swept = _duhamel_sweep(forcing.coeffs[:t_index + 1], times, config.basis.lam)
     return SpectralField(config.basis, swept[t_index])
 
 
 @dataclass(frozen=True)
 class MildForcing:
-    """The forcing side of a mesh trajectory's mild formula: the mesh times,
-    N(u) at every mesh field and its mesh-point Duhamel integrals.  Built
-    by mild_forcing: once per Picard iterate, and once per trajectory for
-    evaluate_at and residual to share."""
+    """The forcing side of a mesh trajectory's mild formula: N(u) at every
+    mesh field and its mesh-point Duhamel integrals, one row per mesh time.
+    Built by mild_forcing: once per Picard iterate, and once per trajectory
+    for evaluate_at and residual to share."""
 
-    times: np.ndarray
     forcing: np.ndarray
     swept: np.ndarray
 
@@ -158,8 +166,8 @@ def mild_forcing(traj: Trajectory, config: SolverConfig) -> MildForcing:
     if not np.array_equal(traj.times, times):
         raise ValueError("trajectory is not sampled on the config mesh")
     tables = config.grid.tables(config.basis)
-    forcing = np.stack([nonlinear_coeffs(f, tables).coeffs for f in traj.fields])
-    return MildForcing(times, forcing, _duhamel_sweep(forcing, times, config.basis.lam))
+    forcing = np.stack([nonlinear_coeffs(f, tables).coeffs for _, f in traj])
+    return MildForcing(forcing, _duhamel_sweep(forcing, times, config.basis.lam))
 
 
 def picard_solve(u0: SpectralField, config: SolverConfig):
@@ -172,18 +180,16 @@ def picard_solve(u0: SpectralField, config: SolverConfig):
     only guaranteed for small data.
     """
     times = config.mesh()
-    linear = np.stack([heat_apply(u0, t).coeffs for t in times])
-    current = tuple(SpectralField(config.basis, row) for row in linear)
+    linear = current = linear_trajectory(u0, config).coeffs
     diffs, ratios = [], []
     converged = diverged = False
     rising = 0
     iterations = 0
     for iterations in range(1, config.max_picard + 1):
-        swept = mild_forcing(Trajectory(times, current), config).swept
-        updated = tuple(SpectralField(config.basis, linear[i] - swept[i])
-                        for i in range(times.size))
-        delta = Trajectory(times, tuple(a - b for a, b in zip(updated, current)))
-        diff = trajectory_norm(delta, config.p, config.grid)
+        updated = linear - mild_forcing(Trajectory(config.basis, times, current),
+                                        config).swept
+        diff = trajectory_norm(Trajectory(config.basis, times, updated - current),
+                               config.p, config.grid)
         diffs.append(diff)
         if len(diffs) >= 2 and diffs[-2] > 0.0:
             ratio = diffs[-1] / diffs[-2]
@@ -196,7 +202,7 @@ def picard_solve(u0: SpectralField, config: SolverConfig):
         if rising >= 3 or not math.isfinite(diff):
             diverged = True
             break
-    traj = Trajectory(times, current)
+    traj = Trajectory(config.basis, times, current)
     report = PicardReport(differences=tuple(diffs), ratios=tuple(ratios),
                           final_residual=diffs[-1] if diffs else 0.0,
                           iterations=iterations, converged=converged,
@@ -206,7 +212,6 @@ def picard_solve(u0: SpectralField, config: SolverConfig):
 
 def _phi12(z: np.ndarray):
     """phi1(z) = (1 - e^{-z})/z and phi2(z) = (e^{-z} - 1 + z)/z^2."""
-    z = np.asarray(z, dtype=float)
     small = z < _SERIES_Z
     zs = np.where(small, 1.0, z)
     phi1 = np.where(small,
@@ -230,29 +235,26 @@ def etd_timestep(u0: SpectralField, dt: float, steps: int,
     """
     if dt <= 0.0 or steps < 1:
         raise ValueError("need dt > 0 and at least one step")
-    lam = config.basis.lam
     if not math.isfinite(dt * config.basis.lambda_max):
         raise ValueError("dt * lambda_max is not finite")
     tables = config.grid.tables(config.basis)
-    z = lam * dt
+    z = config.basis.lam * dt
     decay = np.exp(-z)
     phi1, phi2 = _phi12(z)
-    times = [0.0]
-    fields = [u0.copy()]
+    rows = [u0.coeffs.copy()]
     blowup = None
-    u = u0.coeffs.copy()
-    for n in range(steps):
+    for _ in range(steps):
+        u = rows[-1]
         f_u = -nonlinear_coeffs(SpectralField(config.basis, u), tables).coeffs
         stage = decay * u + dt * phi1 * f_u
         f_s = -nonlinear_coeffs(SpectralField(config.basis, stage), tables).coeffs
         nxt = stage + dt * phi2 * (f_s - f_u)
         if not np.all(np.isfinite(nxt)):
-            blowup = float(times[-1])
+            blowup = (len(rows) - 1) * dt
             break
-        u = nxt
-        times.append(float((n + 1) * dt))
-        fields.append(SpectralField(config.basis, u.copy()))
-    return Trajectory(np.array(times), tuple(fields), blowup_time=blowup)
+        rows.append(nxt)
+    return Trajectory(config.basis, np.arange(len(rows)) * dt, np.array(rows),
+                      blowup_time=blowup)
 
 
 def evaluate_at(traj: Trajectory, u0: SpectralField, t,
@@ -265,9 +267,9 @@ def evaluate_at(traj: Trajectory, u0: SpectralField, t,
     interpolant (partial-cell exponential moments), so mesh points reproduce
     the stored fields and off-mesh times carry only interpolation error.
 
-    t is a scalar (one SpectralField back) or a 1-D array of times (a tuple
-    of SpectralFields, one per time, all from one forcing evaluation).
-    mild is traj's mild_forcing, built here when not given.
+    t is a scalar (one SpectralField back) or a 1-D array of times (a
+    Trajectory on those times, all from one forcing evaluation).  mild is
+    traj's mild_forcing, built here when not given.
     """
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
@@ -276,23 +278,22 @@ def evaluate_at(traj: Trajectory, u0: SpectralField, t,
         raise ValueError("evaluation time outside the trajectory horizon")
     if mild is None:
         mild = mild_forcing(traj, config)
-    times, forcing, swept = mild.times, mild.forcing, mild.swept
+    times, forcing, swept = traj.times, mild.forcing, mild.swept
     lam = config.basis.lam
-    out = []
-    for tv in ts.ravel():
-        tv = float(tv)
-        j = int(np.searchsorted(times, tv, side="right") - 1)
-        j = min(j, times.size - 2)       # t == T lies in the last cell
-        acc = swept[j]
-        h = tv - times[j]
-        if h > 0.0:
-            cell_w = times[j + 1] - times[j]
-            g_right = forcing[j] + (forcing[j + 1] - forcing[j]) * (h / cell_w)
-            z = lam * h
-            a, b = _decay_weights(z)
-            acc = np.exp(-z) * acc + (a * forcing[j] + b * g_right) / lam
-        out.append(SpectralField(config.basis, heat_apply(u0, tv).coeffs - acc))
-    return out[0] if ts.ndim == 0 else tuple(out)
+    flat = ts.reshape(-1)
+    # the cell of each time; t == T lies in the last cell
+    j = np.minimum(np.searchsorted(times, flat, side="right") - 1, times.size - 2)
+    acc = swept[j]
+    part = np.flatnonzero(flat > times[j])        # off-mesh times: partial cells
+    jp = j[part]
+    h = (flat[part] - times[jp])[:, None]
+    cell_w = (times[jp + 1] - times[jp])[:, None]
+    g_right = forcing[jp] + (forcing[jp + 1] - forcing[jp]) * (h / cell_w)
+    acc[part] = _cell_step(acc[part], forcing[jp], g_right, h, lam)
+    values = u0.coeffs * np.exp(-flat[:, None] * lam) - acc
+    if ts.ndim == 0:
+        return SpectralField(config.basis, values[0])
+    return Trajectory(config.basis, ts, values)
 
 
 def residual(traj: Trajectory, u0: SpectralField, config: SolverConfig,
@@ -305,10 +306,8 @@ def residual(traj: Trajectory, u0: SpectralField, config: SolverConfig,
     mild (traj's mild_forcing) and scale (its trajectory_norm) are computed
     here when not given.
     """
-    if mild is None:
-        mild = mild_forcing(traj, config)
-    values = evaluate_at(traj, u0, mild.times, config, mild)
-    worst = max((value - f).l2() for value, f in zip(values, traj.fields))
+    defect = evaluate_at(traj, u0, traj.times, config, mild).coeffs - traj.coeffs
+    worst = max(float(np.linalg.norm(row)) for row in defect)
     if scale is None:
         scale = trajectory_norm(traj, config.p, config.grid)
     return worst / scale if scale > 0.0 else worst

@@ -175,22 +175,6 @@ def bessel_j_table(q_max: int, x, orders=None) -> np.ndarray:
     return out.reshape((-1,) + shape)
 
 
-def bessel_j(n: int, x) -> float:
-    """Bessel function J_n(x) for integer n >= 0 and real x >= 0."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError("order n must be a non-negative integer")
-    val = bessel_j_table(int(n), x, orders=(n,))[0]
-    return float(val[0]) if np.ndim(x) == 0 else val
-
-
-def bessel_j_prime(n: int, x) -> float:
-    """Derivative J_n'(x) via J_n' = (J_{n-1} - J_{n+1}) / 2, J_0' = -J_1."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError("order n must be a non-negative integer")
-    val = _jn_with_prime(int(n), x)[1]
-    return float(val[0]) if np.ndim(x) == 0 else val
-
-
 def _mcmahon_guess(n, k) -> np.ndarray:
     """Asymptotic initializer for the k-th positive zero of J_n."""
     k = np.asarray(k, dtype=float)

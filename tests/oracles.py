@@ -80,6 +80,35 @@ def mp_angular_table(orders: int, count: int) -> np.ndarray:
                           for fn in (mpmath.cos, mpmath.sin)] for m in range(orders)])
 
 
+def hand_signed_mode_values(basis, rows: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """Velocity of every mode at points of angle th, shape (P, n_modes, 2),
+    by the closed forms u_x + i u_y = i j J_{n+1} e^{i(n+1)th} and
+    u_x - i u_y = i j J_{n-1} e^{i(n-1)th} of the cosine mode, written out
+    per order with the sign of sin((n-1) th) folded by hand at n = 0.
+
+    rows[n] = (J_{n-1}(j_{n,k} r_p), J_{n+1}(j_{n,k} r_p)), each (k_max, P),
+    with J_{-1} = -J_1; basis supplies n_max, group_index, zero and
+    velocity_norm.  An independent sign convention for the package's
+    term-table evaluator, operation for operation the same arithmetic.
+    """
+    out = np.zeros((th.size, basis.n_modes, 2))
+    for n in range(basis.n_max + 1):
+        jm, jp = rows[n]
+        sm = 1.0 if n >= 1 else -1.0       # sign of sin((n-1) th) folded to |n-1|
+        am = abs(n - 1)
+        cp_, sp_ = np.cos((n + 1) * th), np.sin((n + 1) * th)
+        cm_, sm_ = np.cos(am * th), sm * np.sin(am * th)
+        idx = basis.group_index[(n, 0)]
+        scale = (basis.zero[idx] / (2.0 * basis.velocity_norm[idx]))[:, None]
+        out[:, idx, 0] = (-(jp * sp_ + jm * sm_) * scale).T
+        out[:, idx, 1] = ((jp * cp_ - jm * cm_) * scale).T
+        if n >= 1:
+            idx = basis.group_index[(n, 1)]
+            out[:, idx, 0] = ((jp * cp_ + jm * cm_) * scale).T
+            out[:, idx, 1] = ((jp * sp_ - jm * sm_) * scale).T
+    return out
+
+
 def quad_beta(a: float, b: float) -> float:
     """Beta(a, b) by adaptive quadrature of t^(a-1) (1-t)^(b-1) on (0, 1).
 

@@ -170,7 +170,7 @@ def test_criterion_09_small_data_solver(ctx):
     assert residual(traj, u0, cfg) <= 10.0 * cfg.picard_tol
 
     mild = evaluate_at(traj, u0, 0.1, cfg)
-    etd = etd_timestep(u0, 0.1 / 512, 512, cfg).fields[-1]
+    etd = etd_timestep(u0, 0.1 / 512, 512, cfg).field(-1)
     assert (mild - etd).l2() / etd.l2() <= 1e-6
 
     # contraction-rate scaling needs interacting modes; one mode is steady

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from stokesbesov import (GridVectorField, SpectralField, analyze, apply_stokes,
                          bessel_zero, boundary_traces, build_basis, build_grid,
-                         curl_values, field_values_at, load_basis, save_basis,
+                         curl_values, load_basis, save_basis,
                          specfun, synthesize, zero_field)
 from stokesbesov.basis import (COS, SIN, field_gradient_values, mode_values_at,
                                radial_rows)
@@ -17,6 +17,11 @@ from stokesbesov.specfun import bessel_j_table
 J01 = 2.404825557695773
 J11 = 3.831705970207512
 LAMBDA_MIN = 5.783185962946785
+
+
+def _values_at(f, points):
+    """Velocity of a spectral field at points, shape (P, 2)."""
+    return np.einsum("pmc,m->pc", mode_values_at(f.basis, points), f.coeffs)
 
 
 def test_minimal_basis_modes():
@@ -190,10 +195,10 @@ def test_gradient_matches_finite_differences(basis_88):
             continue
         for comp in (0, 1):
             def fx(x):
-                return field_values_at(f, np.array([[x, y0]]))[0, comp]
+                return _values_at(f, np.array([[x, y0]]))[0, comp]
 
             def fy(y):
-                return field_values_at(f, np.array([[x0, y]]))[0, comp]
+                return _values_at(f, np.array([[x0, y]]))[0, comp]
 
             assert oracles.central_diff(fx, x0) == pytest.approx(
                 g[ri, ai, comp, 0], rel=2e-7, abs=1e-8)
@@ -212,10 +217,10 @@ def test_curl_sign_and_magnitude(basis_88):
         x0, y0 = grid.x[ri, ai], grid.y[ri, ai]
 
         def uy_of_x(x):
-            return field_values_at(f, np.array([[x, y0]]))[0, 1]
+            return _values_at(f, np.array([[x, y0]]))[0, 1]
 
         def ux_of_y(y):
-            return field_values_at(f, np.array([[x0, y]]))[0, 0]
+            return _values_at(f, np.array([[x0, y]]))[0, 0]
 
         fd = oracles.central_diff(uy_of_x, x0) - oracles.central_diff(ux_of_y, y0)
         assert fd == pytest.approx(w[ri, ai], rel=2e-7, abs=1e-8)
@@ -244,10 +249,29 @@ def test_field_values_match_synthesize(basis_88, grid_small):
     v = synthesize(f, grid_small)
     picks = ((3, 7), (30, 101), (60, 64))
     pts = np.array([[grid_small.x[r, a], grid_small.y[r, a]] for r, a in picks])
-    vals = field_values_at(f, pts)
+    vals = _values_at(f, pts)
     for row, (r, a) in enumerate(picks):
         assert vals[row, 0] == pytest.approx(v.ux[r, a], rel=1e-11, abs=1e-12)
         assert vals[row, 1] == pytest.approx(v.uy[r, a], rel=1e-11, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 8, 16])
+def test_mode_values_match_the_hand_signed_formula(n_max):
+    """The term-table point evaluator equals the hand-signed closed forms
+    bit for bit: at random points, the origin, on the boundary circle and
+    on the negative x axis (theta = pi)."""
+    basis = build_basis(n_max, 4)
+    rng = np.random.default_rng(12)
+    r, th = np.sqrt(rng.uniform(0.0, 1.0, 50)), rng.uniform(-np.pi, np.pi, 50)
+    edge = np.linspace(-np.pi, np.pi, 16, endpoint=False)
+    r = np.concatenate([r, [0.0], np.ones(16), [0.5, 1.0]])
+    th = np.concatenate([th, [0.0], edge, [np.pi, np.pi]])
+    pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
+    want = oracles.hand_signed_mode_values(
+        basis, radial_rows(basis.zeros_rows, np.hypot(pts[:, 0], pts[:, 1]), (-1, 1)),
+        np.arctan2(pts[:, 1], pts[:, 0]))
+    assert np.pi in np.arctan2(pts[:, 1], pts[:, 0])
+    assert np.array_equal(mode_values_at(basis, pts), want)
 
 
 def test_mode_values_outside_disk_rejected(basis_88):
@@ -324,7 +348,7 @@ def test_curl_and_gradient_of_low_order_field(basis_88):
         x0, y0 = grid.x[ri, ai], grid.y[ri, ai]
 
         def at(x, y, comp):
-            return field_values_at(f, np.array([[x, y]]))[0, comp]
+            return _values_at(f, np.array([[x, y]]))[0, comp]
 
         dx = [oracles.central_diff(lambda x: at(x, y0, comp), x0) for comp in (0, 1)]
         dy = [oracles.central_diff(lambda y: at(x0, y, comp), y0) for comp in (0, 1)]

@@ -10,7 +10,7 @@ import stokesbesov.harness
 import stokesbesov.solver
 from stokesbesov import specfun
 from stokesbesov import (ConfigError, ResolutionError,
-                         SolverConfig, SpectralField, besov_norm, BesovIndex,
+                         SolverConfig, besov_norm, BesovIndex,
                          critical_index, picard_solve, save_basis, synthesize,
                          zero_field)
 from stokesbesov.basis import COS, SIN
@@ -245,9 +245,9 @@ def test_trajectory_rows_one_convection_per_mesh_point(basis_88, grid_small,
 def test_trajectory_rows_flag_perturbed_row(basis_88, grid_small):
     traj, u0, cfg = _small_solve(basis_88, grid_small)
     assert [r[-1] for r in trajectory_rows(traj, u0, cfg)] == [1] * 13
-    bent = list(traj.fields)
-    bent[8] = SpectralField(basis_88, 1.01 * bent[8].coeffs)
-    bad = Trajectory(traj.times, tuple(bent))
+    bent = traj.coeffs.copy()
+    bent[8] *= 1.01
+    bad = Trajectory(basis_88, traj.times, bent)
     flags = [r[-1] for r in trajectory_rows(bad, u0, cfg)]
     assert flags[8] == 0
     assert flags[:8] == [1] * 8

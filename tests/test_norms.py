@@ -144,8 +144,7 @@ def test_trajectory_norm_single_snapshot(basis_88, grid_small):
     f = zero_field(basis_88)
     f.coeffs[0] = 1.0
     t0 = 0.3
-    traj = type("T", (), {"times": np.array([t0]), "fields": (f,),
-                          "grid": grid_small})()
+    traj = Trajectory(basis_88, np.array([t0]), f.coeffs[None])
     idx = BesovIndex(critical_index(4.0), 4.0, INF)
     expect = (besov_norm(f, idx, grid_small).value
               + t0 ** 0.25 * lp_norm(f, grid_small, 4.0))
@@ -174,9 +173,7 @@ def test_trajectory_norm_validates_input(basis_88, grid_small):
     traj = linear_trajectory(zero_field(basis_88), cfg)
     with pytest.raises(ValueError):
         trajectory_norm(traj, 2.0, grid=grid_small)      # needs p > d
-    bad = type("T", (), {"times": np.array([0.2, 0.1]),
-                         "fields": (zero_field(basis_88),) * 2,
-                         "grid": grid_small})()
+    bad = Trajectory(basis_88, np.array([0.2, 0.1]), np.zeros((2, basis_88.n_modes)))
     with pytest.raises(ValueError):
         trajectory_norm(bad, 4.0, grid=grid_small)
 
@@ -384,6 +381,17 @@ def test_lp_norm_scales_by_powers_of_two(basis_88, grid_small, p):
     assert lp_norm(tiny, grid_small, p) == pytest.approx(base * 2.0 ** -300, rel=1e-13)
 
 
+def test_lp_norm_rescales_an_overflow_without_a_warning(basis_88):
+    # the first power sum of 2^300 f at p = 6 overflows; the rescaled one
+    # gives the value, and the overflow leaves no RuntimeWarning behind
+    grid = build_grid(64, 128)
+    f = SpectralField(basis_88, np.random.default_rng(65).standard_normal(basis_88.n_modes))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = lp_norm(2.0 ** 300 * f, grid, 6)
+    assert scaled == pytest.approx(2.0 ** 300 * lp_norm(f, grid, 6), rel=1e-13)
+
+
 def test_lp_norm_keeps_ordinary_sums_bit_for_bit(basis_88, grid_small):
     # inside [2^-900, 2^900] the power sum is used as computed
     f = SpectralField(basis_88, np.random.default_rng(61).standard_normal(basis_88.n_modes))
@@ -416,9 +424,9 @@ def test_term_bounds_hold(trunc, shape, p):
     basis, grid = build_basis(*trunc), build_grid(*shape)
     bands = active_bands(basis)
     s = critical_index(p)
-    fields = [SpectralField(basis, c) for c in _bound_fields(basis)]
-    bounds = _term_bounds(fields, grid, p, bands)
-    for row, f in zip(bounds, fields):
+    coeffs = _bound_fields(basis)
+    bounds = _term_bounds(basis, coeffs, grid, p, bands)
+    for row, f in zip(bounds, (SpectralField(basis, c) for c in coeffs)):
         values = [2.0 ** (j * s) * lp_norm(apply_band(f, j), grid, p) for j in bands]
         values.append(lp_norm(f, grid, p))
         assert (np.array(values) <= row).all()
@@ -436,8 +444,7 @@ def _trajectories(basis, grid):
     solved, _ = picard_solve(u0, cfg)
     times = cfg.mesh()
     scales = rng.uniform(0.1, 3.0, size=(times.size, 1))
-    rand = Trajectory(times, tuple(SpectralField(basis, row) for row in
-                                   rng.standard_normal((times.size, basis.n_modes)) * scales))
+    rand = Trajectory(basis, times, rng.standard_normal((times.size, basis.n_modes)) * scales)
     return {"heat": linear_trajectory(u0, cfg), "picard": solved, "random": rand}
 
 
@@ -450,9 +457,8 @@ def test_trajectory_norm_is_the_exhaustive_sup(basis_88, grid_small, p):
 @pytest.mark.parametrize("value", [np.inf, 1e200])
 def test_trajectory_norm_of_overflowing_fields_matches_the_terms(basis_88, grid_small, value):
     cfg = SolverConfig(basis=basis_88, grid=grid_small, p=4.0, T=0.5, mesh_count=4)
-    fields = list(linear_trajectory(SpectralField(basis_88, np.ones(basis_88.n_modes)), cfg).fields)
-    fields[2] = SpectralField(basis_88, np.full(basis_88.n_modes, value))
-    traj = Trajectory(cfg.mesh(), tuple(fields))
+    traj = linear_trajectory(SpectralField(basis_88, np.ones(basis_88.n_modes)), cfg)
+    traj.coeffs[2] = value
     block, weighted = trajectory_terms(traj, 4.0, grid_small)
     want = float(np.max(block, initial=0.0) + np.max(weighted, initial=0.0))
     assert not math.isfinite(want)

@@ -104,12 +104,9 @@ def test_duhamel_constant_forcing(basis_88, grid_small):
     cfg = _cfg(basis_88, grid_small, mesh=12, T=0.8)
     times = cfg.mesh()
     c = 0.7
-    fields = []
-    for _ in times:
-        f = zero_field(basis_88)
-        f.coeffs[0] = c
-        fields.append(f)
-    forcing = Trajectory(times, tuple(fields))
+    coeffs = np.zeros((times.size, basis_88.n_modes))
+    coeffs[:, 0] = c
+    forcing = Trajectory(basis_88, times, coeffs)
     for idx in (1, 5, 12):
         t = times[idx]
         got = duhamel_apply(forcing, idx, cfg).coeffs[0]
@@ -123,12 +120,9 @@ def test_duhamel_linear_forcing(basis_88, grid_small):
     # g(s) = s is reproduced exactly by the piecewise-linear moments
     cfg = _cfg(basis_88, grid_small, mesh=12, T=0.8)
     times = cfg.mesh()
-    fields = []
-    for t in times:
-        f = zero_field(basis_88)
-        f.coeffs[0] = t
-        fields.append(f)
-    forcing = Trajectory(times, tuple(fields))
+    coeffs = np.zeros((times.size, basis_88.n_modes))
+    coeffs[:, 0] = times
+    forcing = Trajectory(basis_88, times, coeffs)
     t = times[9]
     got = duhamel_apply(forcing, 9, cfg).coeffs[0]
     lam = LAMBDA_MIN
@@ -143,13 +137,15 @@ def test_duhamel_rejects_foreign_mesh(basis_88, grid_small):
     traj = linear_trajectory(zero_field(basis_88), other)
     with pytest.raises(ValueError):
         duhamel_apply(traj, 5, cfg)
+    with pytest.raises(ValueError):         # past the end of the mesh
+        duhamel_apply(linear_trajectory(zero_field(basis_88), cfg), 13, cfg)
 
 
 def test_picard_zero_data(basis_88, grid_small):
     traj, report = picard_solve(zero_field(basis_88), _cfg(basis_88, grid_small))
     assert report.converged
     assert report.iterations == 1
-    assert not any(f.coeffs.any() for f in traj.fields)
+    assert not traj.coeffs.any()
 
 
 def test_picard_single_mode_immediate(basis_88, grid_small):
@@ -187,10 +183,8 @@ def test_trajectory_norm_of_a_nan_field_is_nan(basis_88, grid_small):
     # a NaN update norm must not read as 0.0, or Picard would call it converged
     cfg = _cfg(basis_88, grid_small, mesh=4)
     traj = linear_trajectory(_two_mode(basis_88, 1e-3), cfg)
-    fields = list(traj.fields)
-    fields[2] = SpectralField(basis_88, np.full(basis_88.n_modes, np.nan))
-    assert math.isnan(trajectory_norm(Trajectory(traj.times, tuple(fields)), cfg.p,
-                                      grid_small))
+    traj.coeffs[2] = np.nan
+    assert math.isnan(trajectory_norm(traj, cfg.p, grid_small))
 
 
 @pytest.mark.parametrize("amplitude", [1e100, 1e200])
@@ -320,7 +314,7 @@ def test_etd_matches_picard(basis_88, grid_small):
     traj, report = picard_solve(u0, cfg)
     assert report.converged
     via_picard = evaluate_at(traj, u0, 0.1, cfg)
-    via_etd = etd_timestep(u0, 0.1 / 256, 256, cfg).fields[-1]
+    via_etd = etd_timestep(u0, 0.1 / 256, 256, cfg).field(-1)
     num = np.linalg.norm(via_picard.coeffs - via_etd.coeffs)
     den = np.linalg.norm(via_etd.coeffs)
     assert num / den < 1e-6
@@ -336,7 +330,7 @@ def test_evaluate_at_nodes_and_origin(basis_88, grid_small):
     times = cfg.mesh()
     for i in (1, 12, 24):
         got = evaluate_at(traj, u0, times[i], cfg)
-        assert np.max(np.abs(got.coeffs - traj.fields[i].coeffs)) < 1e-8
+        assert np.max(np.abs(got.coeffs - traj.coeffs[i])) < 1e-8
 
 
 def test_evaluate_at_array_matches_scalar(basis_88, grid_small):
@@ -348,8 +342,8 @@ def test_evaluate_at_array_matches_scalar(basis_88, grid_small):
     off = 0.5 * (mesh[:-1] + mesh[1:])
     ts = np.concatenate([mesh, off, [0.3, cfg.T]])
     many = evaluate_at(traj, u0, ts, cfg)
-    assert isinstance(many, tuple) and len(many) == ts.size
-    for t, got in zip(ts, many):
+    assert isinstance(many, Trajectory) and np.array_equal(many.times, ts)
+    for t, got in many:
         assert np.array_equal(got.coeffs, evaluate_at(traj, u0, t, cfg).coeffs)
     with pytest.raises(ValueError):
         evaluate_at(traj, u0, np.array([0.1, cfg.T + 0.1]), cfg)
@@ -386,12 +380,20 @@ def test_residual_converged_and_perturbed(basis_88, grid_small):
     base = residual(traj, u0, cfg)
     assert base <= 10.0 * cfg.picard_tol
 
-    bent = list(traj.fields)
-    bent[8] = SpectralField(basis_88, 1.01 * bent[8].coeffs)
-    bad = Trajectory(traj.times, tuple(bent))
-    worse = residual(bad, u0, cfg)
+    bent = traj.coeffs.copy()
+    bent[8] *= 1.01
+    worse = residual(Trajectory(basis_88, traj.times, bent), u0, cfg)
     assert worse > 100.0 * max(base, 1e-12)
     assert worse > 1e-6
+
+
+def test_trajectory_rejects_mismatched_coefficients(basis_88, basis_11):
+    times = np.array([0.0, 0.1, 0.2])
+    Trajectory(basis_88, times, np.zeros((3, basis_88.n_modes)))
+    for coeffs in (np.zeros((2, basis_88.n_modes)), np.zeros((3, basis_11.n_modes)),
+                   np.zeros(basis_88.n_modes)):
+        with pytest.raises(ValueError, match="does not match"):
+            Trajectory(basis_88, times, coeffs)
 
 
 def test_residual_rejects_foreign_mesh(basis_88, grid_small):

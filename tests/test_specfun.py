@@ -12,32 +12,32 @@ import numpy as np
 import pytest
 
 import oracles
-from stokesbesov import (NumericalError, bessel_j, bessel_j_prime, bessel_zero,
-                         bessel_zeros_row, beta_function, gauss_legendre, specfun)
-from stokesbesov.specfun import bessel_j_table
+from stokesbesov import (NumericalError, bessel_zero, bessel_zeros_row, beta_function,
+                         gauss_legendre, specfun)
+from stokesbesov.specfun import _jn_with_prime, bessel_j_table
 
 J01 = 2.404825557695773
 J11 = 3.831705970207512
 
 
 def test_jn_at_zero_argument():
-    assert bessel_j(0, 0.0) == 1.0
-    assert bessel_j(1, 0.0) == 0.0
-    assert bessel_j(7, 0.0) == 0.0
+    assert bessel_j_table(0, 0.0, orders=(0,))[0, 0] == 1.0
+    assert bessel_j_table(1, 0.0, orders=(1,))[0, 0] == 0.0
+    assert bessel_j_table(7, 0.0, orders=(7,))[0, 0] == 0.0
 
 
 def test_j0_vanishes_at_first_zero():
     # oracle: bisection on the truncated power series of J_0
     root = oracles.bisect_bessel_zero(0, 2.0, 3.0)
     assert abs(root - J01) < 1e-12
-    assert abs(bessel_j(0, J01)) < 1e-12
+    assert abs(bessel_j_table(0, J01, orders=(0,))[0, 0]) < 1e-12
 
 
 def test_jn_prime_values():
-    assert bessel_j_prime(0, 0.0) == 0.0
-    assert bessel_j_prime(1, 0.0) == 0.5
+    assert _jn_with_prime(0, 0.0)[1][0] == 0.0
+    assert _jn_with_prime(1, 0.0)[1][0] == 0.5
     # J_0' = -J_1, with J_1 evaluated by the independent series
-    assert abs(bessel_j_prime(0, J01) + oracles.series_jn(1, J01)) < 1e-13
+    assert abs(_jn_with_prime(0, J01)[1][0] + oracles.series_jn(1, J01)) < 1e-13
 
 
 def test_first_zeros_frozen_values():
@@ -117,7 +117,7 @@ def test_bessel_j_random_args_vs_scipy():
     x = np.exp(rng.uniform(math.log(1e-2), math.log(300.0), size=60))
     for n in (0, 1, 2, 8, 33, 64):
         ref = oracles.scipy_jv(n, x)
-        got = bessel_j(n, x)
+        got = bessel_j_table(n, x, orders=(n,))[0]
         assert np.max(np.abs(got - ref)) < 1e-12
 
 
@@ -126,7 +126,8 @@ def test_bessel_series_miller_crossover():
     # to the documented 1e-12 absolute budget (series cancellation dominates)
     for x in (11.5, 12.0, 12.5, 13.0):
         for n in (0, 4, 10):
-            assert abs(bessel_j(n, x) - oracles.mp_bessel_j(n, x)) < 1e-12
+            got = bessel_j_table(n, x, orders=(n,))[0, 0]
+            assert abs(got - oracles.mp_bessel_j(n, x)) < 1e-12
 
 
 # x = 12.01 next to x = 400 starts the recurrence far above the small

@@ -5,12 +5,16 @@ name, and the package exports __all__; deleting or renaming a member must
 fail here, in the default suite, not only in the benchmark's own tests.
 The config key table must stay in step with the config dataclasses: a
 field with no key is a knob nobody can set, a key with no field an error
-at load time.
+at load time.  Every exported function must have a caller inside the
+package, or a reason on record why not: an export that only the tests
+call is a duplicate of the code path the program really runs.
 """
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -18,6 +22,15 @@ import stokesbesov
 from stokesbesov.harness import _CONFIG_KEYS, CHECKS, DRIFT_CHECKS, DataSpec, RunConfig
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PACKAGE = Path(stokesbesov.__file__).resolve().parent
+
+# exported functions with no caller in the package, and why they stay
+UNCALLED_EXPORTS = {
+    "duhamel_apply": "the benchmark's contract: perfbench/tracer.py traces it and "
+                     "perfbench/tests call it",
+    "tail_smallness": "the paper's local-solvability smallness diagnostic",
+    "zero_field": "a constructor",
+}
 
 
 def _tracer():
@@ -64,3 +77,22 @@ def test_every_config_field_has_one_key():
             | {(True, name) for name in _fields(DataSpec)})
     assert {k: n for k, n in reached.items() if n != 1} == {}
     assert set(reached) == want
+
+
+def _called_names():
+    """Names of everything called in the package source, as f(...) or x.f(...)."""
+    called = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return called
+
+
+def test_every_exported_function_has_a_caller_in_the_package():
+    exported = {name for name in stokesbesov.__all__
+                if inspect.isfunction(getattr(stokesbesov, name))}
+    assert set(UNCALLED_EXPORTS) <= exported
+    assert sorted(exported - _called_names() - set(UNCALLED_EXPORTS)) == []
+    assert sorted(set(UNCALLED_EXPORTS) & _called_names()) == []
