@@ -71,12 +71,10 @@ from .nonlinear import (
     nonlinear_coeffs,
 )
 from .solver import (
-    MildForcing,
     SolverConfig,
     Trajectory,
     etd_timestep,
     evaluate_at,
-    mild_forcing,
     picard_solve,
     residual,
 )
@@ -1129,21 +1127,23 @@ def write_manifest(out_dir: Path, config: RunConfig, artifacts,
 # experiment drivers
 
 def trajectory_rows(traj: Trajectory, u0: SpectralField,
-                    config: SolverConfig, mild: MildForcing | None = None,
+                    config: SolverConfig, evaluated: Trajectory | None = None,
                     terms=None) -> list:
     """Per-mesh-point diagnostics for the trajectory CSV.
 
     residual_flag is 1 when the mesh point's integral-equation defect is
-    within 10x the Picard tolerance, else 0.  mild is traj's mild_forcing
-    and terms its trajectory_terms, each built here when not given.
+    within 10x the Picard tolerance, else 0.  evaluated is
+    evaluate_at(traj, u0, traj.times, config) and terms traj's
+    trajectory_terms, each built here when not given.
     """
     from .basis import curl_values
     rows = []
     grid = config.grid
-    mild_values = evaluate_at(traj, u0, traj.times, config, mild).coeffs
+    if evaluated is None:
+        evaluated = evaluate_at(traj, u0, traj.times, config)
     if terms is None:
         terms = trajectory_terms(traj, config.p, grid)
-    for (t, f), value, block, weighted in zip(traj, mild_values, *terms):
+    for (t, f), value, block, weighted in zip(traj, evaluated.coeffs, *terms):
         defect = float(np.linalg.norm(value - f.coeffs))
         # |curl u|^2 has angular degree <= 2 n, n the top live order
         sub = grid.exact_subgrid(2 * f.top_order())
@@ -1206,16 +1206,16 @@ def run_experiment(config: RunConfig) -> int:
         solver_cfg = _solver_config(config, basis, grid)
         u0 = generate_data(config.data, basis, grid)
         traj, report = picard_solve(u0, solver_cfg)
-        mild = mild_forcing(traj, solver_cfg)
+        evaluated = evaluate_at(traj, u0, traj.times, solver_cfg)
         terms = trajectory_terms(traj, solver_cfg.p, grid)
         write_csv(out / "trajectory.csv",
                   ["t", "l2_norm", "lp_norm_weighted", "besov_crit_norm",
                    "energy", "curl_l2", "residual_flag"],
-                  trajectory_rows(traj, u0, solver_cfg, mild, terms))
+                  trajectory_rows(traj, u0, solver_cfg, evaluated, terms))
         artifacts.append("trajectory.csv")
         norm = trajectory_norm(traj, solver_cfg.p, grid, terms=terms)
         summary = {"picard": dataclasses.asdict(report),
-                   "residual": residual(traj, u0, solver_cfg, mild, norm),
+                   "residual": residual(traj, u0, solver_cfg, evaluated, norm),
                    "trajectory_norm": norm}
         code = 0 if report.converged and not report.diverged else 3
 

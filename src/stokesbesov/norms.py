@@ -312,11 +312,11 @@ def trajectory_norm(traj, p: float, grid: PolarGrid, terms=None) -> float:
     vanishes there and the block-norm sup legitimately includes the datum.
     terms is trajectory_terms(traj, p, grid) when the caller already has it.
 
-    Without terms, only the terms that can reach a sup are evaluated.  One
-    (T, modes) @ (modes, bands + 1) product bounds every term through the
-    modes' velocity envelopes E_m, W^{1/p} sum_m |c_m| |phi_j(m)| 2^{js} E_m
-    for a band term, with a slack of 1 + 1e-9 against synthesis rounding of
-    about 1e-13 (module docstring).  Each sup runs in descending bound order
+    Without terms, only the terms that can reach a sup are evaluated.  Row
+    by row, one (modes,) @ (modes, bands + 1) product bounds the row's terms
+    through the modes' velocity envelopes E_m, W^{1/p} sum_m |c_m|
+    |phi_j(m)| 2^{js} E_m for a band term, with a slack of 1 + 1e-9 against
+    synthesis rounding of about 1e-13 (module docstring).  Each sup runs in descending bound order
     and stops once the next bound is <= the largest value found, which no
     skipped term can exceed: the result is the exhaustive one bit for bit.
     trajectory_terms stays exhaustive; its values are trajectory.csv columns.

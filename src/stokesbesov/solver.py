@@ -152,8 +152,8 @@ def duhamel_apply(forcing: Trajectory, t_index: int, config: SolverConfig) -> Sp
 class MildForcing:
     """The forcing side of a mesh trajectory's mild formula: N(u) at every
     mesh field and its mesh-point Duhamel integrals, one row per mesh time.
-    Built by mild_forcing: once per Picard iterate, and once per trajectory
-    for evaluate_at and residual to share."""
+    Built by mild_forcing: once per Picard iterate, and once per
+    evaluate_at call."""
 
     forcing: np.ndarray
     swept: np.ndarray
@@ -257,8 +257,7 @@ def etd_timestep(u0: SpectralField, dt: float, steps: int,
                       blowup_time=blowup)
 
 
-def evaluate_at(traj: Trajectory, u0: SpectralField, t,
-                config: SolverConfig, mild: MildForcing | None = None):
+def evaluate_at(traj: Trajectory, u0: SpectralField, t, config: SolverConfig):
     """Mild evaluation of a mesh trajectory at an arbitrary time in [0, T]:
 
         u(t) = e^{-tA} u0 - integral_0^t e^{-(t-s)A} N(u)(s) ds
@@ -268,16 +267,14 @@ def evaluate_at(traj: Trajectory, u0: SpectralField, t,
     the stored fields and off-mesh times carry only interpolation error.
 
     t is a scalar (one SpectralField back) or a 1-D array of times (a
-    Trajectory on those times, all from one forcing evaluation).  mild is
-    traj's mild_forcing, built here when not given.
+    Trajectory on those times, all from one forcing evaluation).
     """
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
         raise ValueError("evaluation times must be a scalar or a 1-D array")
     if not np.all((ts >= 0.0) & (ts <= config.T)):
         raise ValueError("evaluation time outside the trajectory horizon")
-    if mild is None:
-        mild = mild_forcing(traj, config)
+    mild = mild_forcing(traj, config)
     times, forcing, swept = traj.times, mild.forcing, mild.swept
     lam = config.basis.lam
     flat = ts.reshape(-1)
@@ -290,23 +287,28 @@ def evaluate_at(traj: Trajectory, u0: SpectralField, t,
     cell_w = (times[jp + 1] - times[jp])[:, None]
     g_right = forcing[jp] + (forcing[jp + 1] - forcing[jp]) * (h / cell_w)
     acc[part] = _cell_step(acc[part], forcing[jp], g_right, h, lam)
-    values = u0.coeffs * np.exp(-flat[:, None] * lam) - acc
+    values = -flat[:, None] * lam
+    np.exp(values, out=values)
+    values *= u0.coeffs
+    values -= acc
     if ts.ndim == 0:
         return SpectralField(config.basis, values[0])
     return Trajectory(config.basis, ts, values)
 
 
 def residual(traj: Trajectory, u0: SpectralField, config: SolverConfig,
-             mild: MildForcing | None = None, scale: float | None = None) -> float:
+             evaluated: Trajectory | None = None, scale: float | None = None) -> float:
     """Defect of the integral equation over the mesh, relative to the
     trajectory's own solution-space norm: the largest L^2 distance between
     a mesh field and evaluate_at at its time (the defect trajectory_rows
     flags point by point).
 
-    mild (traj's mild_forcing) and scale (its trajectory_norm) are computed
-    here when not given.
+    evaluated (evaluate_at(traj, u0, traj.times, config)) and scale (traj's
+    trajectory_norm) are computed here when not given.
     """
-    defect = evaluate_at(traj, u0, traj.times, config, mild).coeffs - traj.coeffs
+    if evaluated is None:
+        evaluated = evaluate_at(traj, u0, traj.times, config)
+    defect = evaluated.coeffs - traj.coeffs
     worst = max(float(np.linalg.norm(row)) for row in defect)
     if scale is None:
         scale = trajectory_norm(traj, config.p, config.grid)

@@ -5,17 +5,24 @@ Everything is float64.  Accuracy targets, verified in the test suite against
 high-precision references: 1e-12 absolute for J_n over n <= 256, x <= 1e4;
 1e-11 absolute for zeros; 1e-12 relative for Beta on positive arguments.
 
-J_n is evaluated, scalar or array alike, by one table routine: the
-ascending power series for x <= 12, where its cancellation stays within the
-1e-12 budget for every order, and a downward Miller recurrence normalized
-with the Neumann identity J_0 + 2*sum_k J_{2k} = 1 above that.
+J_n is evaluated, scalar or array alike, by one table routine that routes
+each x > 0 by (q_max, x) alone.  At and above the switch x = max(16, q_max)
+every requested order is at most x, where the upward recurrence J_{q+1} =
+(2q/x) J_q - J_{q-1} is stable (Gautschi, SIAM Review 9, 1967); it starts
+from J_0 and J_1 by the Hankel expansion (DLMF 10.17.3) summed through a_37;
+its first omitted term is largest at x = 16, 3e-15 of the envelope
+sqrt(2/(pi x)) or 6e-16 absolute, and shrinks like x^-38 above.  Below
+the switch a downward Miller recurrence runs from s + floor(15 s^(1/3)) +
+22 rounded up to even, s the switch, and is normalized with the Neumann
+identity J_0 + 2*sum_k J_{2k} = 1.  Against 50-digit mpmath over
+q_max <= 256 and 1e-8 <= x <= 1e4 both regimes read within about 1.2e-15
+absolute; below x = 1e-12, J_0 = 1 and J_q = 0 are taken as exact.
 
 bessel_j_table(q_max, x, orders=...) computes only the rows a caller reads,
-or only a few orders per x, each entry bit for bit that of the full table up
-to q_max: the bits do not depend on which orders are requested.  The Miller
-start is unchanged by orders, ceil(max(q_max, max x)) + floor(15 max(x,
-1)^(1/3)) + 22 rounded up to even (Gautschi, SIAM Review 9, 1967), so only
-q_max and the largest x of the call move bits.
+or only a few orders per x, and every entry is bit for bit that of the full
+table up to q_max: the bits depend on q_max, q and x alone, not on which
+orders are requested nor on which other x share the call.  So a table on a
+set of x is the column-wise join of tables on its parts.
 
 The zeros j_{m,k}, m <= n, k <= K, are solved as one block.  Zeros of one
 order lie more than j_{0,2} - j_{0,1} > 3 apart, so the k-th sign change of
@@ -37,7 +44,7 @@ import numpy as np
 
 from .errors import NumericalError
 
-_SERIES_X_MAX = 12.0
+_UPWARD_X_MIN = 16.0
 MAX_QUADRATURE_ORDER = 4096
 
 
@@ -63,45 +70,89 @@ def gauss_legendre(order: int) -> QuadratureRule:
     return QuadratureRule(nodes=(x + 1.0) / 2.0, weights=w / 2.0, order=int(order))
 
 
-def _series_table(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Power-series J_q(x) at the orders, (r, 1) for one order per row or
-    (r, x.size) for one per element; x is 1-D and small.
-
-    The leading factors (x/2)^q / q! come from one chain over every q up to
-    the top order, so an entry is the same product whichever are asked for.
-    """
-    half = 0.5 * x
-    leads = [np.ones_like(x)]
-    for q in range(1, int(orders.max()) + 1):
-        leads.append(leads[-1] * half / q)
-    qs, pick = np.unique(orders, return_inverse=True)     # (x/2)^q / q! at each entry
-    term = np.stack([leads[q] for q in qs])[pick.reshape(orders.shape), np.arange(x.size)]
-    total = term.copy()
-    neg_z = -(half * half)
-    ks = np.arange(1, 60)[:, None, None]
-    denom = (ks * (orders + ks)).astype(float)     # k (q + k), exact
-    for k in range(1, 60):
-        np.multiply(term, neg_z, out=term)
-        np.divide(term, denom[k - 1], out=term)
-        total += term
-    return total
+def _hankel_coefficients(terms: int) -> np.ndarray:
+    """Rows P_0, P_1, Q_0, Q_1 of the Hankel sums in z = 1/x^2 (DLMF
+    10.17.3): P_nu = sum_i (-1)^i a_2i(nu) z^i, Q_nu x = sum_i (-1)^i
+    a_2i+1(nu) z^i, with a_k(nu) = prod_{j<=k} (4 nu^2 - (2j - 1)^2) / (k! 8^k)
+    accumulated in integers and rounded once."""
+    table = np.ones((2, 2 * terms))
+    for nu in (0, 1):
+        num = den = 1
+        for k in range(1, 2 * terms):
+            num *= 4 * nu * nu - (2 * k - 1) ** 2
+            den *= 8 * k
+            table[nu, k] = num / den              # int / int rounds once
+    return np.concatenate([table[:, 0::2], table[:, 1::2]]) * (-1.0) ** np.arange(terms)
 
 
-def _miller_table(q_max: int, orders: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Downward-recurrence J_q(x) at the orders (each <= q_max), shaped as
-    in _series_table, vectorized over a 1-D array of x > 0.
+# a_0 .. a_37 (module docstring)
+_HANKEL = _hankel_coefficients(19)
 
-    The start index depends on q_max and max(x) alone, so the recurrence,
-    its rescalings and hence every entry are the same whichever are kept.
-    """
-    xmax = float(x.max())
-    start = int(np.ceil(max(q_max, xmax))) + int(15.0 * max(xmax, 1.0) ** (1.0 / 3.0)) + 22
-    start += start % 2
-    # step q writes J~_q to the entries of order q: whole rows, or single cells
+
+def _slots(orders: np.ndarray) -> dict:
+    """q -> the cells of a (rows, x.size) table that hold order q: whole rows
+    for one order per row (orders of shape (r, 1)), single cells for one
+    order per element (shape (r, x.size))."""
     rows, cols = np.divmod(np.argsort(orders, axis=None, kind="stable"), orders.shape[1])
     qs, first = np.unique(orders[rows, cols], return_index=True)
-    slot = {q: (rows[a:b], cols[a:b] if orders.shape[1] > 1 else slice(None))
+    return {q: (rows[a:b], cols[a:b] if orders.shape[1] > 1 else slice(None))
             for q, a, b in zip(qs.tolist(), first, [*first[1:], rows.size])}
+
+
+def _upward_table(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J_q(x) at the orders for x >= max(_UPWARD_X_MIN, every order): J_0 and
+    J_1 from the Hankel expansion, then the recurrence upward, which is
+    stable for q <= x.  Each entry depends on its x and q alone.
+
+    cos and sin of x - nu pi/2 - pi/4 come from cos x and sin x, so no
+    rounded phase enters."""
+    inv_x = 1.0 / x
+    jp = inv_x * inv_x                            # z = 1/x^2, scratch after
+    sums = np.zeros((4, x.size))
+    for col in range(_HANKEL.shape[1] - 1, -1, -1):
+        sums *= jp
+        sums += _HANKEL[:, col, None]
+    jm, jc, q0, q1 = sums                         # P_0, P_1, Q_0 x, Q_1 x
+    cos, minus = np.cos(x), np.sin(x)
+    plus = minus + cos                            # sin x + cos x
+    minus -= cos                                  # sin x - cos x
+    amp = inv_x / np.pi
+    np.sqrt(amp, out=amp)
+    q0 *= inv_x
+    q1 *= inv_x
+    jm *= plus
+    jm -= np.multiply(q0, minus, out=q0)
+    jm *= amp                                     # J_q, q = 0
+    jc *= minus
+    jc += np.multiply(q1, plus, out=q1)
+    jc *= amp                                     # J_{q+1}
+    slot = _slots(orders)
+    tab = np.zeros((orders.shape[0], x.size))
+    for q in range(max(slot) + 1):
+        cell = slot.get(q)
+        if cell is not None:
+            tab[cell] = jm[cell[1]]
+        np.multiply(inv_x, 2.0 * (q + 1), out=jp)
+        jp *= jc
+        jp -= jm                                   # J_{q+2}
+        jm, jc, jp = jc, jp, jm
+    return tab
+
+
+def _miller_table(switch: float, orders: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Downward-recurrence J_q(x) at the orders, shaped as in _upward_table,
+    vectorized over a 1-D array of 0 < x below the switch max(_UPWARD_X_MIN,
+    q_max), q_max >= every order.
+
+    The start index depends on the switch alone and each x is rescaled at
+    the first step its own value passes the threshold, so the recurrence,
+    its rescalings and hence every entry are the same whichever orders and
+    other x are in the call.
+    """
+    start = int(switch) + int(15.0 * switch ** (1.0 / 3.0)) + 22
+    start += start % 2
+    # step q writes J~_q to the entries of order q: whole rows, or single cells
+    slot = _slots(orders)
     tab = np.zeros((orders.shape[0], x.size))
     jp = np.zeros_like(x)                 # J~_{k+1}
     jc = np.full_like(x, 1e-30)           # J~_k, k = start
@@ -142,18 +193,20 @@ def _miller_table(q_max: int, orders: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def bessel_j_table(q_max: int, x, orders=None) -> np.ndarray:
-    """J_q(x) for all orders q = 0..q_max, vectorized over an array of x >= 0.
+    """J_q(x) for all orders q = 0..q_max, vectorized over an array of finite
+    x >= 0.
 
     With orders (integers in 0..q_max, repeats allowed) row i of the result
     is J_{orders[i]}, or J_{orders[..., i]}(x) when orders has shape
     x.shape + (r,), one sequence per x; every entry has the bits of the full
-    table.  Routes each element through the power series or the Miller
-    recurrence; this is the workhorse behind basis tables, point evaluation
-    and the zero finder.
+    table.  Routes each element by (q_max, x) alone, through the Hankel
+    expansion and the upward recurrence at x >= max(16, q_max) and the
+    Miller recurrence below; this is the workhorse behind basis tables,
+    point evaluation and the zero finder.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if (x < 0).any():
-        raise ValueError("bessel_j_table requires x >= 0")
+    if not (np.isfinite(x) & (x >= 0)).all():
+        raise ValueError("bessel_j_table requires finite x >= 0")
     wanted = np.arange(q_max + 1) if orders is None else np.asarray(orders, dtype=int)
     per_x = wanted.ndim > 1
     if (wanted.ndim == 0 or wanted.shape[:-1] != (x.shape if per_x else ())
@@ -166,12 +219,13 @@ def bessel_j_table(q_max: int, x, orders=None) -> np.ndarray:
     tiny = x < 1e-12
     if tiny.any():
         out[(grid == 0) & tiny] = 1.0     # J_0(0) = 1, J_q(0) = 0 for q >= 1
-    small = (~tiny) & (x <= _SERIES_X_MAX)
-    rest = (~tiny) & (~small)
-    if small.any():
-        out[:, small] = _series_table(grid[:, small] if per_x else grid, x[small])
-    if rest.any():
-        out[:, rest] = _miller_table(q_max, grid[:, rest] if per_x else grid, x[rest])
+    switch = max(_UPWARD_X_MIN, q_max)
+    upward = x >= switch
+    below = ~(tiny | upward)
+    if upward.any():
+        out[:, upward] = _upward_table(grid[:, upward] if per_x else grid, x[upward])
+    if below.any():
+        out[:, below] = _miller_table(switch, grid[:, below] if per_x else grid, x[below])
     return out.reshape((-1,) + shape)
 
 

@@ -392,6 +392,16 @@ def test_radial_stack_equals_full_table_rows(n_max, radial, angular):
                                   signed_rows(r, shifts))
 
 
+def test_radial_stack_is_a_slice_of_a_larger_one(basis_1616, basis_3232, grid_default):
+    # the (16,16) stack is the [:17, :, :16] corner of the (32,32) stack on
+    # the same radii, bit for bit: the zeros are a prefix and each Bessel
+    # entry depends on its own order, argument and table top alone
+    shifts = range(-2, 3)
+    small = radial_rows(basis_1616.zeros_rows, grid_default.radii, shifts)
+    large = radial_rows(basis_3232.zeros_rows, grid_default.radii, shifts)
+    assert np.array_equal(small, large[:17, :, :16])
+
+
 @pytest.mark.parametrize("angular", [256, 240, 768])
 def test_subgrid_is_every_sth_node(basis_88, angular):
     """exact_subgrid(degree) keeps degree + 1 angles, at 2 pi i / N as every

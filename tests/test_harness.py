@@ -287,7 +287,7 @@ def test_run_verify_subset(tmp_path):
     assert summary["failed"] == []
 
 
-def test_run_solve_small(tmp_path):
+def test_run_solve_small(tmp_path, monkeypatch):
     extra = """
 [solver]
 t_final = 0.25
@@ -298,7 +298,18 @@ amplitude = 1e-3
 """
     cfg = load_config(_write_cfg(tmp_path, extra),
                       {"experiment": "solve", "out_dir": str(tmp_path / "out")})
+    calls = []
+    real = stokesbesov.solver.evaluate_at
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (stokesbesov.solver, stokesbesov.harness):
+        monkeypatch.setattr(module, "evaluate_at", counting)
     assert run_experiment(cfg) == 0
+    # one mild evaluation feeds both trajectory.csv and the summary residual
+    assert len(calls) == 1
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["picard"]["converged"] is True
     assert summary["residual"] <= 10.0 * cfg.picard_tol

@@ -59,6 +59,28 @@ def test_zeros_against_mpmath_grid():
             assert abs(bessel_zero(n, k) - ref) < 1e-11 * max(1.0, ref)
 
 
+def test_zeros_near_twelve_vs_mpmath():
+    # oracle: mpmath; the zeros in (8.6, 12) to 1e-14 relative, well inside
+    # the 1e-11 budget
+    for n, k in ((2, 3), (0, 4), (1, 3), (4, 2)):
+        ref = oracles.mp_bessel_zero(n, k)
+        assert abs(bessel_zero(n, k) - ref) <= 1e-14 * ref
+
+
+def test_lockstep_block_steps(empty_zero_cache, monkeypatch):
+    # the (33, 33) block converges in at most 5 Newton-bisection steps
+    steps = []
+    real = specfun._jn_with_prime
+
+    def counted(n, x):
+        steps.append(1)
+        return real(n, x)
+
+    monkeypatch.setattr(specfun, "_jn_with_prime", counted)
+    bessel_zeros_row(33, 33)
+    assert 1 <= len(steps) <= 5
+
+
 def test_zeros_row_matches_scipy():
     # every order of the (64, 64) block; the top order first, so the first
     # request solves the whole block
@@ -121,22 +143,53 @@ def test_bessel_j_random_args_vs_scipy():
         assert np.max(np.abs(got - ref)) < 1e-12
 
 
-def test_bessel_series_miller_crossover():
-    # both evaluation regimes around the internal threshold agree with mpmath
-    # to the documented 1e-12 absolute budget (series cancellation dominates)
-    for x in (11.5, 12.0, 12.5, 13.0):
-        for n in (0, 4, 10):
-            got = bessel_j_table(n, x, orders=(n,))[0, 0]
-            assert abs(got - oracles.mp_bessel_j(n, x)) < 1e-12
+def test_bessel_miller_upward_crossover():
+    # both evaluation regimes around the switch x = max(16, q_max) agree
+    # with mpmath to the documented 1e-12 absolute budget
+    for n, xs in (((0, 4, 10), (15.5, 16.0, 16.5, 17.0)), ((40,), (39.5, 40.0, 40.5, 41.0))):
+        for x in xs:
+            for q in n:
+                got = bessel_j_table(q, x, orders=(q,))[0, 0]
+                assert abs(got - oracles.mp_bessel_j(q, x)) < 1e-12
 
 
-# x = 12.01 next to x = 400 starts the recurrence far above the small
-# argument's order, so its values pass the overflow threshold and rescale;
-# the Miller-only set stays below q_max = 66, where the start follows q_max
+@pytest.mark.parametrize("q_max", [0, 1, 2, 9, 34, 66, 130, 256])
+def test_bessel_both_regimes_vs_mpmath(q_max):
+    # oracle: mpmath at 50 digits, within the 1e-12 absolute budget, from
+    # x = 1e-8 up to the switch max(16, q_max) (Miller) and on to 1e4
+    # (Hankel J_0, J_1 and the upward recurrence)
+    switch = max(16.0, q_max)
+    x = np.concatenate([np.geomspace(1e-8, switch, 12, endpoint=False),
+                        switch * np.array([1.0 - 1e-3, 1.0, 1.0 + 1e-3]),
+                        np.geomspace(switch, 1e4, 12)[1:]])
+    table = bessel_j_table(q_max, x)
+    for q in sorted({0, min(1, q_max), q_max // 2, max(q_max - 1, 0), q_max}):
+        ref = np.array([oracles.mp_bessel_j(q, xi) for xi in x])
+        assert np.max(np.abs(table[q] - ref)) < 1e-12
+
+
+def test_bessel_table_entries_do_not_depend_on_the_batch():
+    # a column's bits depend on q_max and its own x: any subset of the x,
+    # or one x alone, gives the same columns bit for bit
+    rng = np.random.default_rng(18)
+    x = np.concatenate([[0.0, 1e-13], rng.uniform(0.0, 20.0, 24), rng.uniform(20.0, 400.0, 24)])
+    subset = rng.permutation(x.size)[:17]
+    for q_max in (0, 2, 9, 34, 66):
+        full = bessel_j_table(q_max, x)
+        assert np.array_equal(full[:, subset], bessel_j_table(q_max, x[subset]))
+        for column, xi in zip(full.T, x):
+            assert np.array_equal(column, bessel_j_table(q_max, xi)[:, 0])
+
+
+# x = 1e-3 lies far below the Miller start, so its values pass the overflow
+# threshold and rescale; "series" is the range of the former power series,
+# now Miller; "upward" is at or above the switch max(16, q_max) for every
+# q_max used here
 _ORDER_ARGS = {
-    "rescaling": np.array([12.01, 400.0]),
+    "rescaling": np.array([1e-3, 12.01, 400.0]),
     "series": np.linspace(0.0, 12.0, 41),
     "miller": np.linspace(12.5, 60.0, 37),
+    "upward": np.geomspace(66.0, 1e4, 37),
     "mixed": np.exp(np.random.default_rng(7).uniform(-6.0, 6.0, (6, 9))),
 }
 
@@ -179,6 +232,12 @@ def test_bessel_orders_vs_scipy():
         got = bessel_j_table(n + 2, x, orders=orders)
         for row, q in zip(got, orders):
             assert np.max(np.abs(row - oracles.scipy_jv(q, x))) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+def test_bessel_table_rejects_bad_arguments(bad):
+    with pytest.raises(ValueError, match="finite x >= 0"):
+        bessel_j_table(3, np.array([1.0, bad]))
 
 
 def test_bessel_orders_rejects_out_of_range():
