@@ -30,6 +30,7 @@ from .basis import (
     MAX_K_MAX,
     MAX_N_MAX,
     REFINE_FACTOR,
+    _PARITY_NAME,
     Basis,
     GridVectorField,
     PolarGrid,
@@ -117,9 +118,6 @@ _ENVIRONMENT = {
 
 # ---------------------------------------------------------------------------
 # configuration
-
-_PARITY_CODES = {"cos": 0, "sin": 1}
-
 
 @dataclasses.dataclass(frozen=True)
 class DataSpec:
@@ -303,7 +301,7 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError("[data] width must be positive")
     if cfg.data.kind not in _DATA_KINDS:
         raise ConfigError(f"[data] kind: unknown generator {cfg.data.kind!r}")
-    if cfg.data.parity not in _PARITY_CODES:
+    if cfg.data.parity not in _PARITY_NAME:
         raise ConfigError(f"[data] parity: expected cos or sin, got {cfg.data.parity!r}")
     if not 2.0 < cfg.embed_p < INF:
         raise ConfigError("[embed] p must satisfy 2 < p < inf")
@@ -350,7 +348,7 @@ def _run_basis(config: RunConfig) -> Basis:
 def generate_data(spec: DataSpec, basis: Basis, grid: PolarGrid) -> SpectralField:
     """Realize a DataSpec as a coefficient vector on the given basis."""
     if spec.kind == "single_mode":
-        key = (spec.n, _PARITY_CODES[spec.parity])
+        key = (spec.n, _PARITY_NAME.index(spec.parity))
         group = basis.group_index.get(key)
         if group is None or not 1 <= spec.k <= len(group):
             raise ConfigError(
@@ -386,13 +384,11 @@ def _bump_field(spec: DataSpec, basis: Basis, grid: PolarGrid) -> SpectralField:
     Projection onto the basis removes any normal boundary component.
     """
     h = float(spec.width)
-    if h <= 0.0:
-        raise ResolutionError("bump width must be positive")
     spacing = 1.0 / grid.radial_rule.order
-    if h < 3.0 * spacing:
+    if not h >= 3.0 * spacing:            # NaN fails it too
         raise ResolutionError(
-            f"bump width {h} is below three radial grid spacings "
-            f"({3.0 * spacing:.6g}); refine the grid or widen the bump")
+            f"bump width {h} must be positive and at least three radial grid "
+            f"spacings ({3.0 * spacing:.6g}); refine the grid or widen the bump")
     x0, y0 = spec.center
     dx = grid.x - x0
     dy = grid.y - y0
@@ -637,9 +633,10 @@ _BERNSTEIN_PAIRS = ((2.0, 4.0), (2.0, INF), (1.0, 2.0))
 _BERNSTEIN_POINTS = np.array([[0.35, -0.2], [-0.1, 0.6]])
 
 
-def _bernstein_stat(basis: Basis, grid: PolarGrid, seed: int) -> dict:
-    """Per-(r, p) max/median over bands of the normalized ratio
-    |u_j|_p / (2^{2j(1/r - 1/p)} |u_j|_r) on band-limited samples u_j.
+def _bernstein_stat(basis: Basis, grid: PolarGrid, seed: int) -> tuple:
+    """(stats, band_ratios): stats maps each (r, p) to the (max, median) over
+    bands of the normalized ratio |u_j|_p / (2^{2j(1/r - 1/p)} |u_j|_r) on
+    band-limited samples u_j, band_ratios maps it to {j: ratio}.
 
     The sample family must exercise the scaling uniformly in j or the
     statistic measures the family, not the multiplier: band-filtered
@@ -1126,23 +1123,18 @@ def write_manifest(out_dir: Path, config: RunConfig, artifacts,
 # ---------------------------------------------------------------------------
 # experiment drivers
 
-def trajectory_rows(traj: Trajectory, u0: SpectralField,
-                    config: SolverConfig, evaluated: Trajectory | None = None,
-                    terms=None) -> list:
+def trajectory_rows(traj: Trajectory, config: SolverConfig, evaluated: Trajectory,
+                    terms) -> list:
     """Per-mesh-point diagnostics for the trajectory CSV.
 
     residual_flag is 1 when the mesh point's integral-equation defect is
     within 10x the Picard tolerance, else 0.  evaluated is
     evaluate_at(traj, u0, traj.times, config) and terms traj's
-    trajectory_terms, each built here when not given.
+    trajectory_terms.
     """
     from .basis import curl_values
     rows = []
     grid = config.grid
-    if evaluated is None:
-        evaluated = evaluate_at(traj, u0, traj.times, config)
-    if terms is None:
-        terms = trajectory_terms(traj, config.p, grid)
     for (t, f), value, block, weighted in zip(traj, evaluated.coeffs, *terms):
         defect = float(np.linalg.norm(value - f.coeffs))
         # |curl u|^2 has angular degree <= 2 n, n the top live order
@@ -1211,7 +1203,7 @@ def run_experiment(config: RunConfig) -> int:
         write_csv(out / "trajectory.csv",
                   ["t", "l2_norm", "lp_norm_weighted", "besov_crit_norm",
                    "energy", "curl_l2", "residual_flag"],
-                  trajectory_rows(traj, u0, solver_cfg, evaluated, terms))
+                  trajectory_rows(traj, solver_cfg, evaluated, terms))
         artifacts.append("trajectory.csv")
         norm = trajectory_norm(traj, solver_cfg.p, grid, terms=terms)
         summary = {"picard": dataclasses.asdict(report),

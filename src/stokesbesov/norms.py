@@ -28,9 +28,9 @@ radial Gauss rule is the same on both.  The bound is tight: N = p n angles
 alias the degree-p n term into the mean.  p = inf (refined grid), odd or
 fractional p, GridVectorField input and the pairings stay on the full grid.
 
-A power sum of |u|^p that under- or overflows is recomputed from squares
-scaled by a power of two (_lp_from_squares), so lp_norm(2^k f) equals
-2^k lp_norm(f) while the squares stay normal (|u| within about 1e+-154).
+A norm outside [2^-400, 2^400] is recomputed from its input scaled by a
+power of two, a power sum outside [2^-900, 2^900] from squares scaled by
+one, so lp_norm(2^k f) and gradient_lp_norm(2^k f) are 2^k times their f.
 
 Sup-only consumers skip the terms that cannot reach the sup.  A mode's
 velocity obeys |u_x + i u_y| <= E_m at every node on the radial rule,
@@ -45,18 +45,19 @@ and the same without phi_j and 2^{js} bounds ||f||_{L^p}.  The factor
 1 + 1e-9 on these bounds covers the synthesis rounding, about 1e-13
 relative; samples whose squares underflow add an absolute error below
 2^-535, which the slack covers for every bound above 2^-505.
-trajectory_norm and tail_smallness evaluate their terms in descending
-bound order and stop once the next bound is <= the largest value found
-and that value is >= 2^-500: every skipped term is then <= that value,
-so the sup is the exhaustive one bit for bit.  When a bound is not finite,
-or a field bound exceeds 2^500 (where squares could overflow), every term
-is evaluated.  trajectory_terms, besov_norm and band_profile stay
-exhaustive: their per-term values are artifacts (trajectory.csv columns,
-NormReport.bands).
+trajectory_norm evaluates its terms in descending bound order and stops
+once the next bound is <= the largest value found and that value is >=
+2^-500: every skipped term is then <= that value, so the sup is the
+exhaustive one bit for bit.  When a bound is not finite, or a field bound
+exceeds 2^500 (where squares could overflow), every term is evaluated.
+trajectory_terms, besov_norm and band_profile stay exhaustive: their
+per-term values are artifacts (trajectory.csv columns, NormReport.bands).
+tail_smallness, on no CLI path, is exhaustive too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -139,8 +140,7 @@ def _lp_from_squares(sq: np.ndarray, weights: np.ndarray, p: float, out=None) ->
     """
     if p == INF:
         return math.sqrt(float(sq.max()))
-    with np.errstate(over="ignore"):        # an overflow is rescaled below
-        total = _power_sum(sq, weights, p, out)
+    total = _power_sum(sq, weights, p, out)
     if not _POWER_SUM_MIN <= total <= _POWER_SUM_MAX:
         top = float(sq.max())
         if 0.0 < top < INF:
@@ -161,6 +161,25 @@ def _quadrature_grid(f: SpectralField, grid: PolarGrid, p: float) -> PolarGrid:
     return grid
 
 
+def _homogeneous(norm):
+    """norm(v, grid, p), of degree one in v, with a value outside [2^-400, 2^400]
+    recomputed as 2^e norm(2^-e v, grid, p), e the exponent of v's top entry."""
+    @functools.wraps(norm)
+    def exact(v, grid, p):
+        with np.errstate(over="ignore"):        # an overflow is recomputed
+            value = norm(v, grid, p)
+            if not 2.0 ** -400 <= value <= 2.0 ** 400:
+                parts = [v.coeffs] if isinstance(v, SpectralField) else [v.ux, v.uy]
+                e = math.frexp(max(float(np.abs(a).max()) for a in parts))[1]
+                if e != 0:                      # 0 also for a top entry of 0 or inf
+                    u = [np.ldexp(a, -e) for a in parts]
+                    u = SpectralField(v.basis, *u) if len(u) == 1 else GridVectorField(v.grid, *u)
+                    value = float(np.ldexp(norm(u, grid, p), e))
+        return value
+    return exact
+
+
+@_homogeneous
 def lp_norm(v, grid: PolarGrid, p) -> float:
     """L^p norm of the pointwise velocity magnitude over the disk.
 
@@ -186,6 +205,7 @@ def lp_norm(v, grid: PolarGrid, p) -> float:
     raise TypeError("expected a SpectralField or GridVectorField")
 
 
+@_homogeneous
 def gradient_lp_norm(f: SpectralField, grid: PolarGrid, p) -> float:
     """L^p norm of the pointwise Frobenius magnitude of the velocity gradient,
     on the same quadrature grid as lp_norm."""
@@ -244,15 +264,14 @@ def _term_bounds(basis, coeffs: np.ndarray, grid: PolarGrid, p: float, bands) ->
     terms 2^{j s} ||phi_j f||_{L^p} for j in bands (s = -1 + D/p), one
     column each, and on ||f||_{L^p} in the last column (module docstring).
     All NaN when a field bound exceeds _SKIP_CEILING or is not finite."""
-    g = grid.refined() if p == INF else grid
     s = critical_index(p)
     weights = np.ones((basis.n_modes, len(bands) + 1))
     for col, j in enumerate(bands):
         weights[:, col] = 2.0 ** (j * s) * np.abs(_multiplier(basis, j, False))
-    weights *= g.tables(basis).velocity_envelope[:, None]
+    weights *= grid.tables(basis).velocity_envelope[:, None]
     with np.errstate(invalid="ignore", over="ignore"):    # inf data: NaN bounds
         bounds = np.array([np.abs(row) @ weights for row in coeffs])
-        bounds *= float(g.weights.sum()) ** (1.0 / p) * _BOUND_SLACK
+        bounds *= float(grid.weights.sum()) ** (1.0 / p) * _BOUND_SLACK
     if not bounds[:, -1].max() <= _SKIP_CEILING:      # NaN fails it too
         bounds[:] = np.nan
     return bounds
@@ -345,7 +364,7 @@ def tail_smallness(u0: SpectralField, p: float, J: int, grid: PolarGrid) -> floa
     The local-solvability smallness diagnostic: data is admissible when this
     is small for some J.  If J lies above the last active band the truncated
     spectrum cannot see the tail; the result is 0 with a TruncationWarning.
-    Like trajectory_norm, it evaluates only the bands that can reach the sup.
+    Every band j >= J is evaluated.
     """
     p = _check_p(p)
     if not (D < p):
@@ -358,7 +377,6 @@ def tail_smallness(u0: SpectralField, p: float, J: int, grid: PolarGrid) -> floa
             TruncationWarning, stacklevel=2)
         return 0.0
     s = critical_index(p)
-    bands = [j for j in active_bands(u0.basis) if j >= J]
-    bounds = _term_bounds(u0.basis, u0.coeffs[None], grid, p, bands)
-    return _bounded_sup(bounds[:, :-1], lambda i: 2.0 ** (bands[i] * s)
-                        * lp_norm(apply_band(u0, bands[i]), grid, p))
+    # np.max, unlike max(), carries a NaN through: a NaN norm must not read 0
+    return float(np.max([2.0 ** (j * s) * lp_norm(apply_band(u0, j), grid, p)
+                         for j in active_bands(u0.basis) if j >= J]))

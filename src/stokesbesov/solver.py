@@ -148,26 +148,16 @@ def duhamel_apply(forcing: Trajectory, t_index: int, config: SolverConfig) -> Sp
     return SpectralField(config.basis, swept[t_index])
 
 
-@dataclass(frozen=True)
-class MildForcing:
-    """The forcing side of a mesh trajectory's mild formula: N(u) at every
-    mesh field and its mesh-point Duhamel integrals, one row per mesh time.
-    Built by mild_forcing: once per Picard iterate, and once per
-    evaluate_at call."""
-
-    forcing: np.ndarray
-    swept: np.ndarray
-
-
-def mild_forcing(traj: Trajectory, config: SolverConfig) -> MildForcing:
-    """Check that traj is sampled on the config mesh and build its forcing
-    matrix and Duhamel sweep."""
+def mild_forcing(traj: Trajectory, config: SolverConfig):
+    """The forcing side of a mesh trajectory's mild formula, one row per mesh
+    time: (N(u) at every mesh field, its mesh-point Duhamel integrals).
+    Checks that traj is sampled on the config mesh."""
     times = config.mesh()
     if not np.array_equal(traj.times, times):
         raise ValueError("trajectory is not sampled on the config mesh")
     tables = config.grid.tables(config.basis)
     forcing = np.stack([nonlinear_coeffs(f, tables).coeffs for _, f in traj])
-    return MildForcing(forcing, _duhamel_sweep(forcing, times, config.basis.lam))
+    return forcing, _duhamel_sweep(forcing, times, config.basis.lam)
 
 
 def picard_solve(u0: SpectralField, config: SolverConfig):
@@ -187,7 +177,7 @@ def picard_solve(u0: SpectralField, config: SolverConfig):
     iterations = 0
     for iterations in range(1, config.max_picard + 1):
         updated = linear - mild_forcing(Trajectory(config.basis, times, current),
-                                        config).swept
+                                        config)[1]
         diff = trajectory_norm(Trajectory(config.basis, times, updated - current),
                                config.p, config.grid)
         diffs.append(diff)
@@ -274,8 +264,8 @@ def evaluate_at(traj: Trajectory, u0: SpectralField, t, config: SolverConfig):
         raise ValueError("evaluation times must be a scalar or a 1-D array")
     if not np.all((ts >= 0.0) & (ts <= config.T)):
         raise ValueError("evaluation time outside the trajectory horizon")
-    mild = mild_forcing(traj, config)
-    times, forcing, swept = traj.times, mild.forcing, mild.swept
+    forcing, swept = mild_forcing(traj, config)
+    times = traj.times
     lam = config.basis.lam
     flat = ts.reshape(-1)
     # the cell of each time; t == T lies in the last cell

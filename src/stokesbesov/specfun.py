@@ -1,5 +1,6 @@
 """Scalar special-function kernel: integer-order Bessel functions J_n, their
-positive zeros, Gauss-Legendre rules on (0, 1), and the Beta function.
+positive zeros, Gauss-Legendre rules on (0, 1), and the Beta function
+(from the standard library's math.lgamma).
 
 Everything is float64.  Accuracy targets, verified in the test suite against
 high-precision references: 1e-12 absolute for J_n over n <= 256, x <= 1e4;
@@ -38,6 +39,7 @@ once returned and a smaller basis's zeros are a prefix of a larger one's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -330,52 +332,19 @@ def bessel_zeros_row(n: int, k_max: int) -> np.ndarray:
     return _zeros_row(int(n), int(k_max)).copy()
 
 
-# Lanczos approximation for log Gamma, g = 7 with 9 coefficients.  This fixed
-# parameter set gives ~1e-15 relative accuracy on the positive real axis.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * np.log(2.0 * np.pi)
-
-
-def _lgamma_signed(z: float) -> tuple[float, float]:
-    """(log |Gamma(z)|, sign) for real non-pole z, via Lanczos + reflection."""
-    if z <= 0.0 and z == np.floor(z):
-        raise ValueError(f"Gamma pole at z = {z}")
-    if z < 0.5:
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        lg, sign = _lgamma_signed(1.0 - z)
-        s = np.sin(np.pi * z)
-        return np.log(np.pi / abs(s)) - lg, (1.0 if s > 0 else -1.0) * sign
-    zz = z - 1.0
-    a = _LANCZOS_C[0]
-    for i in range(1, 9):
-        a += _LANCZOS_C[i] / (zz + i)
-    t = zz + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (zz + 0.5) * np.log(t) - t + np.log(a), 1.0
-
-
 def beta_function(a: float, b: float) -> float:
     """Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b).
 
     Defined for real a, b away from the poles of the Gamma factors
     (non-positive integers); the common use here is positive arguments.
+    Gamma(z) is negative exactly when z < 0 and floor(z) is odd.
     """
     a = float(a)
     b = float(b)
+    sign = 1.0
     for z in (a, b, a + b):
-        if z <= 0.0 and z == np.floor(z):
+        if z <= 0.0 and z == math.floor(z):
             raise ValueError(f"beta_function pole: argument combination hits Gamma({z})")
-    la, sa = _lgamma_signed(a)
-    lb, sb = _lgamma_signed(b)
-    lab, sab = _lgamma_signed(a + b)
-    return sa * sb * sab * float(np.exp(la + lb - lab))
+        if z < 0.0 and math.floor(z) % 2:
+            sign = -sign
+    return sign * math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))

@@ -72,6 +72,12 @@ def mp_bessel_j(n: int, x: float) -> float:
         return float(mpmath.besselj(n, x))
 
 
+def mp_beta(a: float, b: float) -> float:
+    """B(a, b) at 50 digits, rounded to float."""
+    with mpmath.workdps(50):
+        return float(mpmath.beta(a, b))
+
+
 def mp_angular_table(orders: int, count: int) -> np.ndarray:
     """cos(m th_i) and sin(m th_i), th_i = 2 pi i / count, at 50 digits and
     rounded to float, shape (orders, 2, count) over m = 0 .. orders-1."""

@@ -20,8 +20,8 @@ from stokesbesov.harness import (CHECKS, DRIFT_CHECKS, DataSpec, RunConfig,
                                  load_config, run_experiment, trajectory_rows,
                                  verify_checks, weak_l2_proxy, write_csv,
                                  _fmt, _resolved_radius, _sanitize)
-from stokesbesov.norms import INF
-from stokesbesov.solver import Trajectory
+from stokesbesov.norms import INF, trajectory_terms
+from stokesbesov.solver import Trajectory, evaluate_at
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +166,12 @@ def test_bump_width_gates(basis_88, grid_small):
                       grid_small)
 
 
+def test_embedding_refuses_a_nan_width(basis_88, grid_small):
+    # eta(nan) is 1, so a NaN width would cut the whole swirl off
+    with pytest.raises(ResolutionError, match="radial grid spacings"):
+        embedding_experiment(4.0, (math.nan, 0.2), basis_88, grid_small)
+
+
 def test_weak_proxy_needs_samples(basis_88, grid_small):
     with pytest.raises(TypeError):
         weak_l2_proxy(zero_field(basis_88))
@@ -225,6 +231,11 @@ def _small_solve(basis, grid, mesh=12):
     return traj, u0, cfg
 
 
+def _rows(traj, u0, cfg):
+    evaluated = evaluate_at(traj, u0, traj.times, cfg)
+    return trajectory_rows(traj, cfg, evaluated, trajectory_terms(traj, cfg.p, cfg.grid))
+
+
 def test_trajectory_rows_one_convection_per_mesh_point(basis_88, grid_small,
                                                        monkeypatch):
     # the defect column needs N(u) at each mesh field once, not once per row
@@ -237,18 +248,21 @@ def test_trajectory_rows_one_convection_per_mesh_point(basis_88, grid_small,
         return counted(*args, **kwargs)
 
     monkeypatch.setattr(stokesbesov.solver, "nonlinear_coeffs", counting)
-    rows = trajectory_rows(traj, u0, cfg)
-    assert len(rows) == cfg.mesh_count + 1
+    evaluated = evaluate_at(traj, u0, traj.times, cfg)
     assert 0 < len(calls) <= cfg.mesh_count + 1
+    made = len(calls)
+    rows = trajectory_rows(traj, cfg, evaluated, trajectory_terms(traj, cfg.p, grid_small))
+    assert len(rows) == cfg.mesh_count + 1
+    assert len(calls) == made
 
 
 def test_trajectory_rows_flag_perturbed_row(basis_88, grid_small):
     traj, u0, cfg = _small_solve(basis_88, grid_small)
-    assert [r[-1] for r in trajectory_rows(traj, u0, cfg)] == [1] * 13
+    assert [r[-1] for r in _rows(traj, u0, cfg)] == [1] * 13
     bent = traj.coeffs.copy()
     bent[8] *= 1.01
     bad = Trajectory(basis_88, traj.times, bent)
-    flags = [r[-1] for r in trajectory_rows(bad, u0, cfg)]
+    flags = [r[-1] for r in _rows(bad, u0, cfg)]
     assert flags[8] == 0
     assert flags[:8] == [1] * 8
 

@@ -246,7 +246,10 @@ def test_cli_solve_keeps_tiny_amplitudes(tmp_path):
                     .replace("k_max = 4", "k_max = 6").replace("1e100", "1e-100"))
     out = tmp_path / "out"
     assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
-    assert json.loads((out / "summary.json").read_text())["trajectory_norm"] > 0.0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["trajectory_norm"] > 0.0
+    # the Picard update, about 1e-200, squares to below the smallest double
+    assert summary["picard"]["differences"][0] > 0.0
     lines = (out / "trajectory.csv").read_text().strip().splitlines()
     column = lines[0].split(",").index("lp_norm_weighted")
     rows = [line.split(",") for line in lines[1:]]

@@ -293,3 +293,21 @@ def test_beta_against_quadrature_sample():
         a, b = rng.uniform(0.2, 4.0, size=2)
         ref = oracles.quad_beta(a, b)
         assert beta_function(a, b) == pytest.approx(ref, rel=1e-11)
+
+
+def test_beta_against_mpmath_on_positive_arguments():
+    rng = np.random.default_rng(516)
+    for a, b in rng.uniform(0.01, 40.0, size=(60, 2)):
+        assert beta_function(a, b) == pytest.approx(oracles.mp_beta(a, b), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("a,b", [(-0.5, 2.2), (-1.5, 0.75), (2.5, -3.3)])
+def test_beta_against_mpmath_on_negative_arguments(a, b):
+    # Gamma(z) < 0 for z < 0 with floor(z) odd: the sign of each factor counts
+    assert beta_function(a, b) == pytest.approx(oracles.mp_beta(a, b), rel=1e-12, abs=0.0)
+
+
+def test_beta_refuses_poles():
+    for a, b in ((0.0, 1.0), (-2.0, 0.5), (0.5, -1.5)):
+        with pytest.raises(ValueError, match="pole"):
+            beta_function(a, b)

@@ -7,7 +7,9 @@ The config key table must stay in step with the config dataclasses: a
 field with no key is a knob nobody can set, a key with no field an error
 at load time.  Every exported function must have a caller inside the
 package, or a reason on record why not: an export that only the tests
-call is a duplicate of the code path the program really runs.
+call is a duplicate of the code path the program really runs.  The
+package runs on numpy and the standard library alone, as pyproject
+declares; scipy and mpmath are the tests' oracles, never the code's.
 """
 
 import ast
@@ -15,6 +17,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -96,3 +99,19 @@ def test_every_exported_function_has_a_caller_in_the_package():
     assert set(UNCALLED_EXPORTS) <= exported
     assert sorted(exported - _called_names() - set(UNCALLED_EXPORTS)) == []
     assert sorted(set(UNCALLED_EXPORTS) & _called_names()) == []
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "stokesbesov"}
+    foreign = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign |= {(path.name, name) for name in names
+                        if name.split(".")[0] not in allowed}
+    assert sorted(foreign) == []
