@@ -30,7 +30,7 @@ fractional p, GridVectorField input and the pairings stay on the full grid.
 
 A norm outside [2^-400, 2^400] is recomputed from its input scaled by a
 power of two, a power sum outside [2^-900, 2^900] from squares scaled by
-one, so lp_norm(2^k f) and gradient_lp_norm(2^k f) are 2^k times their f.
+one: lp_norm and gradient_lp_norm of 2^k f are 2^k times their values at f.
 
 Sup-only consumers skip the terms that cannot reach the sup.  A mode's
 velocity obeys |u_x + i u_y| <= E_m at every node on the radial rule,
