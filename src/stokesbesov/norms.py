@@ -30,7 +30,8 @@ fractional p, GridVectorField input and the pairings stay on the full grid.
 
 A norm outside [2^-400, 2^400] is recomputed from its input scaled by a
 power of two, a power sum outside [2^-900, 2^900] from squares scaled by
-one: lp_norm and gradient_lp_norm of 2^k f are 2^k times their values at f.
+one (for p > 2.25 a norm inside the first range can have its power sum
+outside): lp_norm and gradient_lp_norm of 2^k f are 2^k times their values.
 
 Sup-only consumers skip the terms that cannot reach the sup.  A mode's
 velocity obeys |u_x + i u_y| <= E_m at every node on the radial rule,
@@ -43,13 +44,14 @@ included.  The quadrature weights are positive and sum to W, hence
 
 and the same without phi_j and 2^{js} bounds ||f||_{L^p}.  The factor
 1 + 1e-9 on these bounds covers the synthesis rounding, about 1e-13
-relative; samples whose squares underflow add an absolute error below
-2^-535, which the slack covers for every bound above 2^-505.
-trajectory_norm evaluates its terms in descending bound order and stops
-once the next bound is <= the largest value found and that value is >=
-2^-500: every skipped term is then <= that value, so the sup is the
-exhaustive one bit for bit.  When a bound is not finite, or a field bound
-exceeds 2^500 (where squares could overflow), every term is evaluated.
+relative, and the norms are relatively exact at every scale (above).  The
+bounds are sums of products |c_m| w_m, and a product below 2^-1022 is
+subnormal, rounded to an absolute 2^-1075 that no relative slack covers,
+hence a floor: trajectory_norm evaluates its terms in descending bound
+order and stops once the next bound is <= the largest value found and
+that value is >= 2^-500: every skipped term is then <= that value, so the
+sup is the exhaustive one bit for bit.  When a bound is not finite, every
+term is evaluated.
 trajectory_terms, besov_norm and band_profile stay exhaustive: their
 per-term values are artifacts (trajectory.csv columns, NormReport.bands).
 tail_smallness, on no CLI path, is exhaustive too.
@@ -75,9 +77,8 @@ D = 2                   # space dimension of the disk
 _POWER_SUM_MIN, _POWER_SUM_MAX = 2.0 ** -900, 2.0 ** 900
 # relative slack of the term bounds, against synthesis rounding of ~1e-13
 _BOUND_SLACK = 1.0 + 1e-9
-# skipping needs a largest value of at least this, and field bounds of at
-# most the ceiling (module docstring)
-_SKIP_FLOOR, _SKIP_CEILING = 2.0 ** -500, 2.0 ** 500
+# skipping needs a largest value of at least this (module docstring)
+_SKIP_FLOOR = 2.0 ** -500
 
 
 def critical_index(p: float) -> float:
@@ -262,8 +263,8 @@ def dual_pairing(f: SpectralField, g: SpectralField, grid: PolarGrid) -> float:
 def _term_bounds(basis, coeffs: np.ndarray, grid: PolarGrid, p: float, bands) -> np.ndarray:
     """Upper bounds, one row per coefficient row f of coeffs, on the band
     terms 2^{j s} ||phi_j f||_{L^p} for j in bands (s = -1 + D/p), one
-    column each, and on ||f||_{L^p} in the last column (module docstring).
-    All NaN when a field bound exceeds _SKIP_CEILING or is not finite."""
+    column each, and on ||f||_{L^p} in the last column (module docstring);
+    inf or NaN where the data is not finite or a bound overflows."""
     s = critical_index(p)
     weights = np.ones((basis.n_modes, len(bands) + 1))
     for col, j in enumerate(bands):
@@ -272,8 +273,6 @@ def _term_bounds(basis, coeffs: np.ndarray, grid: PolarGrid, p: float, bands) ->
     with np.errstate(invalid="ignore", over="ignore"):    # inf data: NaN bounds
         bounds = np.array([np.abs(row) @ weights for row in coeffs])
         bounds *= float(grid.weights.sum()) ** (1.0 / p) * _BOUND_SLACK
-    if not bounds[:, -1].max() <= _SKIP_CEILING:      # NaN fails it too
-        bounds[:] = np.nan
     return bounds
 
 

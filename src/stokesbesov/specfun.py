@@ -335,12 +335,16 @@ def bessel_zeros_row(n: int, k_max: int) -> np.ndarray:
 def beta_function(a: float, b: float) -> float:
     """Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b).
 
-    Defined for real a, b away from the poles of the Gamma factors
+    Defined for finite real a, b away from the poles of the Gamma factors
     (non-positive integers); the common use here is positive arguments.
-    Gamma(z) is negative exactly when z < 0 and floor(z) is odd.
+    Gamma(z) is negative exactly when z < 0 and floor(z) is odd.  A
+    non-finite argument raises ValueError; a log-Gamma or a quotient beyond
+    the float range raises OverflowError (math.lgamma, math.exp).
     """
     a = float(a)
     b = float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"beta_function needs finite arguments, got ({a}, {b})")
     sign = 1.0
     for z in (a, b, a + b):
         if z <= 0.0 and z == math.floor(z):

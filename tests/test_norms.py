@@ -370,14 +370,18 @@ def test_subgrid_norms_reuse_the_radial_tables(basis_88, monkeypatch):
 def test_lp_norm_scales_by_powers_of_two(basis_88, grid_small, p):
     """X(2^k f) = 2^k X(f) for lp_norm and gradient_lp_norm over k in
     [-900, 900]: the squares of the samples and their p-th powers under- or
-    overflow there, and the recomputed value must not, nor warn."""
+    overflow there, and the recomputed value must not, nor warn.  lp_norm
+    at p = 4 and 6 takes every k in [-300, 300], where its power sum
+    crosses 2^-900 and 2^900; the rest take every 15th k."""
     f = SpectralField(basis_88, np.random.default_rng(60).standard_normal(basis_88.n_modes))
     v = synthesize(f, grid_small)
+    wide = range(-900, 901, 15)
+    dense = sorted(set(wide) | set(range(-300, 301))) if p in (4.0, 6.0) else wide
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for norm in (lp_norm, gradient_lp_norm):
+        for norm, ks in ((lp_norm, dense), (gradient_lp_norm, wide)):
             base = norm(f, grid_small, p)
-            for k in range(-900, 901, 15):
+            for k in ks:
                 scaled = norm(SpectralField(basis_88, np.ldexp(f.coeffs, k)), grid_small, p)
                 assert scaled == pytest.approx(math.ldexp(base, k), rel=1e-13, abs=0.0), k
         base = lp_norm(v, grid_small, p)
@@ -465,9 +469,19 @@ def test_trajectory_norm_of_overflowing_fields_matches_the_terms(basis_88, grid_
     cfg = SolverConfig(basis=basis_88, grid=grid_small, p=4.0, T=0.5, mesh_count=4)
     traj = linear_trajectory(SpectralField(basis_88, np.ones(basis_88.n_modes)), cfg)
     traj.coeffs[2] = value
-    # no bound is usable, so every term is evaluated
-    assert np.isnan(_term_bounds(basis_88, traj.coeffs, grid_small, 4.0,
-                                 active_bands(basis_88))).all()
+    # inf data leaves no usable bound, so every term runs; at 1e200 the
+    # bounds are finite and the skip runs over terms whose squares overflow
+    bounds = _term_bounds(basis_88, traj.coeffs, grid_small, 4.0, active_bands(basis_88))
+    assert np.isfinite(bounds).all() == math.isfinite(value)
     block, weighted = trajectory_terms(traj, 4.0, grid_small)
     want = float(np.max(block, initial=0.0) + np.max(weighted, initial=0.0))
     assert np.array_equal(trajectory_norm(traj, 4.0, grid_small), want, equal_nan=True)
+
+
+def test_trajectory_norm_of_subnormal_fields_is_the_exhaustive_sup(basis_88, grid_small):
+    # the bounds of one coefficient 2^-1074 are subnormal products, rounded
+    # past their slack: skipping below the floor would drop the largest term
+    rows = np.zeros((2, basis_88.n_modes))
+    rows[:, 0] = 5e-324
+    traj = Trajectory(basis_88, np.array([0.0, 0.5]), rows)
+    assert trajectory_norm(traj, 3.0, grid_small) == _exhaustive_norm(traj, 3.0, grid_small)

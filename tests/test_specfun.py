@@ -311,3 +311,11 @@ def test_beta_refuses_poles():
     for a, b in ((0.0, 1.0), (-2.0, 0.5), (0.5, -1.5)):
         with pytest.raises(ValueError, match="pole"):
             beta_function(a, b)
+
+
+def test_beta_refuses_non_finite_arguments_and_overflows():
+    for a, b in ((math.inf, 1.0), (-math.inf, 0.5), (0.5, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            beta_function(a, b)
+    with pytest.raises(OverflowError):        # B(a, a) ~ 2 / a above the float range
+        beta_function(1e-320, 1e-320)
