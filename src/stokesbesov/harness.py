@@ -39,6 +39,7 @@ from .basis import (
     boundary_traces,
     build_basis,
     build_grid,
+    curl_l2,
     load_basis,
     mode_values_at,
     save_basis,
@@ -165,12 +166,10 @@ def _number(raw: str) -> float:
 
 
 def _boolean(raw: str) -> bool:
-    text = raw.strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(raw) from None
 
 
 def _center(raw: str) -> tuple:
@@ -708,16 +707,15 @@ def _resolved_radius(n_max: int, k_max: int) -> float:
 
 @_check("multiplier-drift", 0.25, drift=True)
 def _check_multiplier_drift(ctx: VerifyContext):
-    """Per-band constants compared across a truncation doubling.
-
-    Only bands fully inside the resolved ball of both truncations are
-    comparable: outside it the coarse basis is missing modes (high order,
-    low radial index), so a changed constant there measures the cutoff
-    geometry rather than the multiplier.
+    """Per-band constants compared across a truncation doubling, on the
+    bands inside the coarse (16,16) resolved ball.  The fine truncation's
+    ball contains it; outside it the coarse basis is missing modes (high
+    order, low radial index), so a changed constant there measures the
+    cutoff geometry rather than the multiplier.
     """
     _, coarse = _bernstein(ctx, ctx.basis(16, 16))
     _, fine = _bernstein(ctx, ctx.basis(32, 32))
-    top = min(_resolved_radius(16, 16), _resolved_radius(32, 32))
+    top = _resolved_radius(16, 16)
     worst = 0.0
     compared = []
     for key in coarse:
@@ -975,14 +973,19 @@ def _check_dealiasing(ctx: VerifyContext):
             report.passed)
 
 
-@_check("picard-small", lambda config: 10 * config.picard_tol)
-def _check_picard_small(ctx: VerifyContext):
+def _small_solve(ctx: VerifyContext, seed: int, mesh_count: int):
+    """(traj, report, u0, cfg) of seeded small data at (8, 8) on 64 x 128."""
     cfg = _solver_config(ctx.config, ctx.basis(8, 8), ctx.grid(64, 128),
-                         p=4.0, T=0.5, mesh_count=64)
-    rng = np.random.default_rng(ctx.config.seed + 11)
+                         p=4.0, T=0.5, mesh_count=mesh_count)
+    rng = np.random.default_rng(seed)
     c = rng.standard_normal(cfg.basis.n_modes) * np.exp(-0.1 * cfg.basis.lam)
     u0 = SpectralField(cfg.basis, 1e-3 * c / np.linalg.norm(c))
-    traj, report = picard_solve(u0, cfg)
+    return (*picard_solve(u0, cfg), u0, cfg)
+
+
+@_check("picard-small", lambda config: 10 * config.picard_tol)
+def _check_picard_small(ctx: VerifyContext):
+    traj, report, u0, cfg = _small_solve(ctx, ctx.config.seed + 11, 64)
     return (residual(traj, u0, cfg),
             f"iterations {report.iterations}, "
             f"ratios {[f'{r:.2e}' for r in report.ratios]}",
@@ -991,12 +994,7 @@ def _check_picard_small(ctx: VerifyContext):
 
 @_check("etd-agreement", 1e-6)
 def _check_etd_agreement(ctx: VerifyContext):
-    cfg = _solver_config(ctx.config, ctx.basis(8, 8), ctx.grid(64, 128),
-                         p=4.0, T=0.5, mesh_count=96)
-    rng = np.random.default_rng(ctx.config.seed + 12)
-    c = rng.standard_normal(cfg.basis.n_modes) * np.exp(-0.1 * cfg.basis.lam)
-    u0 = SpectralField(cfg.basis, 1e-3 * c / np.linalg.norm(c))
-    traj, report = picard_solve(u0, cfg)
+    traj, report, u0, cfg = _small_solve(ctx, ctx.config.seed + 12, 96)
     t_star = 0.1
     mild = evaluate_at(traj, u0, t_star, cfg)
     etd = etd_timestep(u0, t_star / 512, 512, cfg)
@@ -1046,11 +1044,12 @@ def _check_embedding(ctx: VerifyContext):
             report["weak_spread"] <= 2.0 and report["lp_spread"] > lp_floor)
 
 
-def verify_checks(config: RunConfig, check_ids=None) -> list:
-    """Run the selected checks (all of them by default, plus the drift
-    checks when config.doubled is set).  Every check runs to completion
-    before the result list is returned; nothing short-circuits."""
-    selected = _resolve_checks(check_ids or (), config.doubled)
+def verify_checks(config: RunConfig) -> list:
+    """Run config.checks (all of them when empty, plus the drift checks when
+    config.doubled is set) once the config is valid.  Every check runs to
+    completion before the result list is returned; nothing short-circuits."""
+    _validate_config(config)
+    selected = _resolve_checks(config.checks, config.doubled)
     ctx = VerifyContext(config)
     if config.basis_cache:
         ctx.basis()             # refuse a bad cache even if no selected check reads it
@@ -1132,21 +1131,16 @@ def trajectory_rows(traj: Trajectory, config: SolverConfig, evaluated: Trajector
     evaluate_at(traj, u0, traj.times, config) and terms traj's
     trajectory_terms.
     """
-    from .basis import curl_values
     rows = []
-    grid = config.grid
     for (t, f), value, block, weighted in zip(traj, evaluated.coeffs, *terms):
-        defect = float(np.linalg.norm(value - f.coeffs))
-        # |curl u|^2 has angular degree <= 2 n, n the top live order
-        sub = grid.exact_subgrid(2 * f.top_order())
-        curl = curl_values(f, sub)
+        defect = (SpectralField(f.basis, value) - f).l2()
         rows.append([
             float(t),
             f.l2(),
             weighted,
             block,
             0.5 * f.l2() ** 2,
-            math.sqrt(sub.integrate(curl * curl)),
+            curl_l2(f, config.grid),
             1 if defect <= 10.0 * config.picard_tol else 0,
         ])
     return rows
@@ -1159,10 +1153,7 @@ def _solver_config(config: RunConfig, basis: Basis, grid: PolarGrid,
     fields = {"p": config.p, "T": config.T, "mesh_count": config.mesh_count,
               "gamma": config.gamma, "picard_tol": config.picard_tol,
               "max_picard": config.max_picard, **pinned}
-    try:
-        return SolverConfig(basis=basis, grid=grid, **fields)
-    except ValueError as exc:
-        raise ConfigError(f"[solver] {exc}") from None
+    return SolverConfig(basis=basis, grid=grid, **fields)
 
 
 def run_experiment(config: RunConfig) -> int:
@@ -1182,7 +1173,7 @@ def run_experiment(config: RunConfig) -> int:
                    "lambda_max": basis.lambda_max}
 
     elif config.experiment == "verify":
-        results = verify_checks(config, config.checks)
+        results = verify_checks(config)
         write_csv(out / "checks.csv",
                   ["check_id", "value", "threshold", "passed"],
                   [r.row() for r in results])

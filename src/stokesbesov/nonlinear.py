@@ -49,7 +49,7 @@ import numpy as np
 
 from .basis import (COS, GRADIENT, SIN, Basis, GridVectorField, ModeTables,
                     PolarGrid, SpectralField, Transform, analyze, apply_stokes,
-                    build_grid, curl_values, synthesize)
+                    build_grid, curl_l2, synthesize)
 from .errors import ResolutionError
 
 
@@ -154,12 +154,9 @@ def helmholtz_project(v: GridVectorField, basis: Basis, grid: PolarGrid):
 def energy_identity_residual(u: SpectralField, tables: ModeTables) -> EnergyResidual:
     """Numerical residuals of the two energy-budget identities:
     advection neutrality <N(u), u> = 0 and dissipation <Au, u> = ||curl u||^2
-    (spectral pairing versus curl quadrature, two genuinely distinct routes)."""
-    if not np.any(u.coeffs):
-        return EnergyResidual(0.0, 0.0)
+    (spectral pairing versus curl_l2's quadrature, two distinct routes)."""
     n_u = _convection_coeffs(u, _exact_grid(u, tables.grid))
     advection = abs(float(np.dot(n_u, u.coeffs)))
     pairing = float(np.dot(apply_stokes(u).coeffs, u.coeffs))
-    w = curl_values(u, tables.grid)
-    dissipation = float(np.sum(tables.grid.weights * w * w))
+    dissipation = curl_l2(u, tables.grid) ** 2
     return EnergyResidual(advection, abs(pairing - dissipation))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, PolarGrid, SpectralField
+from .basis import Basis, PolarGrid, SpectralField, coeff_l2
 from .nonlinear import nonlinear_coeffs
 from .norms import D, trajectory_norm
 from .semigroup import heat_apply
@@ -299,7 +299,7 @@ def residual(traj: Trajectory, u0: SpectralField, config: SolverConfig,
     if evaluated is None:
         evaluated = evaluate_at(traj, u0, traj.times, config)
     defect = evaluated.coeffs - traj.coeffs
-    worst = max(float(np.linalg.norm(row)) for row in defect)
+    worst = max(coeff_l2(row) for row in defect)
     if scale is None:
         scale = trajectory_norm(traj, config.p, config.grid)
     return worst / scale if scale > 0.0 else worst

@@ -4,7 +4,7 @@ positive zeros, Gauss-Legendre rules on (0, 1), and the Beta function
 
 Everything is float64.  Accuracy targets, verified in the test suite against
 high-precision references: 1e-12 absolute for J_n over n <= 256, x <= 1e4;
-1e-11 absolute for zeros; 1e-12 relative for Beta on positive arguments.
+1e-11 absolute for zeros; 1e-12 relative for Beta on its domain (0, 100].
 
 J_n is evaluated, scalar or array alike, by one table routine that routes
 each x > 0 by (q_max, x) alone.  At and above the switch x = max(16, q_max)
@@ -333,22 +333,15 @@ def bessel_zeros_row(n: int, k_max: int) -> np.ndarray:
 
 
 def beta_function(a: float, b: float) -> float:
-    """Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b).
+    """Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b) for
+    0 < a, b <= 100, the domain the Duhamel time weights need.
 
-    Defined for finite real a, b away from the poles of the Gamma factors
-    (non-positive integers); the common use here is positive arguments.
-    Gamma(z) is negative exactly when z < 0 and floor(z) is odd.  A
-    non-finite argument raises ValueError; a log-Gamma or a quotient beyond
-    the float range raises OverflowError (math.lgamma, math.exp).
+    Any other argument, NaN and inf included, raises ValueError: above 100
+    the log-Gamma sum cancels (B(1e8, 1/2) is 1.6e-8 off).  A quotient
+    beyond the float range raises OverflowError (math.exp).
     """
     a = float(a)
     b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"beta_function needs finite arguments, got ({a}, {b})")
-    sign = 1.0
-    for z in (a, b, a + b):
-        if z <= 0.0 and z == math.floor(z):
-            raise ValueError(f"beta_function pole: argument combination hits Gamma({z})")
-        if z < 0.0 and math.floor(z) % 2:
-            sign = -sign
-    return sign * math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    if not (0.0 < a <= 100.0 and 0.0 < b <= 100.0):
+        raise ValueError(f"beta_function needs finite arguments in (0, 100], got ({a}, {b})")
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))

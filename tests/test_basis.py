@@ -1,6 +1,7 @@
 """Eigenbasis construction, transforms, gradients, and the cache round trip."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from stokesbesov import (GridVectorField, SpectralField, analyze, apply_stokes,
                          bessel_zero, boundary_traces, build_basis, build_grid,
                          curl_values, load_basis, save_basis,
                          specfun, synthesize, zero_field)
-from stokesbesov.basis import (COS, SIN, field_gradient_values, mode_values_at,
-                               radial_rows)
+from stokesbesov.basis import (COS, SIN, coeff_l2, curl_l2, field_gradient_values,
+                               mode_values_at, radial_rows)
 from stokesbesov.specfun import bessel_j_table
 
 J01 = 2.404825557695773
@@ -227,13 +228,35 @@ def test_curl_sign_and_magnitude(basis_88):
 
 
 def test_curl_energy_is_lambda(basis_88, grid_small):
-    # ||curl e_m||^2 = lambda_m for unit-L^2 eigenfields
+    # ||curl e_m||^2 = lambda_m for unit-L^2 eigenfields, on the full grid
+    # and on curl_l2's exact angular sub-grid
     for idx in (0, 5, 40):
         f = zero_field(basis_88)
         f.coeffs[idx] = 1.0
         w = curl_values(f, grid_small)
         assert grid_small.integrate(w * w) == pytest.approx(basis_88.lam[idx],
                                                             rel=1e-8)
+        assert curl_l2(f, grid_small) ** 2 == pytest.approx(basis_88.lam[idx], rel=1e-8)
+
+
+def test_l2_norms_scale_by_powers_of_two(basis_88, grid_small):
+    """X(2^k f) = 2^k X(f) over every 15th k in [-900, 900] for the field's
+    l2, the L^2 norm of a coefficient defect and curl_l2: unscaled, their
+    squares under- or overflow there, and the recomputed value must not,
+    nor warn."""
+    rng = np.random.default_rng(62)
+    f = SpectralField(basis_88, rng.standard_normal(basis_88.n_modes))
+    defect = 1e-9 * rng.standard_normal(basis_88.n_modes)
+    measures = ((lambda c: SpectralField(basis_88, c).l2(), f.coeffs),
+                (coeff_l2, defect),
+                (lambda c: curl_l2(SpectralField(basis_88, c), grid_small), f.coeffs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for measure, c in measures:
+            base = measure(c)
+            for k in range(-900, 901, 15):
+                assert measure(np.ldexp(c, k)) == pytest.approx(
+                    math.ldexp(base, k), rel=1e-13, abs=0.0), k
 
 
 def test_boundary_traces_small(basis_3232):

@@ -438,11 +438,11 @@ def test_one_comparator_decides_every_check(check_id, monkeypatch):
     """A value at the threshold passes unless the sense is strict, one step
     to the failing side fails, and so do NaN and a false extra condition."""
     registry = CHECKS if check_id in CHECKS else DRIFT_CHECKS
-    config = RunConfig()
+    config = RunConfig(checks=(check_id,))
 
     def run(*returned):
         monkeypatch.setitem(registry, check_id, lambda ctx: returned)
-        [result] = verify_checks(config, (check_id,))
+        [result] = verify_checks(config)
         assert (result.check_id, result.value, result.note) == (check_id, *returned[:2])
         return result
 
@@ -477,6 +477,16 @@ def test_crashed_check_fails_and_the_rest_run(tmp_path, monkeypatch, capsys):
     printed = capsys.readouterr().out
     assert "weak-star: FAIL (value inf, threshold 1.0)" in printed
     assert "1 check(s) failed: weak-star" in printed
+
+
+def test_verify_checks_refuses_an_invalid_config_before_any_check(monkeypatch):
+    # a RunConfig built in code is validated as a loaded one is: no check
+    # runs, so no crashed check turns into a FAIL row
+    ran = []
+    monkeypatch.setitem(CHECKS, "picard-small", lambda ctx: ran.append(ctx))
+    with pytest.raises(ConfigError, match="gamma"):
+        verify_checks(RunConfig(gamma=0.5, checks=("picard-small",)))
+    assert ran == []
 
 
 def test_resolved_radius_solves_one_zero_block(empty_zero_cache, monkeypatch):

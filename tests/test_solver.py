@@ -1,5 +1,6 @@
 """Graded mesh, Duhamel machinery, Picard iteration, and the ETD oracle."""
 
+import csv
 import json
 import math
 
@@ -248,13 +249,29 @@ def test_cli_solve_keeps_tiny_amplitudes(tmp_path):
     assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["trajectory_norm"] > 0.0
-    # the Picard update, about 1e-200, squares to below the smallest double
+    # the Picard update, about 1e-200, squares to below the smallest double,
+    # and so do the defects, up to 1.3e-218
     assert summary["picard"]["differences"][0] > 0.0
+    assert summary["residual"] > 0.0
     lines = (out / "trajectory.csv").read_text().strip().splitlines()
     column = lines[0].split(",").index("lp_norm_weighted")
     rows = [line.split(",") for line in lines[1:]]
     assert len(rows) == 5
     assert all(float(r[column]) > 0.0 for r in rows if float(r[0]) > 0.0)
+
+
+def test_cli_solve_writes_the_l2_columns_of_tiny_data(tmp_path):
+    # band_random normalizes the datum to the amplitude in l2; unscaled, the
+    # squares of 1e-200 underflow and l2_norm and curl_l2 read 0.0
+    path = tmp_path / "tiny.ini"
+    path.write_text(_OVERFLOW_INI.replace("n_max = 4", "n_max = 6")
+                    .replace("k_max = 4", "k_max = 6").replace("1e100", "1e-200"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    with open(out / "trajectory.csv", newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert float(row["l2_norm"]) == pytest.approx(1e-200, rel=1e-12, abs=0.0)
+    assert float(row["curl_l2"]) > 0.0
 
 
 def test_picard_update_norm_evaluates_a_third_of_its_terms(monkeypatch):

@@ -301,15 +301,24 @@ def test_beta_against_mpmath_on_positive_arguments():
         assert beta_function(a, b) == pytest.approx(oracles.mp_beta(a, b), rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("a,b", [(-0.5, 2.2), (-1.5, 0.75), (2.5, -3.3)])
-def test_beta_against_mpmath_on_negative_arguments(a, b):
-    # Gamma(z) < 0 for z < 0 with floor(z) odd: the sign of each factor counts
-    assert beta_function(a, b) == pytest.approx(oracles.mp_beta(a, b), rel=1e-12, abs=0.0)
+def test_beta_against_mpmath_over_its_domain():
+    # 49 log-spaced arguments per axis from 1e-6 to exactly 100: the
+    # log-Gamma sum cancels least at the small end, most at (100, 100)
+    xs = np.logspace(-6.0, 2.0, 49)
+    worst = max(abs(beta_function(a, b) / oracles.mp_beta(a, b) - 1.0) for a in xs for b in xs)
+    assert worst <= 1e-12
 
 
 def test_beta_refuses_poles():
     for a, b in ((0.0, 1.0), (-2.0, 0.5), (0.5, -1.5)):
-        with pytest.raises(ValueError, match="pole"):
+        with pytest.raises(ValueError, match=r"in \(0, 100\]"):
+            beta_function(a, b)
+
+
+def test_beta_refuses_negative_and_large_arguments():
+    # negative arguments have no caller; above 100 the log-Gamma sum cancels
+    for a, b in ((-0.5, 2.2), (100.5, 1.0), (1e8, 0.5)):
+        with pytest.raises(ValueError, match=r"in \(0, 100\]"):
             beta_function(a, b)
 
 

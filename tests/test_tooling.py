@@ -5,7 +5,8 @@ name, and the package exports __all__; deleting or renaming a member must
 fail here, in the default suite, not only in the benchmark's own tests.
 The config key table must stay in step with the config dataclasses: a
 field with no key is a knob nobody can set, a key with no field an error
-at load time.  Every exported function must have a caller inside the
+at load time, and the solver defaults RunConfig shares with SolverConfig
+must agree.  Every exported function must have a caller inside the
 package, or a reason on record why not: an export that only the tests
 call is a duplicate of the code path the program really runs.  The
 package runs on numpy and the standard library alone, as pyproject
@@ -80,6 +81,15 @@ def test_every_config_field_has_one_key():
             | {(True, name) for name in _fields(DataSpec)})
     assert {k: n for k, n in reached.items() if n != 1} == {}
     assert set(reached) == want
+
+
+def test_solver_defaults_agree_with_the_run_config():
+    # two homes, both needed: the CLI fills SolverConfig from RunConfig, and
+    # the benchmark's self-test builds a SolverConfig from its own defaults
+    solver = {f.name: f.default for f in dataclasses.fields(stokesbesov.SolverConfig)}
+    run = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    shared = ("gamma", "picard_tol", "max_picard")
+    assert [solver[name] for name in shared] == [run[name] for name in shared]
 
 
 def _called_names():
