@@ -183,15 +183,16 @@ class SpectralField:
             raise ValueError("fields live on different bases")
 
 
-def coeff_l2(coeffs: np.ndarray, norm=np.linalg.norm) -> float:
-    """norm(coeffs) (Euclidean by default), of degree one; a value outside
-    [2^-400, 2^400] is 2^e norm(2^-e coeffs), e the top entry's exponent, so
-    no square under- or overflows (Blue, ACM TOMS 4, 1978)."""
+def coeff_l2(*parts: np.ndarray, norm=np.linalg.norm) -> float:
+    """norm(*parts) (Euclidean of one part by default), of degree one; a value
+    outside [2^-400, 2^400] is 2^e norm(*2^-e parts), e the exponent of the
+    largest entry, so no square under- or overflows (Blue, ACM TOMS 4, 1978)."""
     with np.errstate(over="ignore"):
-        value = float(norm(coeffs))
+        value = float(norm(*parts))
         if not 2.0 ** -400 <= value <= 2.0 ** 400:
-            e = int(np.frexp(np.abs(coeffs).max())[1])
-            value = float(np.ldexp(norm(np.ldexp(coeffs, -e)), e))
+            e = int(np.frexp(max(np.abs(a).max() for a in parts))[1])
+            if e != 0:              # 0 also for a largest entry of 0 or inf
+                value = float(np.ldexp(norm(*(np.ldexp(a, -e) for a in parts)), e))
     return value
 
 
@@ -501,7 +502,7 @@ def curl_l2(f: SpectralField, grid: PolarGrid) -> float:
     """||curl f||_{L^2} on grid's exact angular sub-grid (|curl f|^2 has
     angular degree <= 2 n, n the top live order), exact at every scale."""
     sub = grid.exact_subgrid(2 * f.top_order())
-    return coeff_l2(f.coeffs, lambda c: np.sqrt(sub.integrate(
+    return coeff_l2(f.coeffs, norm=lambda c: np.sqrt(sub.integrate(
         np.square(curl_values(SpectralField(f.basis, c), sub)))))
 
 

@@ -45,7 +45,7 @@ from .basis import (
     save_basis,
     synthesize,
 )
-from .dyadic import active_bands, eta, phi, window
+from .dyadic import _multiplier, active_bands, apply_band, eta, phi, window
 from .norms import (
     INF,
     BesovIndex,
@@ -316,12 +316,13 @@ def _validate_config(cfg: RunConfig) -> None:
 
 def _resolve_checks(check_ids, doubled: bool) -> list:
     """Check ids to run: the named ones in their order, else the whole
-    registry, followed by the drift checks when doubled is set."""
+    registry, followed when doubled is set by the drift checks not named."""
     unknown = [c for c in check_ids if c not in _LIMITS]
     if unknown:
         raise ConfigError(f"[verify] checks: unknown check ids {unknown}; "
                           f"known ids: {', '.join(sorted(_LIMITS))}")
-    return list(check_ids) or list(CHECKS) + (list(DRIFT_CHECKS) if doubled else [])
+    ids = list(check_ids) or list(CHECKS)
+    return ids + [c for c in DRIFT_CHECKS if doubled and c not in ids]
 
 
 def _run_basis(config: RunConfig) -> Basis:
@@ -356,20 +357,15 @@ def generate_data(spec: DataSpec, basis: Basis, grid: PolarGrid) -> SpectralFiel
         coeffs = np.zeros(basis.n_modes)
         coeffs[group[spec.k - 1]] = spec.amplitude
         return SpectralField(basis, coeffs)
-    if spec.kind == "band_random":
-        weights = phi(spec.band, np.sqrt(basis.lam))
-        if not np.any(weights > 0.0):
-            raise ConfigError(f"[data] band {spec.band} contains no basis frequencies")
-        rng = np.random.default_rng(spec.seed)
-        coeffs = weights * rng.standard_normal(basis.n_modes)
-        norm = np.linalg.norm(coeffs)
-        return SpectralField(basis, coeffs * (spec.amplitude / norm))
-    if spec.kind == "spectral_slope":
-        rng = np.random.default_rng(spec.seed)
-        mags = np.sqrt(basis.lam) ** (-spec.slope)
-        coeffs = mags * rng.standard_normal(basis.n_modes)
-        norm = np.linalg.norm(coeffs)
-        return SpectralField(basis, coeffs * (spec.amplitude / norm))
+    if spec.kind in ("band_random", "spectral_slope"):
+        if spec.kind == "band_random":
+            weights = _multiplier(basis, spec.band, False)
+            if not np.any(weights > 0.0):
+                raise ConfigError(f"[data] band {spec.band} contains no basis frequencies")
+        else:
+            weights = np.sqrt(basis.lam) ** (-spec.slope)
+        coeffs = weights * np.random.default_rng(spec.seed).standard_normal(basis.n_modes)
+        return SpectralField(basis, coeffs * (spec.amplitude / np.linalg.norm(coeffs)))
     if spec.kind == "bump_family":
         return _bump_field(spec, basis, grid)
     raise ConfigError(f"[data] kind: unknown generator {spec.kind!r}")
@@ -568,14 +564,9 @@ def _check_band_support(ctx: VerifyContext):
 @_check("reconstruction", 1e-13)
 def _check_reconstruction(ctx: VerifyContext):
     basis = ctx.basis()
-    bands = active_bands(basis)
-    freq = np.sqrt(basis.lam)
-    rows = [phi(j, freq) for j in bands]
     worst = 0.0
     for f in ctx.random_fields(basis, 100, ctx.config.seed + 1):
-        total = np.zeros(basis.n_modes)
-        for row in rows:
-            total += row * f.coeffs
+        total = sum(apply_band(f, j).coeffs for j in active_bands(basis))
         worst = max(worst, float(np.max(np.abs(total - f.coeffs))))
     return worst, "100 seeded fields, band sums vs identity"
 
@@ -648,10 +639,9 @@ def _bernstein_stat(basis: Basis, grid: PolarGrid, seed: int) -> tuple:
     p_values = sorted({q for pair in _BERNSTEIN_PAIRS for q in pair},
                       key=lambda q: (math.isinf(q), q))
     point_vals = mode_values_at(basis, _BERNSTEIN_POINTS)   # (P, M, 2)
-    freq = np.sqrt(basis.lam)
     per_band = {}
     for j in bands:
-        mask = phi(j, freq)
+        mask = _multiplier(basis, j, False)
         members = []
         for pi in range(point_vals.shape[0]):
             for comp in range(2):
@@ -1045,9 +1035,9 @@ def _check_embedding(ctx: VerifyContext):
 
 
 def verify_checks(config: RunConfig) -> list:
-    """Run config.checks (all of them when empty, plus the drift checks when
-    config.doubled is set) once the config is valid.  Every check runs to
-    completion before the result list is returned; nothing short-circuits."""
+    """Run the checks _resolve_checks(config.checks, config.doubled) names,
+    once the config is valid.  Every check runs to completion before the
+    result list is returned; nothing short-circuits."""
     _validate_config(config)
     selected = _resolve_checks(config.checks, config.doubled)
     ctx = VerifyContext(config)

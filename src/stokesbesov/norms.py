@@ -29,9 +29,10 @@ alias the degree-p n term into the mean.  p = inf (refined grid), odd or
 fractional p, GridVectorField input and the pairings stay on the full grid.
 
 A norm outside [2^-400, 2^400] is recomputed from its input scaled by a
-power of two, a power sum outside [2^-900, 2^900] from squares scaled by
-one (for p > 2.25 a norm inside the first range can have its power sum
-outside): lp_norm and gradient_lp_norm of 2^k f are 2^k times their values.
+power of two (basis.coeff_l2, the one home of that rescale), a power sum
+outside [2^-900, 2^900] from squares scaled by one (for p > 2.25 a norm
+inside the first range can have its power sum outside): lp_norm and
+gradient_lp_norm of 2^k f are 2^k times their values.
 
 Sup-only consumers skip the terms that cannot reach the sup.  A mode's
 velocity obeys |u_x + i u_y| <= E_m at every node on the radial rule,
@@ -54,7 +55,7 @@ sup is the exhaustive one bit for bit.  When a bound is not finite, every
 term is evaluated.
 trajectory_terms, besov_norm and band_profile stay exhaustive: their
 per-term values are artifacts (trajectory.csv columns, NormReport.bands).
-tail_smallness, on no CLI path, is exhaustive too.
+tail_smallness, on no CLI path, reads besov_norm's bands.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import GridVectorField, PolarGrid, SpectralField, field_gradient_values, synthesize
+from .basis import (GridVectorField, PolarGrid, SpectralField, coeff_l2, field_gradient_values,
+                    synthesize)
 from .dyadic import _multiplier, active_bands, apply_band, apply_window
 from .errors import TruncationWarning
 
@@ -163,20 +165,16 @@ def _quadrature_grid(f: SpectralField, grid: PolarGrid, p: float) -> PolarGrid:
 
 
 def _homogeneous(norm):
-    """norm(v, grid, p), of degree one in v, with a value outside [2^-400, 2^400]
-    recomputed as 2^e norm(2^-e v, grid, p), e the exponent of v's top entry."""
+    """norm(v, grid, p), of degree one in v, made exact at every scale by
+    basis.coeff_l2's power-of-two rescale of v's arrays."""
     @functools.wraps(norm)
     def exact(v, grid, p):
-        with np.errstate(over="ignore"):        # an overflow is recomputed
-            value = norm(v, grid, p)
-            if not 2.0 ** -400 <= value <= 2.0 ** 400:
-                parts = [v.coeffs] if isinstance(v, SpectralField) else [v.ux, v.uy]
-                e = math.frexp(max(float(np.abs(a).max()) for a in parts))[1]
-                if e != 0:                      # 0 also for a top entry of 0 or inf
-                    u = [np.ldexp(a, -e) for a in parts]
-                    u = SpectralField(v.basis, *u) if len(u) == 1 else GridVectorField(v.grid, *u)
-                    value = float(np.ldexp(norm(u, grid, p), e))
-        return value
+        if isinstance(v, SpectralField):
+            return coeff_l2(v.coeffs, norm=lambda c: norm(SpectralField(v.basis, c), grid, p))
+        if isinstance(v, GridVectorField):
+            return coeff_l2(v.ux, v.uy,
+                            norm=lambda x, y: norm(GridVectorField(v.grid, x, y), grid, p))
+        return norm(v, grid, p)
     return exact
 
 
@@ -363,7 +361,7 @@ def tail_smallness(u0: SpectralField, p: float, J: int, grid: PolarGrid) -> floa
     The local-solvability smallness diagnostic: data is admissible when this
     is small for some J.  If J lies above the last active band the truncated
     spectrum cannot see the tail; the result is 0 with a TruncationWarning.
-    Every band j >= J is evaluated.
+    It reads besov_norm's bands (q = inf), so every active band is evaluated.
     """
     p = _check_p(p)
     if not (D < p):
@@ -375,7 +373,6 @@ def tail_smallness(u0: SpectralField, p: float, J: int, grid: PolarGrid) -> floa
             "the truncated spectrum carries no tail information there",
             TruncationWarning, stacklevel=2)
         return 0.0
-    s = critical_index(p)
+    bands = besov_norm(u0, BesovIndex(critical_index(p), p, INF), grid).bands
     # np.max, unlike max(), carries a NaN through: a NaN norm must not read 0
-    return float(np.max([2.0 ** (j * s) * lp_norm(apply_band(u0, j), grid, p)
-                         for j in active_bands(u0.basis) if j >= J]))
+    return float(np.max([v for j, v in bands if j >= J]))

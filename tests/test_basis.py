@@ -259,6 +259,24 @@ def test_l2_norms_scale_by_powers_of_two(basis_88, grid_small):
                     math.ldexp(base, k), rel=1e-13, abs=0.0), k
 
 
+def test_coeff_l2_rescales_once_and_never_a_zero():
+    """The power-of-two rescale takes e from the largest entry over all the
+    parts and skips e = 0: a zero input costs one norm call, not two."""
+    calls = []
+
+    def counted(*parts):
+        calls.append(parts)
+        return float(np.sqrt(sum(np.sum(a * a) for a in parts)))
+
+    assert coeff_l2(np.zeros(5), np.zeros(3), norm=counted) == 0.0
+    assert len(calls) == 1
+    calls.clear()
+    tiny = (np.ldexp(np.array([3.0, 4.0]), -700), np.ldexp(np.array([12.0]), -700))
+    assert coeff_l2(*tiny, norm=counted) == math.ldexp(13.0, -700)
+    assert len(calls) == 2
+    assert max(np.abs(a).max() for a in calls[1]) == 0.75      # 12 2^-700 -> 3/4
+
+
 def test_boundary_traces_small(basis_3232):
     normal, curl = boundary_traces(basis_3232)
     assert normal.shape == (basis_3232.n_modes,)

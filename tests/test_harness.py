@@ -515,6 +515,24 @@ def test_cli_verify_single_check(tmp_path, capsys):
     assert "all checks passed" in out
 
 
+def test_cli_doubled_appends_the_drift_checks_to_a_named_one(tmp_path, monkeypatch):
+    ran = []
+    for check_id in DRIFT_CHECKS:
+        monkeypatch.setitem(DRIFT_CHECKS, check_id,
+                            lambda ctx, c=check_id: ran.append(c) or (0.0, "stub"))
+    code = main(["verify", "beta-pi", "--doubled", "--config",
+                 str(_write_cfg(tmp_path)), "--out", str(tmp_path / "out")])
+    assert code == 0
+    rows = (tmp_path / "out" / "checks.csv").read_text().strip().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["beta-pi", *DRIFT_CHECKS]
+    assert ran == list(DRIFT_CHECKS)
+    # a named drift check runs once, where it was named; the others follow
+    cfg = load_config(_write_cfg(tmp_path, "\n[verify]\nchecks = kernel-drift, beta-pi\n"
+                                           "doubled = yes\n"), {"out_dir": str(tmp_path / "o2")})
+    assert [r.check_id for r in verify_checks(cfg)] == [
+        "kernel-drift", "beta-pi", *(c for c in DRIFT_CHECKS if c != "kernel-drift")]
+
+
 def test_cli_config_error(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[solver]\np = 2.0\n")

@@ -204,6 +204,36 @@ def test_tail_smallness_homogeneous(basis_88, grid_small):
     assert scaled == pytest.approx(3.5 * base, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [3.0, 4.0, 7.5])
+def test_tail_smallness_is_the_band_expression_bit_for_bit(basis_88, grid_small, p):
+    rng = np.random.default_rng(26)
+    s, bands = critical_index(p), active_bands(basis_88)
+    c = rng.standard_normal(basis_88.n_modes)
+    fields = (SpectralField(basis_88, c), SpectralField(basis_88, 1e-300 * c),
+              SpectralField(basis_88, c * np.exp(-0.05 * basis_88.lam)))
+    for f in fields:
+        for J in (bands[0] - 1, bands[0] + 2, bands[-1]):
+            expected = float(np.max([2.0 ** (j * s) * lp_norm(apply_band(f, j), grid_small, p)
+                                     for j in bands if j >= J]))
+            assert tail_smallness(f, p, J, grid_small) == expected, J
+
+
+def test_zero_fields_cost_one_norm_evaluation(basis_88, grid_small, monkeypatch):
+    # 0 lies outside [2^-400, 2^400], but a zero field has nothing to rescale
+    import stokesbesov.norms as norms
+    calls = []
+    inner = norms._lp_from_squares
+    monkeypatch.setattr(norms, "_lp_from_squares",
+                        lambda *a, **k: calls.append(a[2]) or inner(*a, **k))
+    zero = zero_field(basis_88)
+    samples = GridVectorField(grid_small, np.zeros(grid_small.shape), np.zeros(grid_small.shape))
+    assert lp_norm(zero, grid_small, 4.0) == 0.0
+    assert lp_norm(zero, grid_small, INF) == 0.0
+    assert lp_norm(samples, grid_small, 3.0) == 0.0
+    assert gradient_lp_norm(zero, grid_small, 4.0) == 0.0
+    assert calls == [4.0, INF, 3.0, 4.0]
+
+
 def test_tail_smallness_of_a_nan_field_is_nan():
     # NaN data must not read as small: max() would drop the NaN bands
     from stokesbesov import active_bands
