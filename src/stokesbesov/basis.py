@@ -22,12 +22,19 @@ every 1/r factor, e.g. for the complex mode psi = J_n(jr) e^{i n th}:
 and each Cartesian derivative shifts the order once more (factor j/2 per
 derivative).  This keeps synthesis, analysis, and gradient tensors stable at
 r = 0 and makes them factorize into radial tables times angular transforms.
+
+Each table is held once, read-only.  A grid and its sub-grids share one
+radial stack per basis, a view of a larger truncation's stack on the same
+radii where one exists (PolarGrid.radial_stack); ModeTables reads it
+through the grid, so a stack replaced by a view is freed.  There is one
+Transform.sign_table per (transform, n_max, orders) for every grid.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -183,17 +190,33 @@ class SpectralField:
             raise ValueError("fields live on different bases")
 
 
+# log2(norm / largest entry) stays below this for every norm coeff_l2 serves
+_NORM_SPAN = 50
+
+
 def coeff_l2(*parts: np.ndarray, norm=np.linalg.norm) -> float:
     """norm(*parts) (Euclidean of one part by default), of degree one; a value
     outside [2^-400, 2^400] is 2^e norm(*2^-e parts), e the exponent of the
-    largest entry, so no square under- or overflows (Blue, ACM TOMS 4, 1978)."""
+    largest entry, so no square under- or overflows (Blue, ACM TOMS 4, 1978).
+
+    All-zero parts read 0.0 without a call of norm.  With the largest entry
+    below 2^e, every norm served here is below 2^(e + 34): a coefficient
+    vector's (n_modes <= 128 * 257 < 2^15.01) at most 2^7.6 times it, and an
+    L^p norm of a synthesis at most pi^(1/p) < 2^1.7 times sqrt(4 channels)
+    times the sum of a channel's term coefficients (<= 4) times sum_m |c_m|
+    |Transform.scale_m| (|scale_m| < 2^13.9 at (128, 128)).  So below
+    e = -400 - _NORM_SPAN the unscaled value would fall below 2^-400 and be
+    dropped: only the scaled pass runs."""
+    top = max(float(np.abs(a).max()) for a in parts)
+    if top == 0.0 and not any(a.any() for a in parts):     # a NaN part is not zero
+        return 0.0
+    e = math.frexp(top)[1]              # 0 also for an inf or NaN largest entry
     with np.errstate(over="ignore"):
-        value = float(norm(*parts))
-        if not 2.0 ** -400 <= value <= 2.0 ** 400:
-            e = int(np.frexp(max(np.abs(a).max() for a in parts))[1])
-            if e != 0:              # 0 also for a largest entry of 0 or inf
-                value = float(np.ldexp(norm(*(np.ldexp(a, -e) for a in parts)), e))
-    return value
+        if e > -400 - _NORM_SPAN:
+            value = float(norm(*parts))
+            if 2.0 ** -400 <= value <= 2.0 ** 400 or e == 0:
+                return value
+        return float(np.ldexp(norm(*(np.ldexp(a, -e) for a in parts)), e))
 
 
 def zero_field(basis: Basis) -> SpectralField:
@@ -234,7 +257,8 @@ class PolarGrid:
                                 np.full(self.angular_count, self.angular_weight))
         self._tables = {}
         self._refined = None
-        # basis cache key -> radial Bessel stack, shared with every sub-grid
+        # basis cache key -> (zeros_rows, radial Bessel stack), shared with
+        # every sub-grid (radial_stack)
         self._radial_stacks = {}
         self._subgrids = {}
 
@@ -276,6 +300,29 @@ class PolarGrid:
             self._subgrids[count] = sub
         return sub
 
+    def radial_stack(self, basis: Basis) -> np.ndarray:
+        """ModeTables.radial of basis on this grid's radii, held once by the
+        grid and its sub-grids: the [:n+1, :, :k] corner of a larger stack
+        whose zeros hold basis's, bit for bit (every Bessel entry depends on
+        its own order, argument and table top alone), else built, and then
+        every smaller entry whose zeros are its corner becomes a view of it."""
+        hit = self._radial_stacks.get(basis.cache_key)
+        if hit is None:
+            zeros = basis.zeros_rows
+            n, k = zeros.shape
+            big = next((s for z, s in self._radial_stacks.values() if _is_corner(zeros, z)),
+                       None)
+            if big is not None:
+                stack = big[:n, :, :k]
+            else:
+                stack = radial_rows(zeros, self.radii, range(-2, 3))
+                stack.flags.writeable = False
+                for key, (z, s) in self._radial_stacks.items():
+                    if _is_corner(z, zeros):
+                        self._radial_stacks[key] = (z, stack[:z.shape[0], :, :z.shape[1]])
+            hit = self._radial_stacks[basis.cache_key] = (zeros, stack)
+        return hit[1]
+
     def tables(self, basis: Basis) -> "ModeTables":
         tab = self._tables.get(basis.cache_key)
         if tab is None:
@@ -290,6 +337,12 @@ class PolarGrid:
             self._refined = build_grid(self.radial_order * REFINE_FACTOR,
                                        self.angular_count * REFINE_FACTOR)
         return self._refined
+
+
+def _is_corner(small: np.ndarray, big: np.ndarray) -> bool:
+    """Whether the zeros table small is the [:n+1, :k] corner of big."""
+    n, k = small.shape
+    return n <= big.shape[0] and k <= big.shape[1] and np.array_equal(big[:n, :k], small)
 
 
 def build_grid(radial_order: int, angular_count: int) -> PolarGrid:
@@ -324,10 +377,12 @@ class Transform:
         step = self.shifts[1] - self.shifts[0] if len(self.shifts) > 1 else 1
         return slice(self.shifts[0] + 2, self.shifts[-1] + 3, step)
 
+    @functools.cache
     def sign_table(self, n_max: int, orders: int) -> np.ndarray:
         """The terms as signs, (channels, 2 orders, (n_max+1) * len(shifts) * 2)
         over angular rows 2m, 2m+1 = cos, sin(m th) and profiles ordered (n,
-        shift, parity), with negative orders folded."""
+        shift, parity), with negative orders folded.  One read-only table
+        per (transform, n_max, orders), shared by every grid."""
         n = np.arange(n_max + 1)
         table = np.zeros((self.channels, 2 * orders, n.size, len(self.shifts), 2))
         for shift, channel, trig, coef in self.terms:
@@ -336,7 +391,9 @@ class Transform:
                                  (SIN, 1 - trig, coef if trig == COS else -coef)):
                 sign = np.where((t == SIN) & (m < 0), -c, c)
                 table[channel, 2 * np.abs(m) + t, n, self.shifts.index(shift), parity] += sign
-        return table.reshape(self.channels, 2 * orders, -1)
+        table = table.reshape(self.channels, 2 * orders, -1)
+        table.flags.writeable = False
+        return table
 
 
 # u_x + i u_y = i j J_{n+1} e^{i(n+1)th},  u_x - i u_y = i j J_{n-1} e^{i(n-1)th}
@@ -387,12 +444,16 @@ class ModeTables:
         np.cos(angles, out=ang[:, COS])
         np.sin(angles, out=ang[:, SIN])
         self.angular = ang.reshape(2 * angles.shape[0], count)
-        self.radial = grid._radial_stacks.get(basis.cache_key)
-        if self.radial is None:
-            self.radial = radial_rows(basis.zeros_rows, grid.radii, range(-2, 3))
-            grid._radial_stacks[basis.cache_key] = self.radial
+        grid.radial_stack(basis)
+        self._stack_key = basis.cache_key
         self.slot = (2 * basis.angular + basis.parity) * basis.k_max + basis.radial - 1
-        self._scatter = {}
+        self._scale = {}
+
+    @property
+    def radial(self) -> np.ndarray:
+        """PolarGrid.radial_stack, read through the grid on every use, so that
+        a stack replaced by a view of a larger one is not held twice."""
+        return self.grid._radial_stacks[self._stack_key][1]
 
     @functools.cached_property
     def velocity_envelope(self) -> np.ndarray:
@@ -408,16 +469,14 @@ class ModeTables:
     def scatter(self, spec: Transform):
         """Sign table of a transform over the angular rows (Transform.sign_table)
         and the per-mode coefficient scale."""
-        hit = self._scatter.get(spec)
-        if hit is None:
-            hit = (spec.sign_table(self.basis.n_max, self.angular.shape[0] // 2),
-                   spec.scale(self.basis))
-            self._scatter[spec] = hit
-        return hit
+        scale = self._scale.get(spec)
+        if scale is None:
+            scale = self._scale[spec] = spec.scale(self.basis)
+        return spec.sign_table(self.basis.n_max, self.angular.shape[0] // 2), scale
 
-    def forward(self, spec: Transform, coeffs: np.ndarray, out=None) -> np.ndarray:
-        """Channel values (channels, R, A) of a coefficient vector, written
-        to out when given.
+    def lines(self, spec: Transform, coeffs: np.ndarray) -> np.ndarray:
+        """The radial and sign stages of forward: per channel and radius the
+        coefficients of the angular rows, shape (channels, rows, R).
 
         Orders above the highest one with a nonzero coefficient are cut off:
         profiles, sign table and angular rows are all prefix slices.
@@ -429,9 +488,14 @@ class ModeTables:
         cut = int(live[-1]) + 1 if live.size else 0
         prof = np.matmul(a[:cut, None], self.radial[:cut, spec.shift_rows])
         rows = min(table.shape[1], 2 * (cut + spec.shifts[-1])) if cut else 0
-        lines = np.matmul(table[:, :rows, :prof.size // self.grid.radial_order],
-                          prof.reshape(-1, self.grid.radial_order))
-        return np.matmul(lines.transpose(0, 2, 1), self.angular[:rows], out=out)
+        return np.matmul(table[:, :rows, :prof.size // self.grid.radial_order],
+                         prof.reshape(-1, self.grid.radial_order))
+
+    def forward(self, spec: Transform, coeffs: np.ndarray, out=None) -> np.ndarray:
+        """Channel values (channels, R, A) of a coefficient vector, written
+        to out when given: the angular stage applied to lines."""
+        lines = self.lines(spec, coeffs)
+        return np.matmul(lines.transpose(0, 2, 1), self.angular[:lines.shape[1]], out=out)
 
     def adjoint(self, spec: Transform, values) -> np.ndarray:
         """Quadrature transpose of forward: the coefficient vector of
@@ -509,6 +573,14 @@ def curl_l2(f: SpectralField, grid: PolarGrid) -> float:
 def mode_values_at(basis: Basis, points: np.ndarray) -> np.ndarray:
     """Velocity of every mode at arbitrary points, shape (P, n_modes, 2), as
     VELOCITY's terms at the points' radii and angles."""
+    return point_values(point_terms(basis, points))
+
+
+def point_terms(basis: Basis, points: np.ndarray) -> tuple:
+    """The stages of mode_values_at that run once per point set: the basis,
+    VELOCITY's radial rows at the points' radii, (n_max+1, 2, k_max, P),
+    cos and sin of m th up to order n_max+1, (2 (n_max+2), P), and the
+    per-mode scale."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     r = np.hypot(pts[:, 0], pts[:, 1])
     if (r > 1.0 + 1e-12).any():
@@ -516,13 +588,21 @@ def mode_values_at(basis: Basis, points: np.ndarray) -> np.ndarray:
     orders = basis.n_max + 2
     m_th = np.multiply.outer(np.arange(orders), np.arctan2(pts[:, 1], pts[:, 0]))
     trig = np.stack([np.cos(m_th), np.sin(m_th)], axis=1).reshape(2 * orders, -1)
-    signs = VELOCITY.sign_table(basis.n_max, orders)
+    rows = radial_rows(basis.zeros_rows, r, VELOCITY.shifts)
+    return basis, rows, trig, VELOCITY.scale(basis)
+
+
+def point_values(terms: tuple, points=slice(None)) -> np.ndarray:
+    """mode_values_at at the points (a slice) of point_terms' terms, shape
+    (B, n_modes, 2).  Every value is elementwise in its point, so a block
+    holds the same bits as the same rows of the whole array."""
+    basis, rows, trig, scale = terms
+    rows, trig = rows[..., points], trig[:, points]
+    signs = VELOCITY.sign_table(basis.n_max, basis.n_max + 2)
     # one signed trig value per (channel, n, shift, parity): a sum of one term
     signed = np.matmul(signs.swapaxes(1, 2), trig).reshape(2, basis.n_max + 1, 2, 2, 1, -1)
-    rows = radial_rows(basis.zeros_rows, r, VELOCITY.shifts)
-    scale = VELOCITY.scale(basis)
-    out = np.empty((r.size, basis.n_modes, 2))
-    # a group at a time, so no temporary outgrows (channels, shifts, k_max, P)
+    out = np.empty((trig.shape[-1], basis.n_modes, 2))
+    # a group at a time, so no temporary outgrows (channels, shifts, k_max, B)
     for (n, q), idx in basis.group_index.items():
         out[:, idx] = ((rows[n] * signed[:, n, :, q]).sum(axis=1) * scale[idx, None]).T
     return out

@@ -12,6 +12,18 @@ three times denser in each direction; truncated fields have bounded
 gradients, so the refinement error is controlled and documented rather than
 hidden.
 
+The sup of a SpectralField runs in blocks.  ModeTables.lines, the radial
+and sign stages of forward, gives per channel c and refined circle r_i the
+coefficients line_c(r_i) of cosines and sines, so |u| <= B_i =
+sqrt(sum_c (sum_rows |line_c(r_i)|)^2) on circle i.  The angular stage runs
+on fixed blocks of _SUP_BLOCK = 32 consecutive circles, in descending order
+of their largest B_i times 1 + 1e-9, through _bounded_sup (below): once the
+largest value found is >= 2^-500, a block whose bound does not exceed it
+cannot hold the max and is skipped.  A block that runs is the same product
+whether or not others are skipped; that its rows equal those of the whole
+refined synthesis bit for bit is tested.  A GridVectorField's sup stays a
+plain max.
+
 Even integer p on a SpectralField integrates on the grid's exact angular
 sub-grid PolarGrid.exact_subgrid(p n), the same radial rule on p n + 1
 equispaced angles, n the top order with a nonzero coefficient.  At each
@@ -67,8 +79,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (GridVectorField, PolarGrid, SpectralField, coeff_l2, field_gradient_values,
-                    synthesize)
+from .basis import (VELOCITY, GridVectorField, PolarGrid, SpectralField, coeff_l2,
+                    field_gradient_values, synthesize)
 from .dyadic import _multiplier, active_bands, apply_band, apply_window
 from .errors import TruncationWarning
 
@@ -81,6 +93,8 @@ _POWER_SUM_MIN, _POWER_SUM_MAX = 2.0 ** -900, 2.0 ** 900
 _BOUND_SLACK = 1.0 + 1e-9
 # skipping needs a largest value of at least this (module docstring)
 _SKIP_FLOOR = 2.0 ** -500
+# refined circles per angular product of a p = inf norm (module docstring)
+_SUP_BLOCK = 32
 
 
 def critical_index(p: float) -> float:
@@ -166,12 +180,17 @@ def _quadrature_grid(f: SpectralField, grid: PolarGrid, p: float) -> PolarGrid:
 
 def _homogeneous(norm):
     """norm(v, grid, p), of degree one in v, made exact at every scale by
-    basis.coeff_l2's power-of-two rescale of v's arrays."""
+    basis.coeff_l2's power-of-two rescale of v's arrays.  The arguments are
+    checked first, so that a zero v, which reads 0.0 without a call of
+    norm, is refused where any other v is; norm gets p as a float."""
     @functools.wraps(norm)
     def exact(v, grid, p):
+        p = _check_p(p)
         if isinstance(v, SpectralField):
             return coeff_l2(v.coeffs, norm=lambda c: norm(SpectralField(v.basis, c), grid, p))
         if isinstance(v, GridVectorField):
+            if p != INF and v.grid.shape != grid.shape and v.grid.shape != grid.refined().shape:
+                raise ValueError("grid samples do not match the quadrature grid")
             return coeff_l2(v.ux, v.uy,
                             norm=lambda x, y: norm(GridVectorField(v.grid, x, y), grid, p))
         return norm(v, grid, p)
@@ -183,12 +202,14 @@ def lp_norm(v, grid: PolarGrid, p) -> float:
     """L^p norm of the pointwise velocity magnitude over the disk.
 
     Accepts a SpectralField (synthesized on its quadrature grid: the
-    exact angular sub-grid for even p, the refined companion grid
-    for p = inf) or raw GridVectorField samples (p = inf then maximizes
-    over the nodes the data lives on).
+    exact angular sub-grid for even p, and for p = inf the refined
+    companion grid, in blocks of circles, module docstring) or raw
+    GridVectorField samples (p = inf then maximizes over the nodes the
+    data lives on).
     """
-    p = _check_p(p)
     if isinstance(v, SpectralField):
+        if p == INF:
+            return _sup_norm(v, grid.refined())
         v = synthesize(v, _quadrature_grid(v, grid, p))
         # the samples are ours: square them in place, and take the powers
         # in uy once it has been added
@@ -196,8 +217,6 @@ def lp_norm(v, grid: PolarGrid, p) -> float:
         sq += np.square(v.uy, out=v.uy)
         return _lp_from_squares(sq, v.grid.weights, p, out=v.uy)
     if isinstance(v, GridVectorField):
-        if p != INF and v.grid.shape != grid.shape and v.grid.shape != grid.refined().shape:
-            raise ValueError("grid samples do not match the quadrature grid")
         sq, scratch = np.square(v.ux), np.square(v.uy)
         sq += scratch
         return _lp_from_squares(sq, v.grid.weights, p, out=scratch)
@@ -208,10 +227,30 @@ def lp_norm(v, grid: PolarGrid, p) -> float:
 def gradient_lp_norm(f: SpectralField, grid: PolarGrid, p) -> float:
     """L^p norm of the pointwise Frobenius magnitude of the velocity gradient,
     on the same quadrature grid as lp_norm."""
-    p = _check_p(p)
     g = _quadrature_grid(f, grid, p)
     ten = field_gradient_values(f, g)
     return _lp_from_squares(np.sum(ten * ten, axis=(2, 3)), g.weights, p)
+
+
+def _sup_norm(f: SpectralField, grid: PolarGrid) -> float:
+    """max |u| over the nodes of grid, _SUP_BLOCK circles at a time in
+    descending order of their bound (module docstring)."""
+    tables = grid.tables(f.basis)
+    lines = tables.lines(VELOCITY, f.coeffs)        # (2, rows, R)
+    angular = tables.angular[:lines.shape[1]]
+    starts = np.arange(0, grid.radial_order, _SUP_BLOCK)
+    with np.errstate(over="ignore", invalid="ignore"):
+        circle = np.sqrt(np.square(np.abs(lines).sum(axis=1)).sum(axis=0))
+        bounds = np.maximum.reduceat(circle, starts) * _BOUND_SLACK
+
+    def block_max(i: int) -> float:
+        blk = lines[:, :, starts[i]:starts[i] + _SUP_BLOCK]
+        ux, uy = np.matmul(blk.transpose(0, 2, 1), angular)
+        sq = np.square(ux, out=ux)
+        sq += np.square(uy, out=uy)
+        return math.sqrt(float(sq.max()))
+
+    return _bounded_sup(bounds, block_max)
 
 
 def _aggregate(values: np.ndarray, q: float) -> float:

@@ -1,5 +1,6 @@
 """Eigenbasis construction, transforms, gradients, and the cache round trip."""
 
+import dataclasses
 import math
 import warnings
 
@@ -11,8 +12,8 @@ from stokesbesov import (GridVectorField, SpectralField, analyze, apply_stokes,
                          bessel_zero, boundary_traces, build_basis, build_grid,
                          curl_values, load_basis, save_basis,
                          specfun, synthesize, zero_field)
-from stokesbesov.basis import (COS, SIN, coeff_l2, curl_l2, field_gradient_values,
-                               mode_values_at, radial_rows)
+from stokesbesov.basis import (COS, CURL, GRADIENT, SIN, VELOCITY, coeff_l2, curl_l2,
+                               field_gradient_values, mode_values_at, radial_rows)
 from stokesbesov.specfun import bessel_j_table
 
 J01 = 2.404825557695773
@@ -261,7 +262,8 @@ def test_l2_norms_scale_by_powers_of_two(basis_88, grid_small):
 
 def test_coeff_l2_rescales_once_and_never_a_zero():
     """The power-of-two rescale takes e from the largest entry over all the
-    parts and skips e = 0: a zero input costs one norm call, not two."""
+    parts: a zero input costs no norm call, a largest entry below
+    2^(-400 - 50) only the scaled one, and one just below 2^-400 both."""
     calls = []
 
     def counted(*parts):
@@ -269,12 +271,15 @@ def test_coeff_l2_rescales_once_and_never_a_zero():
         return float(np.sqrt(sum(np.sum(a * a) for a in parts)))
 
     assert coeff_l2(np.zeros(5), np.zeros(3), norm=counted) == 0.0
-    assert len(calls) == 1
-    calls.clear()
+    assert len(calls) == 0
     tiny = (np.ldexp(np.array([3.0, 4.0]), -700), np.ldexp(np.array([12.0]), -700))
     assert coeff_l2(*tiny, norm=counted) == math.ldexp(13.0, -700)
+    assert len(calls) == 1
+    assert max(np.abs(a).max() for a in calls[0]) == 0.75      # 12 2^-700 -> 3/4
+    calls.clear()
+    small = (np.ldexp(np.array([3.0, 4.0]), -420), np.ldexp(np.array([12.0]), -420))
+    assert coeff_l2(*small, norm=counted) == math.ldexp(13.0, -420)
     assert len(calls) == 2
-    assert max(np.abs(a).max() for a in calls[1]) == 0.75      # 12 2^-700 -> 3/4
 
 
 def test_boundary_traces_small(basis_3232):
@@ -441,6 +446,50 @@ def test_radial_stack_is_a_slice_of_a_larger_one(basis_1616, basis_3232, grid_de
     small = radial_rows(basis_1616.zeros_rows, grid_default.radii, shifts)
     large = radial_rows(basis_3232.zeros_rows, grid_default.radii, shifts)
     assert np.array_equal(small, large[:17, :, :16])
+
+
+def test_radial_stacks_are_held_once_as_read_only_views(basis_88, basis_1616, monkeypatch):
+    """A stack built after a smaller one on the same radii turns the smaller
+    entry into a view of itself; a stack asked for after a larger one is its
+    corner and builds nothing; no held stack is writeable."""
+    import stokesbesov.basis as basis_mod
+    grid = build_grid(24, 16)
+    small = grid.tables(basis_88).radial
+    assert not small.flags.writeable
+    want = small.copy()
+    large = grid.tables(basis_1616).radial
+    held = grid.tables(basis_88).radial
+    assert np.shares_memory(held, large) and not np.shares_memory(held, small)
+    assert np.array_equal(held, want)
+    assert not held.flags.writeable and not large.flags.writeable
+    with pytest.raises(ValueError):
+        held[0, 0, 0, 0] = 1.0
+
+    built = []
+    real = basis_mod.radial_rows
+    monkeypatch.setattr(basis_mod, "radial_rows", lambda *a: built.append(a) or real(*a))
+    other = build_grid(24, 16)
+    other.exact_subgrid(5).tables(basis_1616)
+    corner = other.tables(basis_88).radial
+    assert len(built) == 1                          # the (16,16) stack alone
+    assert np.shares_memory(corner, other.tables(basis_1616).radial)
+    assert np.array_equal(corner, want)
+    # zeros that are not a corner of the larger stack's get a stack of their own
+    moved = dataclasses.replace(basis_88, zeros_rows=basis_88.zeros_rows * (1.0 + 2.0 ** -40))
+    fresh = build_grid(24, 16)
+    fresh.tables(basis_1616)
+    assert not np.shares_memory(fresh.tables(moved).radial, fresh.tables(basis_1616).radial)
+    assert len(built) == 3
+
+
+def test_sign_table_is_one_read_only_object_per_transform(basis_88):
+    a = build_grid(16, 32).tables(basis_88)
+    b = build_grid(24, 48).exact_subgrid(9).tables(basis_88)
+    for spec in (VELOCITY, GRADIENT, CURL):
+        table = a.scatter(spec)[0]
+        assert b.scatter(spec)[0] is table
+        assert table is spec.sign_table(basis_88.n_max, basis_88.n_max + 3)
+        assert not table.flags.writeable
 
 
 @pytest.mark.parametrize("angular", [256, 240, 768])

@@ -1,10 +1,12 @@
 """Artifacts across repeated CLI runs and BLAS thread counts.
 
 Byte-identity of the artifacts holds per host and BLAS thread count (see
-the README).  A small `solve` and a `verify` of five checks each run twice
-at OPENBLAS_NUM_THREADS=1 and twice at 2, as fresh processes.  The runs at
-one thread count must agree byte for byte.  Across the two counts the
-largest relative difference of any number is recorded (as the test property
+the README).  A small `solve` and a `verify` of six checks each run twice
+at OPENBLAS_NUM_THREADS=1 and twice at 2, as fresh processes;
+multiplier-uniformity brings in the p = inf norms, whose angular products
+run on fixed blocks of refined circles.  The runs at one thread count must
+agree byte for byte.  Across the two counts the largest relative
+difference of any number is recorded (as the test property
 max_rel_diff_1_vs_2_threads, and on stdout) but not asserted: another BLAS
 blocking may round differently, and the program does nothing to hide that.
 """
@@ -40,7 +42,8 @@ seed = 3
 """),
     "verify": ("verify all", _GRID + """
 [verify]
-checks = reconstruction, gram-orthonormality, nonlinear-energy, helmholtz, picard-small
+checks = reconstruction, gram-orthonormality, nonlinear-energy, helmholtz, picard-small,
+    multiplier-uniformity
 """),
 }
 

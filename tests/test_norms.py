@@ -13,7 +13,7 @@ from stokesbesov import (BesovIndex, SpectralField, TruncationWarning,
                          lp_norm, picard_solve, tail_smallness, trajectory_norm,
                          zero_field)
 from stokesbesov.basis import (COS, SIN, GridVectorField, field_gradient_values,
-                               synthesize)
+                               mode_values_at, synthesize)
 from stokesbesov.norms import INF, _term_bounds, gradient_lp_norm, trajectory_terms
 from stokesbesov.solver import SolverConfig, Trajectory, linear_trajectory
 
@@ -218,20 +218,33 @@ def test_tail_smallness_is_the_band_expression_bit_for_bit(basis_88, grid_small,
             assert tail_smallness(f, p, J, grid_small) == expected, J
 
 
-def test_zero_fields_cost_one_norm_evaluation(basis_88, grid_small, monkeypatch):
-    # 0 lies outside [2^-400, 2^400], but a zero field has nothing to rescale
+def test_zero_fields_cost_no_norm_evaluation(basis_88, grid_small, monkeypatch):
+    # a zero field reads 0.0 without a synthesis or a power sum, once its
+    # arguments have passed the checks every other field meets
     import stokesbesov.norms as norms
+    from stokesbesov.basis import ModeTables
     calls = []
-    inner = norms._lp_from_squares
+    inner_sq, inner_lines = norms._lp_from_squares, ModeTables.lines
     monkeypatch.setattr(norms, "_lp_from_squares",
-                        lambda *a, **k: calls.append(a[2]) or inner(*a, **k))
+                        lambda *a, **k: calls.append(a[2]) or inner_sq(*a, **k))
+    monkeypatch.setattr(ModeTables, "lines",
+                        lambda *a, **k: calls.append("lines") or inner_lines(*a, **k))
     zero = zero_field(basis_88)
     samples = GridVectorField(grid_small, np.zeros(grid_small.shape), np.zeros(grid_small.shape))
     assert lp_norm(zero, grid_small, 4.0) == 0.0
     assert lp_norm(zero, grid_small, INF) == 0.0
     assert lp_norm(samples, grid_small, 3.0) == 0.0
     assert gradient_lp_norm(zero, grid_small, 4.0) == 0.0
-    assert calls == [4.0, INF, 3.0, 4.0]
+    assert besov_norm(zero, BesovIndex(0.0, 4.0, 1.0), grid_small).value == 0.0
+    assert calls == []
+    for bad in (0.5, math.nan):
+        with pytest.raises(ValueError):
+            lp_norm(zero, grid_small, bad)
+        with pytest.raises(ValueError):
+            gradient_lp_norm(zero, grid_small, bad)
+    with pytest.raises(ValueError, match="do not match"):
+        lp_norm(samples, build_grid(16, 32), 4.0)
+    assert calls == []
 
 
 def test_tail_smallness_of_a_nan_field_is_nan():
@@ -515,3 +528,105 @@ def test_trajectory_norm_of_subnormal_fields_is_the_exhaustive_sup(basis_88, gri
     rows[:, 0] = 5e-324
     traj = Trajectory(basis_88, np.array([0.0, 0.5]), rows)
     assert trajectory_norm(traj, 3.0, grid_small) == _exhaustive_norm(traj, 3.0, grid_small)
+
+
+def _refined_max(f, grid):
+    """max |u| of the full synthesis on grid's refined companion."""
+    v = synthesize(f, grid.refined())
+    return math.sqrt(float(np.max(np.square(v.ux) + np.square(v.uy))))
+
+
+@pytest.mark.parametrize("trunc, shape", [((8, 8), (64, 128)), ((16, 16), (128, 256)),
+                                          ((32, 32), (128, 256))])
+def test_blocked_sup_equals_the_full_refined_max(trunc, shape, monkeypatch):
+    """lp_norm at p = inf runs the angular stage on blocks of 32 refined
+    circles in descending bound order and skips the blocks that cannot hold
+    the max.  For band-filtered kernel columns (the Bernstein extremizers)
+    and random band data it equals the max of the full refined synthesis
+    bit for bit, and the kernel columns skip blocks."""
+    import stokesbesov.norms as norms
+    from stokesbesov.dyadic import _multiplier
+    basis, grid = build_basis(*trunc), build_grid(*shape)
+    runs = []
+    inner = norms._bounded_sup
+
+    def counted(bounds, term):
+        runs.append([bounds.size, 0])
+
+        def tally(i):
+            runs[-1][1] += 1
+            return term(i)
+        return inner(bounds, tally)
+
+    monkeypatch.setattr(norms, "_bounded_sup", counted)
+    rng = np.random.default_rng(70 + trunc[0])
+    columns = mode_values_at(basis, np.array([[0.35, -0.2], [-0.1, 0.6]]))
+    columns = columns.transpose(0, 2, 1).reshape(4, basis.n_modes)
+    kernel_runs = []
+    for j in active_bands(basis):
+        mask = _multiplier(basis, j, False)
+        for c in columns:
+            f = SpectralField(basis, mask * c)
+            assert lp_norm(f, grid, INF) == _refined_max(f, grid), j
+        kernel_runs.extend(runs)
+        runs.clear()
+        for _ in range(2):
+            f = SpectralField(basis, mask * rng.standard_normal(basis.n_modes))
+            assert lp_norm(f, grid, INF) == _refined_max(f, grid), j
+    blocks = 3 * shape[0] // 32
+    assert all(size == blocks for size, _ in runs + kernel_runs)
+    # the narrow columns of the top bands need few circles, the broad low
+    # bands most of them
+    assert min(ran for _, ran in kernel_runs) <= blocks // 3
+    assert sum(ran for _, ran in kernel_runs) < 0.7 * blocks * len(kernel_runs)
+
+
+def test_sup_norm_memory_stays_below_one_refined_synthesis(basis_3232, grid_default):
+    import tracemalloc
+    f = SpectralField(basis_3232, np.random.default_rng(71).standard_normal(basis_3232.n_modes))
+    lp_norm(f, grid_default, INF)                   # the refined grid and its tables
+    tracemalloc.start()
+    try:
+        lp_norm(f, grid_default, INF)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * np.prod(grid_default.refined().shape)
+
+
+def _two_pass(norm, *parts):
+    """coeff_l2 as it was: the unscaled pass always runs first."""
+    with np.errstate(over="ignore"):
+        value = float(norm(*parts))
+        if not 2.0 ** -400 <= value <= 2.0 ** 400:
+            e = int(np.frexp(max(np.abs(a).max() for a in parts))[1])
+            if e != 0:
+                value = float(np.ldexp(norm(*(np.ldexp(a, -e) for a in parts)), e))
+    return value
+
+
+def test_skipped_first_pass_keeps_every_bit(basis_88, grid_small):
+    """coeff_l2 skips the unscaled pass when the largest entry is below
+    2^(-400 - 50); over X(2^k f), k in [-900, 900], every norm it serves
+    reads what the two-pass form reads, bit for bit."""
+    from stokesbesov.basis import coeff_l2, curl_values
+    f = SpectralField(basis_88, np.random.default_rng(72).standard_normal(basis_88.n_modes))
+    v = synthesize(f, grid_small)
+    sub = grid_small.exact_subgrid(2 * f.top_order())
+    measures = [np.linalg.norm,
+                lambda c: np.sqrt(sub.integrate(np.square(curl_values(SpectralField(basis_88, c),
+                                                                      sub))))]
+    for p in (1.0, 2.0, 3.0, 4.0, 6.0, INF):
+        measures.append(lambda c, p=p: lp_norm.__wrapped__(SpectralField(basis_88, c),
+                                                           grid_small, p))
+        measures.append(lambda c, p=p: gradient_lp_norm.__wrapped__(
+            SpectralField(basis_88, c), grid_small, p))
+    for k in range(-900, 901, 15):
+        c = np.ldexp(f.coeffs, k)
+        for measure in measures:
+            assert coeff_l2(c, norm=measure) == _two_pass(measure, c), k
+        ux, uy = np.ldexp(v.ux, k), np.ldexp(v.uy, k)
+        for p in (2.0, 3.0, INF):
+            def samples(x, y, p=p):
+                return lp_norm.__wrapped__(GridVectorField(grid_small, x, y), grid_small, p)
+            assert coeff_l2(ux, uy, norm=samples) == _two_pass(samples, ux, uy), k

@@ -121,12 +121,57 @@ def test_kernel_batch_matches_scalar_calls(basis_88):
     single = np.array([[kernel_matrix(x, y, t, basis_88) for x, y in zip(xs, ys)]
                        for t in ts])
     assert single.shape == (3, 4, 2, 2)
-    # the batch evaluates J_n on all points at once, which moves the Miller
-    # start and so the last bits, not the values
-    scale = np.max(np.abs(single))
-    assert np.max(np.abs(batch - single)) <= 1e-13 * scale
+    assert np.array_equal(batch, single)
     assert kernel_matrix(xs, ys, ts[0], basis_88).shape == (4, 2, 2)
     assert kernel_matrix(xs[0], ys[0], ts, basis_88).shape == (3, 2, 2)
+
+
+def _disk_points(seed, count):
+    rng = np.random.default_rng(seed)
+    r = np.sqrt(rng.uniform(0.0, 0.9, count))
+    th = rng.uniform(0.0, 2 * math.pi, count)
+    return np.column_stack([r * np.cos(th), r * np.sin(th)])
+
+
+def test_kernel_blocks_match_per_point_calls(basis_88):
+    """45 pairs, one block and a part, and one x against 45 points: every
+    entry equals the call on its own pair, bit for bit."""
+    xs, ys = _disk_points(36, 45), _disk_points(37, 45)
+    ts = kernel_tail_threshold(basis_88) * np.array([1.5, 4.0])
+    batch = kernel_matrix(xs, ys, ts, basis_88)
+    assert batch.shape == (2, 45, 2, 2)
+    single = np.stack([kernel_matrix(x, y, ts, basis_88) for x, y in zip(xs, ys)], axis=1)
+    assert np.array_equal(batch, single)
+    fan = kernel_matrix(xs[0], ys, ts, basis_88)
+    assert fan.shape == (2, 45, 2, 2)
+    assert np.array_equal(fan, np.stack([kernel_matrix(xs[0], y, ts, basis_88) for y in ys],
+                                        axis=1))
+    fan = kernel_matrix(ys, xs[0], ts, basis_88)
+    assert np.array_equal(fan, np.stack([kernel_matrix(y, xs[0], ts, basis_88) for y in ys],
+                                        axis=1))
+
+
+def test_kernel_matrix_memory_stays_block_sized(basis_1616):
+    """kernel-gaussian's 200 pairs at (16,16): the traced allocation peak
+    stays below what each side holds whole (its radial rows and trig
+    values) plus four (block, modes, 2) arrays, which is well under the
+    2 P M 2 8 bytes of two whole mode-value arrays."""
+    import tracemalloc
+    basis = basis_1616
+    xs, ys = _disk_points(38, 200), _disk_points(39, 200)
+    ts = 2.0 * kernel_tail_threshold(basis) * np.arange(1.0, 6.0)
+    kernel_matrix(xs[:2], ys[:2], ts, basis)         # the sign table, built once
+    n, k, m, points = basis.n_max + 1, basis.k_max, basis.n_modes, 200
+    held = 2 * 8 * points * (n * 2 * k + 2 * (n + 1))
+    blocks = 4 * 8 * 32 * m * 2
+    whole = 2 * 8 * points * m * 2
+    tracemalloc.start()
+    try:
+        kernel_matrix(xs, ys, ts, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < held + blocks < 0.9 * whole
 
 
 def test_besov_bounded_scan(basis_88, grid_small):
