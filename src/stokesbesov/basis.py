@@ -26,7 +26,9 @@ r = 0 and makes them factorize into radial tables times angular transforms.
 Each table is held once, read-only.  A grid and its sub-grids share one
 radial stack per basis, a view of a larger truncation's stack on the same
 radii where one exists (PolarGrid.radial_stack); ModeTables reads it
-through the grid, so a stack replaced by a view is freed.  There is one
+through the grid, so a stack replaced by a view is freed.  A stack holds
+the grid's shifts: -2 .. 2 on build_grid's grids, VELOCITY's -1 and 1 on
+the refined companion grid, which only sup sampling reads.  There is one
 Transform.sign_table per (transform, n_max, orders) for every grid.
 """
 
@@ -238,29 +240,34 @@ class GridVectorField:
 @dataclass(eq=False)
 class PolarGrid:
     """Tensor-product quadrature grid: Gauss-Legendre in radius (weighted for
-    the area element r dr) times a uniform trapezoid rule in angle."""
+    the area element r dr) times a uniform trapezoid rule in angle.  shifts
+    are the Bessel order offsets its radial stacks hold, ascending and
+    evenly spaced."""
 
     radial_rule: QuadratureRule
     angular_count: int
+    shifts: tuple = (-2, -1, 0, 1, 2)
     radii: np.ndarray = field(init=False)
     thetas: np.ndarray = field(init=False)
     radial_weights: np.ndarray = field(init=False)
     angular_weight: float = field(init=False)
-    weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.radii = self.radial_rule.nodes
         self.thetas = 2.0 * np.pi * np.arange(self.angular_count) / self.angular_count
         self.radial_weights = self.radial_rule.weights * self.radii
         self.angular_weight = 2.0 * np.pi / self.angular_count
-        self.weights = np.outer(self.radial_weights,
-                                np.full(self.angular_count, self.angular_weight))
         self._tables = {}
         self._refined = None
         # basis cache key -> (zeros_rows, radial Bessel stack), shared with
         # every sub-grid (radial_stack)
         self._radial_stacks = {}
         self._subgrids = {}
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """The (R, A) node weights, built on first read."""
+        return np.outer(self.radial_weights, np.full(self.angular_count, self.angular_weight))
 
     @property
     def x(self) -> np.ndarray:
@@ -288,14 +295,14 @@ class PolarGrid:
         """The grid on N = degree + 1 equispaced angles: its trapezoid rule
         integrates every trig polynomial of that degree exactly.  Its angles
         are the ones build_grid(radial_order, N) makes, bit for bit; it keeps
-        the radial rule and shares the radial Bessel stacks.  The grid itself
+        the radial rule and shifts and shares the radial stacks.  The grid itself
         when degree + 1 >= angular_count."""
         count = int(degree) + 1
         if count >= self.angular_count:
             return self
         sub = self._subgrids.get(count)
         if sub is None:
-            sub = PolarGrid(self.radial_rule, count)
+            sub = PolarGrid(self.radial_rule, count, self.shifts)
             sub._radial_stacks = self._radial_stacks
             self._subgrids[count] = sub
         return sub
@@ -315,13 +322,23 @@ class PolarGrid:
             if big is not None:
                 stack = big[:n, :, :k]
             else:
-                stack = radial_rows(zeros, self.radii, range(-2, 3))
+                # tables up to order n + 2 whatever the shifts: an entry's
+                # bits depend on the table top, so every grid's rows agree
+                stack = radial_rows(zeros, self.radii, self.shifts, 2)
                 stack.flags.writeable = False
                 for key, (z, s) in self._radial_stacks.items():
                     if _is_corner(z, zeros):
                         self._radial_stacks[key] = (z, stack[:z.shape[0], :, :z.shape[1]])
             hit = self._radial_stacks[basis.cache_key] = (zeros, stack)
         return hit[1]
+
+    def shift_rows(self, spec: "Transform") -> slice:
+        """The rows of this grid's radial stacks that hold spec's shifts."""
+        if not set(spec.shifts) <= set(self.shifts):
+            raise ValueError(f"the grid's radial stacks hold shifts {self.shifts}, "
+                             f"not all of {spec.shifts}")
+        rows = [self.shifts.index(s) for s in spec.shifts]
+        return slice(rows[0], rows[-1] + 1, rows[1] - rows[0] if len(rows) > 1 else 1)
 
     def tables(self, basis: Basis) -> "ModeTables":
         tab = self._tables.get(basis.cache_key)
@@ -331,11 +348,11 @@ class PolarGrid:
         return tab
 
     def refined(self) -> "PolarGrid":
-        """Companion grid REFINE_FACTOR times denser in each direction
-        (evaluation only, e.g. sup-norm sampling)."""
+        """Companion grid REFINE_FACTOR times denser in each direction, for
+        sup-norm sampling: its radial stacks hold VELOCITY's shifts only."""
         if self._refined is None:
-            self._refined = build_grid(self.radial_order * REFINE_FACTOR,
-                                       self.angular_count * REFINE_FACTOR)
+            self._refined = PolarGrid(gauss_legendre(self.radial_order * REFINE_FACTOR),
+                                      self.angular_count * REFINE_FACTOR, VELOCITY.shifts)
         return self._refined
 
 
@@ -371,11 +388,6 @@ class Transform:
     channels: int
     terms: tuple
     scale: Callable
-
-    @property
-    def shift_rows(self) -> slice:
-        step = self.shifts[1] - self.shifts[0] if len(self.shifts) > 1 else 1
-        return slice(self.shifts[0] + 2, self.shifts[-1] + 3, step)
 
     @functools.cache
     def sign_table(self, n_max: int, orders: int) -> np.ndarray:
@@ -423,8 +435,10 @@ class ModeTables:
     """Stacked radial Bessel table and interleaved angular table for one
     (basis, grid) pair; every transform is a contraction over these two.
 
-    radial has shape (n_max+1, 5, k_max, R) and holds J_q(j_{n,k} r_i) at the
-    signed orders q = n-2 .. n+2 (J_{-q} = (-1)^q J_q folded in).  angular
+    radial has shape (n_max+1, len(grid.shifts), k_max, R) and holds
+    J_q(j_{n,k} r_i) at the signed orders q = n + s, s in grid.shifts
+    (J_{-q} = (-1)^q J_q folded in); a transform reads the rows of its
+    shifts (PolarGrid.shift_rows), and refuses a grid without them.  angular
     has shape (2 (n_max+3), A): row 2m is cos(m th) and row 2m+1 is
     sin(m th), so the rows up to any angular order form a prefix.
     Coefficients enter through the padded (n, parity, k) layout; slot maps
@@ -462,8 +476,8 @@ class ModeTables:
         node of every grid on this radial rule, so sum_m |c_m| E_m bounds the
         velocity magnitude of the field c there."""
         b = self.basis
-        peak = np.array([(np.abs(rows[1]) + np.abs(rows[3])).max(axis=-1)
-                         for rows in self.radial])
+        pair = self.grid.shift_rows(VELOCITY)
+        peak = np.array([np.abs(rows[pair]).sum(axis=0).max(axis=-1) for rows in self.radial])
         return np.abs(VELOCITY.scale(b)) * peak[b.angular, b.radial - 1]
 
     def scatter(self, spec: Transform):
@@ -481,12 +495,13 @@ class ModeTables:
         Orders above the highest one with a nonzero coefficient are cut off:
         profiles, sign table and angular rows are all prefix slices.
         """
+        shift_rows = self.grid.shift_rows(spec)
         table, scale = self.scatter(spec)
         a = np.zeros((self.basis.n_max + 1, 2, self.basis.k_max))
         a.reshape(-1)[self.slot] = coeffs * scale
         live = np.flatnonzero(a.any(axis=(1, 2)))
         cut = int(live[-1]) + 1 if live.size else 0
-        prof = np.matmul(a[:cut, None], self.radial[:cut, spec.shift_rows])
+        prof = np.matmul(a[:cut, None], self.radial[:cut, shift_rows])
         rows = min(table.shape[1], 2 * (cut + spec.shifts[-1])) if cut else 0
         return np.matmul(table[:, :rows, :prof.size // self.grid.radial_order],
                          prof.reshape(-1, self.grid.radial_order))
@@ -501,27 +516,29 @@ class ModeTables:
         """Quadrature transpose of forward: the coefficient vector of
         sum over channels of the integral of values[c] times each mode's
         channel c."""
+        shift_rows = self.grid.shift_rows(spec)
         table, scale = self.scatter(spec)
         grid = self.grid
         lines = np.stack([self.angular @ v.T for v in values])      # (C, rows, R)
         lines *= grid.angular_weight * grid.radial_weights
         prof = table.reshape(-1, table.shape[2]).T @ lines.reshape(-1, lines.shape[2])
         prof = prof.reshape(self.basis.n_max + 1, len(spec.shifts), 2, -1)
-        out = np.matmul(prof, self.radial[:, spec.shift_rows].swapaxes(-1, -2))
+        out = np.matmul(prof, self.radial[:, shift_rows].swapaxes(-1, -2))
         return out.sum(axis=1).reshape(-1)[self.slot] * scale
 
 
-def radial_rows(zeros_rows: np.ndarray, r: np.ndarray, shifts) -> np.ndarray:
+def radial_rows(zeros_rows: np.ndarray, r: np.ndarray, shifts, reach=None) -> np.ndarray:
     """J_{n+s}(j_{n,k} r) for every order n, shift s, zero and radius, shape
     (n_max+1, len(shifts), k_max, len(r)), with J_{-q} = (-1)^q J_q folded
-    in.  Each order n is one Bessel table up to n + max(shifts)."""
+    in.  Each order n is one Bessel table up to n + reach, max(shifts) by
+    default."""
     shifts = np.asarray(shifts)
+    reach = int(shifts.max() if reach is None else reach)
     out = np.empty((zeros_rows.shape[0], shifts.size, zeros_rows.shape[1], np.size(r)))
     for n, zeros in enumerate(zeros_rows):
         qs = n + shifts
         sign = np.where((qs < 0) & (qs % 2 == 1), -1.0, 1.0)[:, None, None]
-        tab = bessel_j_table(n + int(shifts.max()), np.multiply.outer(zeros, r),
-                             orders=np.abs(qs))
+        tab = bessel_j_table(n + reach, np.multiply.outer(zeros, r), orders=np.abs(qs))
         np.multiply(tab, sign, out=out[n])
     return out
 

@@ -10,7 +10,9 @@ p = infinity and q = infinity are encoded as math.inf, never as a large
 finite float.  The sup norm is approximated by a max over a refinement grid
 three times denser in each direction; truncated fields have bounded
 gradients, so the refinement error is controlled and documented rather than
-hidden.
+hidden.  Only the velocity is sampled there: the refined grid's radial
+stacks hold VELOCITY's two shift rows, and gradient_lp_norm takes
+1 <= p < inf.
 
 The sup of a SpectralField runs in blocks.  ModeTables.lines, the radial
 and sign stages of forward, gives per channel c and refined circle r_i the
@@ -37,8 +39,8 @@ degree <= 2n as well.  |u|^p = (|u|^2)^(p/2) then has degree <= p n, and
 N equispaced angles integrate every trig polynomial of degree < N exactly,
 so the sub-grid's quadrature equals the full grid's up to rounding; the
 radial Gauss rule is the same on both.  The bound is tight: N = p n angles
-alias the degree-p n term into the mean.  p = inf (refined grid), odd or
-fractional p, GridVectorField input and the pairings stay on the full grid.
+alias the degree-p n term into the mean.  Odd or fractional p,
+GridVectorField input and the pairings stay on the full grid.
 
 A norm outside [2^-400, 2^400] is recomputed from its input scaled by a
 power of two (basis.coeff_l2, the one home of that rescale), a power sum
@@ -168,24 +170,24 @@ def _lp_from_squares(sq: np.ndarray, weights: np.ndarray, p: float, out=None) ->
 
 
 def _quadrature_grid(f: SpectralField, grid: PolarGrid, p: float) -> PolarGrid:
-    """The grid an L^p norm of f integrates on: the refined companion for
-    p = inf, the exact angular sub-grid for even p (module docstring), else
-    grid itself."""
-    if p == INF:
-        return grid.refined()
+    """The grid a finite-p L^p norm of f integrates on: the exact angular
+    sub-grid for even p (module docstring), else grid itself."""
     if (p / 2.0).is_integer():
         return grid.exact_subgrid(int(p) * f.top_order())
     return grid
 
 
-def _homogeneous(norm):
+def _homogeneous(norm, finite=False):
     """norm(v, grid, p), of degree one in v, made exact at every scale by
     basis.coeff_l2's power-of-two rescale of v's arrays.  The arguments are
-    checked first, so that a zero v, which reads 0.0 without a call of
-    norm, is refused where any other v is; norm gets p as a float."""
+    checked first (p = inf refused when finite), so that a zero v, which
+    reads 0.0 without a call of norm, is refused where any other v is; norm
+    gets p as a float."""
     @functools.wraps(norm)
     def exact(v, grid, p):
         p = _check_p(p)
+        if finite and p == INF:
+            raise ValueError(f"{norm.__name__} takes 1 <= p < inf")
         if isinstance(v, SpectralField):
             return coeff_l2(v.coeffs, norm=lambda c: norm(SpectralField(v.basis, c), grid, p))
         if isinstance(v, GridVectorField):
@@ -223,10 +225,10 @@ def lp_norm(v, grid: PolarGrid, p) -> float:
     raise TypeError("expected a SpectralField or GridVectorField")
 
 
-@_homogeneous
+@functools.partial(_homogeneous, finite=True)
 def gradient_lp_norm(f: SpectralField, grid: PolarGrid, p) -> float:
-    """L^p norm of the pointwise Frobenius magnitude of the velocity gradient,
-    on the same quadrature grid as lp_norm."""
+    """L^p norm, 1 <= p < inf, of the pointwise Frobenius magnitude of the
+    velocity gradient, on the same quadrature grid as lp_norm."""
     g = _quadrature_grid(f, grid, p)
     ten = field_gradient_values(f, g)
     return _lp_from_squares(np.sum(ten * ten, axis=(2, 3)), g.weights, p)

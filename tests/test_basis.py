@@ -482,6 +482,35 @@ def test_radial_stacks_are_held_once_as_read_only_views(basis_88, basis_1616, mo
     assert len(built) == 3
 
 
+def test_refined_stack_holds_the_velocity_rows_of_a_full_stack(basis_1616):
+    """The refined grid's stacks hold VELOCITY's two shift rows, bit for bit
+    rows 1 and 3 of a five-shift stack on the same radii (both tables reach
+    order n + 2); its sub-grids hold the same shifts."""
+    refined = build_grid(32, 64).refined()
+    assert refined.shifts == VELOCITY.shifts
+    assert refined.exact_subgrid(9).shifts == VELOCITY.shifts
+    held = refined.tables(basis_1616).radial
+    assert held.shape == (17, 2, 16, 96)
+    full = radial_rows(basis_1616.zeros_rows, refined.radii, range(-2, 3))
+    assert np.array_equal(held, full[:, [1, 3]])
+    # a working grid on the same radii reads the same rows for VELOCITY
+    same_radii = build_grid(96, 16)
+    assert np.array_equal(same_radii.tables(basis_1616).radial[:, same_radii.shift_rows(VELOCITY)],
+                          held)
+
+
+def test_refined_grid_refuses_other_transforms(basis_88):
+    refined = build_grid(16, 32).refined()
+    f = SpectralField(basis_88, np.random.default_rng(14).standard_normal(basis_88.n_modes))
+    with pytest.raises(ValueError, match="hold shifts"):
+        field_gradient_values(f, refined)
+    with pytest.raises(ValueError, match="hold shifts"):
+        curl_values(f, refined)
+    with pytest.raises(ValueError, match="hold shifts"):
+        refined.tables(basis_88).adjoint(GRADIENT, np.zeros((3,) + refined.shape))
+    assert synthesize(f, refined).ux.shape == refined.shape
+
+
 def test_sign_table_is_one_read_only_object_per_transform(basis_88):
     a = build_grid(16, 32).tables(basis_88)
     b = build_grid(24, 48).exact_subgrid(9).tables(basis_88)

@@ -378,12 +378,16 @@ def _full_grid_lp(sq, grid, p):
 @pytest.mark.parametrize("p", [1.0, 2.5, 3.0, INF])
 def test_other_p_stay_on_the_full_grid(basis_88, grid_small, p):
     """Odd, fractional and infinite p are bit-identical to the full-grid
-    (p = inf: refined-grid) formula."""
+    (p = inf: refined-grid) formula; gradient_lp_norm refuses p = inf."""
     rng = np.random.default_rng(26)
     f = SpectralField(basis_88, rng.standard_normal(basis_88.n_modes))
     g = grid_small.refined() if p == INF else grid_small
     v = synthesize(f, g)
     assert lp_norm(f, grid_small, p) == _full_grid_lp(v.ux ** 2 + v.uy ** 2, g, p)
+    if p == INF:
+        with pytest.raises(ValueError, match="p < inf"):
+            gradient_lp_norm(f, grid_small, p)
+        return
     ten = field_gradient_values(f, g)
     assert gradient_lp_norm(f, grid_small, p) == _full_grid_lp(
         np.sum(ten * ten, axis=(2, 3)), g, p)
@@ -411,9 +415,9 @@ def test_subgrid_norms_reuse_the_radial_tables(basis_88, monkeypatch):
 
 @pytest.mark.parametrize("p", [3.0, 4.0, 6.0, INF])
 def test_lp_norm_scales_by_powers_of_two(basis_88, grid_small, p):
-    """X(2^k f) = 2^k X(f) for lp_norm and gradient_lp_norm over k in
-    [-900, 900]: the squares of the samples and their p-th powers under- or
-    overflow there, and the recomputed value must not, nor warn.  lp_norm
+    """X(2^k f) = 2^k X(f) for lp_norm and gradient_lp_norm (p < inf) over k
+    in [-900, 900]: the squares of the samples and their p-th powers under-
+    or overflow there, and the recomputed value must not, nor warn.  lp_norm
     at p = 4 and 6 takes every k in [-300, 300], where its power sum
     crosses 2^-900 and 2^900; the rest take every 15th k."""
     f = SpectralField(basis_88, np.random.default_rng(60).standard_normal(basis_88.n_modes))
@@ -422,7 +426,7 @@ def test_lp_norm_scales_by_powers_of_two(basis_88, grid_small, p):
     dense = sorted(set(wide) | set(range(-300, 301))) if p in (4.0, 6.0) else wide
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for norm, ks in ((lp_norm, dense), (gradient_lp_norm, wide)):
+        for norm, ks in ((lp_norm, dense), (gradient_lp_norm, wide))[:1 if p == INF else 2]:
             base = norm(f, grid_small, p)
             for k in ks:
                 scaled = norm(SpectralField(basis_88, np.ldexp(f.coeffs, k)), grid_small, p)
@@ -594,6 +598,25 @@ def test_sup_norm_memory_stays_below_one_refined_synthesis(basis_3232, grid_defa
     assert peak < 2 * 8 * np.prod(grid_default.refined().shape)
 
 
+
+def test_first_sup_norm_holds_only_the_velocity_tables(basis_3232):
+    """The first p = inf norm at (32,32) on a fresh 128 x 256 grid leaves the
+    refined grid's tables behind: VELOCITY's two rows of the 384-radius
+    stack (6.2 MiB) and the angular table, below 7 MiB in all, and no
+    node weights of the refined grid."""
+    import tracemalloc
+    grid = build_grid(128, 256)
+    f = SpectralField(basis_3232, np.random.default_rng(73).standard_normal(basis_3232.n_modes))
+    tracemalloc.start()
+    try:
+        lp_norm(f, grid, INF)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 7 * 2 ** 20
+    assert "weights" not in vars(grid.refined())
+    assert grid.refined().weights.shape == grid.refined().shape     # built on first read
+
 def _two_pass(norm, *parts):
     """coeff_l2 as it was: the unscaled pass always runs first."""
     with np.errstate(over="ignore"):
@@ -619,8 +642,9 @@ def test_skipped_first_pass_keeps_every_bit(basis_88, grid_small):
     for p in (1.0, 2.0, 3.0, 4.0, 6.0, INF):
         measures.append(lambda c, p=p: lp_norm.__wrapped__(SpectralField(basis_88, c),
                                                            grid_small, p))
-        measures.append(lambda c, p=p: gradient_lp_norm.__wrapped__(
-            SpectralField(basis_88, c), grid_small, p))
+        if p != INF:
+            measures.append(lambda c, p=p: gradient_lp_norm.__wrapped__(
+                SpectralField(basis_88, c), grid_small, p))
     for k in range(-900, 901, 15):
         c = np.ldexp(f.coeffs, k)
         for measure in measures:
