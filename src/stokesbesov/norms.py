@@ -135,15 +135,17 @@ class NormReport:
 
 
 def _power_sum(sq: np.ndarray, weights: np.ndarray, p: float, out) -> float:
-    """sum of weights * sq^(p/2), the p-th powers written to out (a new
-    array when None).  Even integer p takes sq^(p/2) exactly, without a
-    square root."""
+    """sum of weights * sq^(p/2), the weighted p-th powers written to out (a
+    new array when None).  Even integer p takes sq^(p/2) exactly, without a
+    square root.  numpy's pairwise sum runs in one thread, unlike a BLAS dot,
+    which can split a long sum across threads: the bits do not depend on
+    the thread count."""
     if (p / 2.0).is_integer():
         out = np.power(sq, int(p) // 2, out=out)
     else:
         out = np.sqrt(sq, out=out)
         np.power(out, p, out=out)
-    return float(np.vdot(weights, out))
+    return float(np.add.reduce(np.multiply(out, weights, out=out), axis=None))
 
 
 def _lp_from_squares(sq: np.ndarray, weights: np.ndarray, p: float, out=None) -> float:

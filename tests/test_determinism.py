@@ -1,14 +1,13 @@
 """Artifacts across repeated CLI runs and BLAS thread counts.
 
-Byte-identity of the artifacts holds per host and BLAS thread count (see
-the README).  A small `solve` and a `verify` of six checks each run twice
-at OPENBLAS_NUM_THREADS=1 and twice at 2, as fresh processes;
-multiplier-uniformity brings in the p = inf norms, whose angular products
-run on fixed blocks of refined circles.  The runs at one thread count must
-agree byte for byte.  Across the two counts the largest relative
-difference of any number is recorded (as the test property
-max_rel_diff_1_vs_2_threads, and on stdout) but not asserted: another BLAS
-blocking may round differently, and the program does nothing to hide that.
+A small `solve`, a `solve` at the default truncation (32, 32) on 128 x 256
+and a `verify` of six checks each run twice at OPENBLAS_NUM_THREADS=1 and
+twice at 2, as fresh processes; multiplier-uniformity brings in the p = inf
+norms, whose angular products run on fixed blocks of refined circles.  The
+default-truncation solve integrates |u|^4 on 128 x 133 nodes, a sum long
+enough that a BLAS dot would split it across threads.  All four runs of
+each must agree byte for byte (see the README); on a mismatch across the
+counts the largest relative difference of any number is reported.
 """
 
 import math
@@ -30,6 +29,23 @@ angular_count = 128
 """
 
 _RUNS = {
+    "solve-default": ("solve", """
+[basis]
+n_max = 32
+k_max = 32
+[grid]
+radial_order = 128
+angular_count = 256
+[solver]
+p = 4
+t_final = 0.5
+mesh_count = 16
+[data]
+kind = band_random
+band = 3
+amplitude = 1.0
+seed = 7
+"""),
     "solve": ("solve", _GRID + """
 [solver]
 t_final = 0.25
@@ -75,8 +91,7 @@ def _rel_diff(a: bytes, b: bytes) -> float:
                 if x != y), default=0.0)
 
 
-def test_artifacts_per_blas_thread_count(tmp_path, record_property):
-    worst = 0.0
+def test_artifacts_per_blas_thread_count(tmp_path):
     for name, (command, text) in _RUNS.items():
         ini = tmp_path / f"{name}.ini"
         ini.write_text(text)
@@ -87,6 +102,5 @@ def test_artifacts_per_blas_thread_count(tmp_path, record_property):
             assert first and first == second, (name, threads)
             per_threads[threads] = first
         for artifact, data in per_threads[1].items():
-            worst = max(worst, _rel_diff(data, per_threads[2][artifact]))
-    record_property("max_rel_diff_1_vs_2_threads", worst)
-    print(f"largest relative difference, 1 vs 2 BLAS threads: {worst:.3e}")
+            assert data == per_threads[2][artifact], (
+                name, artifact, _rel_diff(data, per_threads[2][artifact]))
