@@ -427,6 +427,7 @@ def test_lp_norm_scales_by_powers_of_two(basis_88, grid_small, p):
     dense = sorted(set(wide) | set(range(-300, 301))) if p in (4.0, 6.0) else wide
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        # gradient_lp_norm refuses p = inf
         for norm, ks in ((lp_norm, dense), (gradient_lp_norm, wide))[:1 if p == INF else 2]:
             base = norm(f, grid_small, p)
             for k in ks:
@@ -599,7 +600,6 @@ def test_sup_norm_memory_stays_below_one_refined_synthesis(basis_3232, grid_defa
     assert peak < 2 * 8 * np.prod(grid_default.refined().shape)
 
 
-
 def test_first_sup_norm_holds_only_the_velocity_tables(basis_3232):
     """The first p = inf norm at (32,32) on a fresh 128 x 256 grid leaves the
     refined grid's tables behind: VELOCITY's two rows of the 384-radius
@@ -617,6 +617,7 @@ def test_first_sup_norm_holds_only_the_velocity_tables(basis_3232):
     assert held < 7 * 2 ** 20
     assert "weights" not in vars(grid.refined())
     assert grid.refined().weights.shape == grid.refined().shape     # built on first read
+
 
 def _two_pass(norm, *parts):
     """coeff_l2 as it was: the unscaled pass always runs first."""
