@@ -42,7 +42,9 @@ from typing import Callable
 
 import numpy as np
 
-from .specfun import QuadratureRule, bessel_j_table, bessel_zeros_row, gauss_legendre
+from .errors import ResolutionError
+from .specfun import (MAX_QUADRATURE_ORDER, QuadratureRule, bessel_j_table, bessel_zeros_row,
+                      gauss_legendre)
 
 BASIS_FORMAT = "stokes-besov-basis/1"
 
@@ -52,6 +54,8 @@ _PARITY_NAME = ("cos", "sin")
 MAX_N_MAX = 128
 MAX_K_MAX = 128
 REFINE_FACTOR = 3
+# the refined grid of the p = inf norms must stay within the quadrature limit
+MAX_RADIAL_ORDER = MAX_QUADRATURE_ORDER // REFINE_FACTOR
 
 
 @dataclass(eq=False)
@@ -355,6 +359,40 @@ class PolarGrid:
                                       self.angular_count * REFINE_FACTOR, VELOCITY.shifts)
         return self._refined
 
+    def rule_for(self, f: SpectralField, power: float, order: int = 0) -> "PolarGrid":
+        """The grid of every quadrature of f, picked here alone, for |u|^power
+        (u the velocity of f, or its curl or gradient) times a mode of angular
+        order `order`: refined() for power = inf, a sup; exact_subgrid(p n +
+        order), n = f.top_order(), for even p; else this grid.  Exact, as w =
+        u_x + i u_y, a sum of J_{m+1} e^{i(m+1)th} and J_{m-1} e^{-i(m-1)th}
+        over m <= n, has angular frequencies in [-(n-1), n+1]: |u|^2 = w
+        conj(w), like |curl u|^2 (of orders <= n), has degree <= 2n, |u|^p
+        times the mode <= p n + order, and N equispaced angles integrate
+        degree < N exactly.  p n + order angles alias.  A grid with no more
+        angles than that is returned itself, not exact."""
+        if power == math.inf:
+            return self.refined()
+        if (power / 2.0).is_integer():
+            return self.exact_subgrid(_degree(power, f.top_order(), order))
+        return self
+
+    def checked_rule_for(self, f: SpectralField, power: float, order: int = 0) -> "PolarGrid":
+        """rule_for for even power, refusing (ResolutionError) a grid below
+        the dealiasing margin of f's basis: fewer angles than rule_for keeps
+        at top order n_max, or radial order below 2 sqrt(lambda_max) / pi,
+        the fastest oscillation a velocity gradient carries."""
+        angular = _degree(power, f.basis.n_max, order) + 1
+        radial = math.ceil(2.0 * math.sqrt(f.basis.lambda_max) / math.pi)
+        if self.angular_count < angular or self.radial_order < radial:
+            raise ResolutionError(
+                f"grid {self.shape} is below the dealiasing margin "
+                f"(needs radial >= {radial}, angular >= {angular})")
+        return self.rule_for(f, power, order)
+
+
+def _degree(power: float, top: int, order: int) -> int:
+    return int(power) * top + order
+
 
 def _is_corner(small: np.ndarray, big: np.ndarray) -> bool:
     """Whether the zeros table small is the [:n+1, :k] corner of big."""
@@ -580,9 +618,8 @@ def curl_values(f: SpectralField, grid: PolarGrid) -> np.ndarray:
 
 
 def curl_l2(f: SpectralField, grid: PolarGrid) -> float:
-    """||curl f||_{L^2} on grid's exact angular sub-grid (|curl f|^2 has
-    angular degree <= 2 n, n the top live order), exact at every scale."""
-    sub = grid.exact_subgrid(2 * f.top_order())
+    """||curl f||_{L^2} on grid.rule_for(f, 2), exact at every scale."""
+    sub = grid.rule_for(f, 2)
     return coeff_l2(f.coeffs, norm=lambda c: np.sqrt(sub.integrate(
         np.square(curl_values(SpectralField(f.basis, c), sub)))))
 

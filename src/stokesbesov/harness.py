@@ -29,6 +29,7 @@ from .specfun import MAX_QUADRATURE_ORDER, bessel_zero, bessel_zeros_row, beta_f
 from .basis import (
     MAX_K_MAX,
     MAX_N_MAX,
+    MAX_RADIAL_ORDER,
     REFINE_FACTOR,
     _PARITY_NAME,
     Basis,
@@ -219,8 +220,6 @@ _CONFIG_KEYS = {
     ("data", "center"): (("'x,y'", _center), "center"),
 }
 _KNOWN_SECTIONS = {section for section, _ in _CONFIG_KEYS}
-# the refined grid of the p = inf norms must stay within the quadrature limit
-MAX_RADIAL_ORDER = MAX_QUADRATURE_ORDER // REFINE_FACTOR
 _DATA_KINDS = {"single_mode", "band_random", "spectral_slope", "bump_family"}
 
 

@@ -15,30 +15,17 @@ trilinear form is antisymmetric and <N(u), u> vanishes; that orthogonality
 and the dissipation identity <A u, u> = ||curl u||^2 are exposed here as
 numerical residuals, not assumed.
 
-Aliasing policy: products of truncated modes oscillate faster than the
-modes themselves, so nonlinear_coeffs refuses a grid with fewer than
-3 n_max + 1 angles, the count that integrates N(u) exactly at top order
-n_max (below), or with radial order below 2 sqrt(lambda_max) / pi;
-dealiasing_check measures actual aliasing by recomputing every coefficient
-on a 1.5x grid, and deliberately bypasses the static gate so that
-under-resolved setups can be demonstrated rather than just refused.
-
-The gate reads the full grid, but the quadrature runs on its exact
-angular sub-grid PolarGrid.exact_subgrid(2 n + n_max), the same radial rule
-on 2 n + n_max + 1 equispaced angles, n the top order with a nonzero
-coefficient.  At each radius w = u_x + i u_y has angular frequencies in
-[-(n-1), n+1] (norms module docstring), so D + 2iP = w^2 has them in
-[-2(n-1), 2(n+1)].  The _CONVECTION terms of output order m pair into
-Im[w^2 e^{-i(m+2)th}] J_{m+2} and Im[w^2 e^{i(m-2)th}] J_{m-2}, so the
-integrand of every coefficient is a trig polynomial of degree
-<= 2 n + m <= 2 n + n_max, and N equispaced angles integrate it exactly
-once N exceeds that degree: the sub-grid's coefficients equal the full
-grid's up to rounding (the same fact behind Orszag's 3/2 rule).  The bound
-is tight: N = 2 n + n_max angles alias.  nonlinear_coeffs, the advection
-residual of energy_identity_residual and the working side of
-dealiasing_check integrate on the sub-grid; the 1.5x side of
-dealiasing_check stays on its full grid, so it remains an independent
-quadrature in angle as well as in radius.
+Aliasing policy: N(u) integrates on PolarGrid.rule_for(u, 2, n_max), the
+sub-grid of 2 n + n_max + 1 angles, n the top order with a nonzero
+coefficient: D + 2iP = w^2 has angular frequencies in [-2(n-1), 2(n+1)],
+and the _CONVECTION terms of output order m pair into Im[w^2
+e^{-i(m+2)th}] J_{m+2} and Im[w^2 e^{i(m-2)th}] J_{m-2}, so every
+coefficient's integrand has degree <= 2 n + m <= 2 n + n_max (the fact
+behind Orszag's 3/2 rule).  nonlinear_coeffs first refuses a grid below
+the dealiasing margin at top order n_max (PolarGrid.checked_rule_for);
+dealiasing_check bypasses that gate, so that under-resolved setups can be
+demonstrated rather than just refused, and recomputes every coefficient
+on a 1.5x full grid, an independent quadrature in angle and radius.
 """
 
 from __future__ import annotations
@@ -51,7 +38,6 @@ import numpy as np
 from .basis import (COS, GRADIENT, SIN, Basis, GridVectorField, ModeTables,
                     PolarGrid, SpectralField, Transform, analyze, apply_stokes,
                     build_grid, curl_l2, synthesize)
-from .errors import ResolutionError
 
 
 DEALIAS_FACTOR = 1.5          # check grid / working grid, in each direction
@@ -89,12 +75,6 @@ def _convection_coeffs(u: SpectralField, grid: PolarGrid) -> np.ndarray:
     return grid.tables(u.basis).adjoint(_CONVECTION, (D, P))
 
 
-def _exact_grid(u: SpectralField, grid: PolarGrid) -> PolarGrid:
-    """The sub-grid of grid with the fewest angles that integrate N(u)
-    exactly (module docstring)."""
-    return grid.exact_subgrid(2 * u.top_order() + u.basis.n_max)
-
-
 def nonlinear_coeffs(u: SpectralField, tables: ModeTables) -> SpectralField:
     """N(u) as a spectral field, tables = grid.tables(basis); output is
     divergence-free by construction (its coefficients are taken against
@@ -102,15 +82,8 @@ def nonlinear_coeffs(u: SpectralField, tables: ModeTables) -> SpectralField:
     basis, grid = tables.basis, tables.grid
     if u.basis.cache_key != basis.cache_key:
         raise ValueError("field does not match the basis of the mode tables")
-    # the angles that integrate N(u) exactly at top order n_max (module
-    # docstring); radially, the fastest oscillation a velocity gradient carries
-    angular_need = 3 * basis.n_max + 1
-    radial_need = int(math.ceil(2.0 * math.sqrt(basis.lambda_max) / math.pi))
-    if grid.angular_count < angular_need or grid.radial_order < radial_need:
-        raise ResolutionError(
-            f"grid {grid.shape} is below the dealiasing margin "
-            f"(needs radial >= {radial_need}, angular >= {angular_need})")
-    return SpectralField(u.basis, _convection_coeffs(u, _exact_grid(u, grid)))
+    sub = grid.checked_rule_for(u, 2, basis.n_max)
+    return SpectralField(u.basis, _convection_coeffs(u, sub))
 
 
 def dealiasing_check(u: SpectralField, tables: ModeTables) -> DealiasReport:
@@ -119,7 +92,7 @@ def dealiasing_check(u: SpectralField, tables: ModeTables) -> DealiasReport:
     scale of N(u)."""
     r = int(math.ceil(tables.grid.radial_order * DEALIAS_FACTOR))
     a = int(math.ceil(tables.grid.angular_count * DEALIAS_FACTOR))
-    coarse = _convection_coeffs(u, _exact_grid(u, tables.grid))
+    coarse = _convection_coeffs(u, tables.grid.rule_for(u, 2, u.basis.n_max))
     fine = _convection_coeffs(u, build_grid(r, a + a % 2))
     scale = float(np.abs(coarse).max())
     if scale == 0.0:
@@ -147,7 +120,7 @@ def energy_identity_residual(u: SpectralField, tables: ModeTables) -> EnergyResi
     """Numerical residuals of the two energy-budget identities:
     advection neutrality <N(u), u> = 0 and dissipation <Au, u> = ||curl u||^2
     (spectral pairing versus curl_l2's quadrature, two distinct routes)."""
-    n_u = _convection_coeffs(u, _exact_grid(u, tables.grid))
+    n_u = _convection_coeffs(u, tables.grid.rule_for(u, 2, u.basis.n_max))
     advection = abs(float(np.dot(n_u, u.coeffs)))
     pairing = float(np.dot(apply_stokes(u).coeffs, u.coeffs))
     dissipation = curl_l2(u, tables.grid) ** 2

@@ -26,21 +26,13 @@ whether or not others are skipped; that its rows equal those of the whole
 refined synthesis bit for bit is tested.  A GridVectorField's sup stays a
 plain max.
 
-Even integer p on a SpectralField integrates on the grid's exact angular
-sub-grid PolarGrid.exact_subgrid(p n), the same radial rule on p n + 1
-equispaced angles, n the top order with a nonzero coefficient.  At each
-radius the velocity of the modes of order <= n is w = u_x + i u_y, a sum
-of J_{m+1} e^{i(m+1)th} and J_{m-1} e^{-i(m-1)th} over m <= n, so its
-angular frequencies lie in [-(n-1), n+1] and |u|^2 = w conj(w) has angular
-degree <= 2n.  The squared Frobenius magnitude of the gradient is
+Every L^p norm of a SpectralField integrates on PolarGrid.rule_for(f, p):
+for even p the exact sub-grid of p n + 1 angles, n the top order with a
+nonzero coefficient.  The gradient's integrand has rule_for's degree bound:
 |d_x w|^2 + |d_y w|^2 = 2(|d_z w|^2 + |d_zbar w|^2), and d_z, d_zbar move
-every frequency down and up by one ([-n, n] and [-(n-2), n+2]), so it has
-degree <= 2n as well.  |u|^p = (|u|^2)^(p/2) then has degree <= p n, and
-N equispaced angles integrate every trig polynomial of degree < N exactly,
-so the sub-grid's quadrature equals the full grid's up to rounding; the
-radial Gauss rule is the same on both.  The bound is tight: N = p n angles
-alias the degree-p n term into the mean.  Odd or fractional p,
-GridVectorField input and the pairings stay on the full grid.
+the frequencies [-(n-1), n+1] of w = u_x + i u_y down and up by one, so
+it has degree <= 2n.  Odd or fractional p, GridVectorField input and the
+pairings stay on the full grid.
 
 A norm outside [2^-400, 2^400] is recomputed from its input scaled by a
 power of two (basis.coeff_l2, the one home of that rescale), a power sum
@@ -171,14 +163,6 @@ def _lp_from_squares(sq: np.ndarray, weights: np.ndarray, p: float, out=None) ->
     return total ** (1.0 / p)
 
 
-def _quadrature_grid(f: SpectralField, grid: PolarGrid, p: float) -> PolarGrid:
-    """The grid a finite-p L^p norm of f integrates on: the exact angular
-    sub-grid for even p (module docstring), else grid itself."""
-    if (p / 2.0).is_integer():
-        return grid.exact_subgrid(int(p) * f.top_order())
-    return grid
-
-
 def _homogeneous(norm, finite=False):
     """norm(v, grid, p), of degree one in v, made exact at every scale by
     basis.coeff_l2's power-of-two rescale of v's arrays.  The arguments are
@@ -193,7 +177,7 @@ def _homogeneous(norm, finite=False):
         if isinstance(v, SpectralField):
             return coeff_l2(v.coeffs, norm=lambda c: norm(SpectralField(v.basis, c), grid, p))
         if isinstance(v, GridVectorField):
-            if p != INF and v.grid.shape != grid.shape and v.grid.shape != grid.refined().shape:
+            if p != INF and v.grid.shape != grid.shape:
                 raise ValueError("grid samples do not match the quadrature grid")
             return coeff_l2(v.ux, v.uy,
                             norm=lambda x, y: norm(GridVectorField(v.grid, x, y), grid, p))
@@ -213,8 +197,8 @@ def lp_norm(v, grid: PolarGrid, p) -> float:
     """
     if isinstance(v, SpectralField):
         if p == INF:
-            return _sup_norm(v, grid.refined())
-        v = synthesize(v, _quadrature_grid(v, grid, p))
+            return _sup_norm(v, grid.rule_for(v, p))
+        v = synthesize(v, grid.rule_for(v, p))
         # the samples are ours: square them in place, and take the powers
         # in uy once it has been added
         sq = np.square(v.ux, out=v.ux)
@@ -231,7 +215,7 @@ def lp_norm(v, grid: PolarGrid, p) -> float:
 def gradient_lp_norm(f: SpectralField, grid: PolarGrid, p) -> float:
     """L^p norm, 1 <= p < inf, of the pointwise Frobenius magnitude of the
     velocity gradient, on the same quadrature grid as lp_norm."""
-    g = _quadrature_grid(f, grid, p)
+    g = grid.rule_for(f, p)
     ten = field_gradient_values(f, g)
     return _lp_from_squares(np.sum(ten * ten, axis=(2, 3)), g.weights, p)
 

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import oracles
-from stokesbesov import (GridVectorField, SpectralField, analyze, apply_stokes,
-                         bessel_zero, boundary_traces, build_basis, build_grid,
-                         curl_values, load_basis, save_basis,
+from stokesbesov import (GridVectorField, ResolutionError, SpectralField, analyze,
+                         apply_stokes, bessel_zero, boundary_traces, build_basis, build_grid,
+                         curl_values, load_basis, lp_norm, nonlinear_coeffs, save_basis,
                          specfun, synthesize, zero_field)
 from stokesbesov.basis import (COS, CURL, GRADIENT, SIN, VELOCITY, coeff_l2, curl_l2,
                                field_gradient_values, mode_values_at, radial_rows)
+from stokesbesov.nonlinear import _convection_coeffs
 from stokesbesov.specfun import bessel_j_table
 
 J01 = 2.404825557695773
@@ -570,3 +571,54 @@ def test_angular_table_reduces_the_index_exactly(basis_1616):
     assert tables.grid.angular_count == 49
     want = oracles.mp_angular_table(basis_1616.n_max + 3, 49).reshape(-1, 49)
     assert np.max(np.abs(tables.angular - want)) <= 1e-15
+
+
+def _speed_power(p):
+    """The integrand |u|^p of lp_norm: its integral on a grid, and lp_norm's
+    value raised to p."""
+    def quadrature(f, g):
+        v = synthesize(f, g)
+        return g.integrate((v.ux ** 2 + v.uy ** 2) ** (p // 2))
+    return quadrature, lambda f, grid: lp_norm(f, grid, float(p)) ** p
+
+
+# integrand -> (power, order, quadrature on a given grid, the program's value
+# through the policy); convection's value is a coefficient vector
+_INTEGRANDS = {
+    "curl^2": (2, 0, lambda f, g: g.integrate(np.square(curl_values(f, g))),
+               lambda f, grid: curl_l2(f, grid) ** 2),
+    **{f"|u|^{p}": (p, 0, *_speed_power(p)) for p in (2, 4, 6)},
+    "convection": (2, 8, _convection_coeffs,
+                   lambda f, grid: nonlinear_coeffs(f, grid.tables(f.basis)).coeffs),
+}
+
+
+@pytest.mark.parametrize("name", list(_INTEGRANDS))
+def test_rule_for_is_exact_and_tight(basis_88, grid_small, name):
+    """PolarGrid.rule_for keeps p n + order + 1 angles for a full (8,8)
+    field; the integrand on them, and the program's value that asks the
+    policy, equal the quadrature on 128 angles (more than the degree) to
+    1e-13, and one angle fewer aliases."""
+    power, order, quadrature, program = _INTEGRANDS[name]
+    f = SpectralField(basis_88, np.random.default_rng(27).standard_normal(basis_88.n_modes))
+    degree = power * basis_88.n_max + order
+    rule = grid_small.rule_for(f, power, order)
+    assert rule.angular_count == degree + 1 < grid_small.angular_count
+    full = np.asarray(quadrature(f, grid_small))
+    scale = np.max(np.abs(full))
+    for got in (quadrature(f, rule), program(f, grid_small)):
+        assert np.max(np.abs(np.asarray(got) - full)) <= 1e-13 * scale
+    fewer = np.asarray(quadrature(f, grid_small.exact_subgrid(degree - 1)))
+    assert np.max(np.abs(fewer - full)) > 1e-8 * scale
+
+
+def test_rule_for_other_powers_and_the_refusing_form(basis_88, grid_small):
+    """p = inf samples the refined grid, odd or fractional p the grid itself;
+    checked_rule_for refuses one angle below the count at top order n_max."""
+    f = SpectralField(basis_88, np.ones(basis_88.n_modes))
+    assert grid_small.rule_for(f, math.inf) is grid_small.refined()
+    assert grid_small.rule_for(f, 3.0) is grid_small.rule_for(f, 2.5) is grid_small
+    assert grid_small.checked_rule_for(f, 2, 8) is grid_small.rule_for(f, 2, 8)
+    with pytest.raises(ResolutionError, match=r"grid \(64, 24\) is below the dealiasing "
+                       r"margin \(needs radial >= \d+, angular >= 25\)"):
+        build_grid(64, 24).checked_rule_for(f, 2, 8)

@@ -656,3 +656,17 @@ def test_skipped_first_pass_keeps_every_bit(basis_88, grid_small):
             def samples(x, y, p=p):
                 return lp_norm.__wrapped__(GridVectorField(grid_small, x, y), grid_small, p)
             assert coeff_l2(ux, uy, norm=samples) == _two_pass(samples, ux, uy), k
+
+
+def test_grid_samples_off_the_quadrature_grid_are_refused(basis_88):
+    """Finite-p samples must lie on the quadrature grid itself, the refined
+    grid's shape included; the check builds no refined grid."""
+    grid = build_grid(16, 32)
+    f = SpectralField(basis_88, np.random.default_rng(28).standard_normal(basis_88.n_modes))
+    for shape in ((48, 96), (16, 48)):
+        v = synthesize(f, build_grid(*shape))
+        for p in (2.0, 3.0):
+            with pytest.raises(ValueError, match="grid samples do not match the quadrature grid"):
+                lp_norm(v, grid, p)
+    assert grid._refined is None
+    assert lp_norm(synthesize(f, grid), grid, 3.0) > 0.0

@@ -11,6 +11,8 @@ package, or a reason on record why not: an export that only the tests
 call is a duplicate of the code path the program really runs.  The
 package runs on numpy and the standard library alone, as pyproject
 declares; scipy and mpmath are the tests' oracles, never the code's.
+Which grid a quadrature runs on is decided in one place, PolarGrid.rule_for:
+a second caller of exact_subgrid or refined would be a second policy.
 """
 
 import ast
@@ -125,3 +127,25 @@ def test_package_imports_only_numpy_and_the_standard_library():
             foreign |= {(path.name, name) for name in names
                         if name.split(".")[0] not in allowed}
     assert sorted(foreign) == []
+
+
+def _grid_choices():
+    """(module, innermost enclosing function, method) of every call of
+    exact_subgrid or refined in the package source."""
+    found = set()
+
+    def scan(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) in (
+                    "exact_subgrid", "refined"):
+                found.add((module, where, child.func.attr))
+            scan(child, module, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    for path in PACKAGE.glob("*.py"):
+        scan(ast.parse(path.read_text()), path.name, None)
+    return found
+
+
+def test_only_the_resolution_policy_picks_a_grid():
+    assert _grid_choices() == {("basis.py", "rule_for", "exact_subgrid"),
+                               ("basis.py", "rule_for", "refined")}
