@@ -200,10 +200,16 @@ class SpectralField:
 _NORM_SPAN = 50
 
 
-def coeff_l2(*parts: np.ndarray, norm=np.linalg.norm) -> float:
-    """norm(*parts) (Euclidean of one part by default), of degree one; a value
-    outside [2^-400, 2^400] is 2^e norm(*2^-e parts), e the exponent of the
-    largest entry, so no square under- or overflows (Blue, ACM TOMS 4, 1978).
+def _euclidean(a: np.ndarray) -> float:
+    return math.sqrt(np.add.reduce(np.square(a), axis=None))
+
+
+def coeff_l2(*parts: np.ndarray, norm=_euclidean) -> float:
+    """norm(*parts), of degree one (by default the Euclidean norm of one part,
+    its squares summed by numpy in one thread, never by a BLAS dot that can
+    split across threads); a value outside [2^-400, 2^400] is 2^e norm(*2^-e
+    parts), e the exponent of the largest entry, so no square under- or
+    overflows (Blue, ACM TOMS 4, 1978).
 
     All-zero parts read 0.0 without a call of norm.  With the largest entry
     below 2^e, every norm served here is below 2^(e + 34): a coefficient

@@ -104,3 +104,29 @@ def test_artifacts_per_blas_thread_count(tmp_path):
         for artifact, data in per_threads[1].items():
             assert data == per_threads[2][artifact], (
                 name, artifact, _rel_diff(data, per_threads[2][artifact]))
+
+
+_COEFF_L2 = """
+import numpy as np
+from stokesbesov.basis import coeff_l2
+print(repr(coeff_l2(np.random.default_rng(5).standard_normal(128 * 257))))
+"""
+
+
+def test_coeff_l2_per_blas_thread_count():
+    """The L^2 norm of a coefficient vector at (128, 128), 32,896 entries,
+    has the same bits at 1 and 2 BLAS threads: a dot that long can be split
+    across threads (OpenBLAS's np.linalg.norm of this vector moves in its
+    last bit), a one-thread sum cannot."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    values = []
+    for threads in (1, 2):
+        env.update(OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+                   MKL_NUM_THREADS=str(threads))
+        run = subprocess.run([sys.executable, "-c", _COEFF_L2], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        values.append(run.stdout)
+    assert values[0] == values[1]
