@@ -574,16 +574,16 @@ class ModeTables:
 def radial_rows(zeros_rows: np.ndarray, r: np.ndarray, shifts, reach=None) -> np.ndarray:
     """J_{n+s}(j_{n,k} r) for every order n, shift s, zero and radius, shape
     (n_max+1, len(shifts), k_max, len(r)), with J_{-q} = (-1)^q J_q folded
-    in.  Each order n is one Bessel table up to n + reach, max(shifts) by
-    default."""
+    in.  One stacked Bessel table, row n up to order n + reach, max(shifts)
+    by default."""
     shifts = np.asarray(shifts)
     reach = int(shifts.max() if reach is None else reach)
-    out = np.empty((zeros_rows.shape[0], shifts.size, zeros_rows.shape[1], np.size(r)))
-    for n, zeros in enumerate(zeros_rows):
-        qs = n + shifts
-        sign = np.where((qs < 0) & (qs % 2 == 1), -1.0, 1.0)[:, None, None]
-        tab = bessel_j_table(n + reach, np.multiply.outer(zeros, r), orders=np.abs(qs))
-        np.multiply(tab, sign, out=out[n])
+    n = np.arange(zeros_rows.shape[0])
+    qs = n[:, None] + shifts
+    x = np.multiply.outer(zeros_rows, r).reshape(n.size, -1)
+    out = bessel_j_table(n + reach, x, orders=np.abs(qs))
+    out = out.reshape(qs.shape + zeros_rows.shape[1:] + (-1,))
+    out[(qs < 0) & (qs % 2 == 1)] *= -1.0
     return out
 
 
@@ -632,37 +632,23 @@ def curl_l2(f: SpectralField, grid: PolarGrid) -> float:
 
 def mode_values_at(basis: Basis, points: np.ndarray) -> np.ndarray:
     """Velocity of every mode at arbitrary points, shape (P, n_modes, 2), as
-    VELOCITY's terms at the points' radii and angles."""
-    return point_values(point_terms(basis, points))
-
-
-def point_terms(basis: Basis, points: np.ndarray) -> tuple:
-    """The stages of mode_values_at that run once per point set: the basis,
-    VELOCITY's radial rows at the points' radii, (n_max+1, 2, k_max, P),
-    cos and sin of m th up to order n_max+1, (2 (n_max+2), P), and the
-    per-mode scale."""
+    VELOCITY's terms at the points' radii and angles.  Every value is
+    elementwise in its point, so the values at a block of the points hold
+    the same bits as the same rows of the whole array."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     r = np.hypot(pts[:, 0], pts[:, 1])
     if (r > 1.0 + 1e-12).any():
         raise ValueError("evaluation points must lie in the closed unit disk")
+    rows = radial_rows(basis.zeros_rows, r, VELOCITY.shifts)
     orders = basis.n_max + 2
     m_th = np.multiply.outer(np.arange(orders), np.arctan2(pts[:, 1], pts[:, 0]))
     trig = np.stack([np.cos(m_th), np.sin(m_th)], axis=1).reshape(2 * orders, -1)
-    rows = radial_rows(basis.zeros_rows, r, VELOCITY.shifts)
-    return basis, rows, trig, VELOCITY.scale(basis)
-
-
-def point_values(terms: tuple, points=slice(None)) -> np.ndarray:
-    """mode_values_at at the points (a slice) of point_terms' terms, shape
-    (B, n_modes, 2).  Every value is elementwise in its point, so a block
-    holds the same bits as the same rows of the whole array."""
-    basis, rows, trig, scale = terms
-    rows, trig = rows[..., points], trig[:, points]
-    signs = VELOCITY.sign_table(basis.n_max, basis.n_max + 2)
+    scale = VELOCITY.scale(basis)
+    signs = VELOCITY.sign_table(basis.n_max, orders)
     # one signed trig value per (channel, n, shift, parity): a sum of one term
     signed = np.matmul(signs.swapaxes(1, 2), trig).reshape(2, basis.n_max + 1, 2, 2, 1, -1)
-    out = np.empty((trig.shape[-1], basis.n_modes, 2))
-    # a group at a time, so no temporary outgrows (channels, shifts, k_max, B)
+    out = np.empty((pts.shape[0], basis.n_modes, 2))
+    # a group at a time, so no temporary outgrows (channels, shifts, k_max, P)
     for (n, q), idx in basis.group_index.items():
         out[:, idx] = ((rows[n] * signed[:, n, :, q]).sum(axis=1) * scale[idx, None]).T
     return out

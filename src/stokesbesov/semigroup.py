@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import Basis, PolarGrid, SpectralField, point_terms, point_values
+from .basis import Basis, PolarGrid, SpectralField, mode_values_at
 from .errors import ResolutionError
 from .norms import (D, BesovIndex, band_profile, besov_from_profile, besov_norm,
                     dual_pairing, gradient_lp_norm, lp_norm)
 
 KERNEL_TAIL_TOL = 1e-12
-_KERNEL_BLOCK = 32          # points per assembly and matmul batch in kernel_matrix
+_KERNEL_BLOCK = 16          # points per side in one evaluation and matmul batch of kernel_matrix
 
 
 def heat_apply(f: SpectralField, t: float) -> SpectralField:
@@ -50,11 +50,11 @@ def kernel_matrix(x, y, t, basis: Basis) -> np.ndarray:
     pairing with every point of the other side; t is a scalar or a 1-D
     array.  Shape t.shape + (P, 2, 2), no P axis for two single points.
 
-    The radial rows of each side are computed once (basis.point_terms);
-    the mode values are assembled and contracted _KERNEL_BLOCK points at a
-    time, and a single point's values once, so no (P, n_modes, 2) array is
-    built.  A block's values and products are those of the same points in
-    the whole arrays, bit for bit.
+    The mode values, radial rows included, are computed _KERNEL_BLOCK
+    points of each side at a time in one basis.mode_values_at call, and a
+    single point's once, so neither a (P, n_modes, 2) array nor a side's
+    whole radial rows are built.  A block's values and products are those
+    of the same points in the whole arrays, bit for bit.
 
     Refuses any t below the tail-resolution threshold: there the truncation
     error is not small relative to the kernel itself and the Gaussian-decay
@@ -67,27 +67,29 @@ def kernel_matrix(x, y, t, basis: Basis) -> np.ndarray:
             f"kernel tail unresolved at t={float(np.min(ts))!r}: exp(-t lambda_max) "
             f"exceeds {KERNEL_TAIL_TOL:g} of the leading term; need t >= {t_min!r} "
             "at this truncation")
-    sides = [point_terms(basis, v) for v in (x, y)]
-    count = np.broadcast_shapes(*((terms[1].shape[-1],) for terms in sides))[0]
+    sides = [np.atleast_2d(np.asarray(v, dtype=float)) for v in (x, y)]
+    count = np.broadcast_shapes(*((len(pts),) for pts in sides))[0]
     # a single point's values, once, repeated along every block
-    single = [np.broadcast_to(point_values(terms), (_KERNEL_BLOCK, basis.n_modes, 2))
-              if terms[1].shape[-1] == 1 else None for terms in sides]
-
-    def values(side, lo):
-        if single[side] is None:
-            return point_values(sides[side], slice(lo, lo + _KERNEL_BLOCK))
-        return single[side][:count - lo]
-
+    single = [np.broadcast_to(mode_values_at(basis, pts), (_KERNEL_BLOCK, basis.n_modes, 2))
+              if len(pts) == 1 else None for pts in sides]
     decay = [np.exp(-tv * basis.lam) for tv in ts.ravel()]
     kern = np.empty((len(decay), count, 2, 2))
-    # (e_x e^{-t lambda})^T e_y per point: the weighted copy of e_x is the
-    # only temporary besides the block's values
-    for lo in range(0, count, _KERNEL_BLOCK):
-        ex_t = values(0, lo).transpose(0, 2, 1)
-        ey = values(1, lo)
+
+    def contract(lo):
+        # (e_x e^{-t lambda})^T e_y per point of the block: both sides'
+        # values from one mode_values_at call, and the weighted copy of e_x
+        # the only other temporary; all of them are freed on return
         blk = slice(lo, lo + _KERNEL_BLOCK)
+        many = [pts[blk] for pts, one in zip(sides, single) if one is None]
+        fresh = iter(np.split(mode_values_at(basis, np.concatenate(many)), len(many))
+                     if many else ())
+        ex, ey = (next(fresh) if one is None else one[:count - lo] for one in single)
+        ex_t = ex.transpose(0, 2, 1)
         for i, w in enumerate(decay):
             np.matmul(ex_t * w, ey, out=kern[i, blk])
+
+    for lo in range(0, count, _KERNEL_BLOCK):
+        contract(lo)
     kern = kern.reshape(ts.shape + kern.shape[1:])
     return kern[..., 0, :, :] if np.ndim(x) == np.ndim(y) == 1 else kern
 

@@ -25,6 +25,17 @@ table up to q_max: the bits depend on q_max, q and x alone, not on which
 orders are requested nor on which other x share the call.  So a table on a
 set of x is the column-wise join of tables on its parts.
 
+Its stacked form takes one table top per row of a 2-D x, tops
+non-decreasing, and one order sequence per row, as a radial stack needs
+one per angular order.  Both recurrences are elementwise, so one downward
+and one upward sweep serve every row of a block of at most _SWEEP_BLOCK
+arguments.  The Miller start does not decrease as the top grows, so at
+each downward step the rows already started are a suffix of the block;
+the rows still climbing upward, to their highest order, are a suffix too.
+Every step runs on a slice, each argument keeps the steps and rescalings
+of its own per-order call, and a stack is the row-wise join of per-order
+tables, bit for bit.
+
 The zeros j_{m,k}, m <= n, k <= K, are solved as one block.  Zeros of one
 order lie more than j_{0,2} - j_{0,1} > 3 apart, so the k-th sign change of
 row m in one table of J_0..J_n on x = 0.25, 0.5, ... (up to McMahon's
@@ -47,6 +58,7 @@ import numpy as np
 from .errors import NumericalError
 
 _UPWARD_X_MIN = 16.0
+_SWEEP_BLOCK = 1 << 16      # arguments per stacked sweep, which bounds its temporaries
 MAX_QUADRATURE_ORDER = 4096
 
 
@@ -91,20 +103,36 @@ def _hankel_coefficients(terms: int) -> np.ndarray:
 _HANKEL = _hankel_coefficients(19)
 
 
-def _slots(orders: np.ndarray) -> dict:
-    """q -> the cells of a (rows, x.size) table that hold order q: whole rows
-    for one order per row (orders of shape (r, 1)), single cells for one
-    order per element (shape (r, x.size))."""
-    rows, cols = np.divmod(np.argsort(orders, axis=None, kind="stable"), orders.shape[1])
-    qs, first = np.unique(orders[rows, cols], return_index=True)
-    return {q: (rows[a:b], cols[a:b] if orders.shape[1] > 1 else slice(None))
-            for q, a, b in zip(qs.tolist(), first, [*first[1:], rows.size])}
+def _slots(orders: np.ndarray, counts: np.ndarray, per_x: bool) -> dict:
+    """q -> [(j, cells)]: the entries tab[j, cells] of a (r, n) sweep table
+    that hold order q.  The n arguments are swept row after row, counts[i]
+    of them from row i.  With one order sequence per row (orders of shape
+    (rows, r)) the cells are a row's slice of the arguments; with one per
+    argument (per_x: one row, orders of shape (r, n)) they are index arrays."""
+    if per_x:
+        js, cols = np.divmod(np.argsort(orders, axis=None, kind="stable"), orders.shape[1])
+        qs, first = np.unique(orders[js, cols], return_index=True)
+        return {q: [(js[a:b], cols[a:b])]
+                for q, a, b in zip(qs.tolist(), first, [*first[1:], js.size])}
+    slot = {}
+    end = np.cumsum(counts).tolist()
+    for row, a, b in zip(orders.tolist(), [0, *end[:-1]], end):
+        if a < b:
+            for j, q in enumerate(row):
+                slot.setdefault(q, []).append((j, slice(a, b)))
+    return slot
 
 
-def _upward_table(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """J_q(x) at the orders for x >= max(_UPWARD_X_MIN, every order): J_0 and
-    J_1 from the Hankel expansion, then the recurrence upward, which is
-    stable for q <= x.  Each entry depends on its x and q alone.
+def _upward_table(climbs: np.ndarray, counts: np.ndarray, slot: dict, x: np.ndarray,
+                  out: np.ndarray, at: np.ndarray, cols: int) -> None:
+    """J_q(x) for arguments at or above their row's switch max(_UPWARD_X_MIN,
+    top), counts[i] of them from row i, written straight into the flat
+    table out: the entry of slot j (cells of slot, _slots) of argument a is
+    out[at[a] + j cols].  J_0 and J_1 come from the Hankel expansion, then
+    the recurrence runs upward, stable for q <= x, through order climbs[i]
+    on row i: climbs do not decrease and bound every order of their row, so
+    the rows still climbing are a suffix of the arguments.  Each entry
+    depends on its x and q alone.
 
     cos and sin of x - nu pi/2 - pi/4 come from cos x and sin x, so no
     rounded phase enters."""
@@ -116,9 +144,9 @@ def _upward_table(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
         sums += _HANKEL[:, col, None]
     jm, jc, q0, q1 = sums                         # P_0, P_1, Q_0 x, Q_1 x
     cos, minus = np.cos(x), np.sin(x)
-    plus = minus + cos                            # sin x + cos x
+    plus = np.add(minus, cos, out=jp)             # sin x + cos x, in the scratch
     minus -= cos                                  # sin x - cos x
-    amp = inv_x / np.pi
+    amp = np.divide(inv_x, np.pi, out=cos)
     np.sqrt(amp, out=amp)
     q0 *= inv_x
     q1 *= inv_x
@@ -128,107 +156,158 @@ def _upward_table(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
     jc *= minus
     jc += np.multiply(q1, plus, out=q1)
     jc *= amp                                     # J_{q+1}
-    slot = _slots(orders)
-    tab = np.zeros((orders.shape[0], x.size))
-    for q in range(max(slot) + 1):
-        cell = slot.get(q)
-        if cell is not None:
-            tab[cell] = jm[cell[1]]
-        np.multiply(inv_x, 2.0 * (q + 1), out=jp)
-        jp *= jc
-        jp -= jm                                   # J_{q+2}
+    begin = np.concatenate([[0], np.cumsum(counts)])
+    for q in range(int(climbs[-1]) + 1):
+        for j, cells in slot.get(q, ()):
+            out[at[cells] + j * cols] = jm[cells]
+        off = int(begin[np.searchsorted(climbs, q + 2)])     # the rows that read J_{q+2}
+        step = np.multiply(inv_x[off:], 2.0 * (q + 1), out=jp[off:])
+        step *= jc[off:]
+        step -= jm[off:]                          # J_{q+2}
         jm, jc, jp = jc, jp, jm
-    return tab
 
 
-def _miller_table(switch: float, orders: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Downward-recurrence J_q(x) at the orders, shaped as in _upward_table,
-    vectorized over a 1-D array of 0 < x below the switch max(_UPWARD_X_MIN,
-    q_max), q_max >= every order.
+def _miller_table(switch: np.ndarray, counts: np.ndarray, slot: dict, r: int,
+                  x: np.ndarray) -> np.ndarray:
+    """Downward-recurrence J_q(x) for arguments 0 < x below their row's
+    switch max(_UPWARD_X_MIN, top), counts[i] of them from row i, switches
+    non-decreasing, as a (r, x.size) table: slot j of argument a at [j, a]
+    (cells of slot, _slots).  The table is rescaled and normalized as the
+    sweep ends, so it is placed in the result afterwards.
 
-    The start index depends on the switch alone and each x is rescaled at
-    the first step its own value passes the threshold, so the recurrence,
-    its rescalings and hence every entry are the same whichever orders and
-    other x are in the call.
+    A row's recurrence starts at an index set by its switch alone and each
+    x is rescaled at the first step its own value passes the threshold, so
+    the recurrence, its rescalings and hence every entry are the same
+    whichever orders, rows and other x are in the call.  The start does
+    not decrease as the switch grows, so the rows already started are a
+    suffix of the arguments and every step runs on a slice.
     """
-    start = int(switch) + int(15.0 * switch ** (1.0 / 3.0)) + 22
-    start += start % 2
-    # step q writes J~_q to the entries of order q: whole rows, or single cells
-    slot = _slots(orders)
-    tab = np.zeros((orders.shape[0], x.size))
-    jp = np.zeros_like(x)                 # J~_{k+1}
-    jc = np.full_like(x, 1e-30)           # J~_k, k = start
-    jm = np.empty_like(x)
-    acc = 2.0 * jc
+    starts = np.array([int(s) + int(15.0 * s ** (1.0 / 3.0)) + 22 for s in switch.tolist()])
+    starts += starts % 2
+    begin = np.concatenate([[0], np.cumsum(counts)])
+    tab = np.zeros((r, x.size))
+    jp, jc, jm, acc = (np.empty_like(x) for _ in range(4))
     inv_x = 1.0 / x
-    # bound >= max(|J~_k|, |J~_{k+1}|) over all x; one step multiplies it by
-    # at most 2k max(1/x) + 1, and the 1e-12 margin covers the roundings.
-    # The overflow test runs only once the bound passes its threshold, so
-    # it fires at exactly the steps where testing every step would.
+    # bound >= max(|J~_k|, |J~_{k+1}|) over the started x; one step multiplies
+    # it by at most 2k max(1/x) + 1, and the 1e-12 margin covers the
+    # roundings.  The overflow test runs only once the bound passes its
+    # threshold, so it fires at exactly the steps where testing every step
+    # would.
     grow = 2.0 * float(inv_x.max())
     bound = 1e-30
-    for k in range(start, 0, -1):
-        np.multiply(inv_x, 2.0 * k, out=jm)
-        jm *= jc
-        jm -= jp                          # J~_{k-1}
+    off = x.size
+    for k in range(int(starts[counts > 0].max()), 0, -1):
+        enter = int(begin[np.searchsorted(starts, k)])
+        if enter < off:                   # rows starting at k: J~_{k+1} = 0, J~_k = 1e-30
+            jp[enter:off] = 0.0
+            jc[enter:off] = 1e-30
+            np.multiply(jc[enter:off], 2.0, out=acc[enter:off])
+            off, bound = enter, max(bound, 1e-30)
+        step = np.multiply(inv_x[off:], 2.0 * k, out=jm[off:])
+        step *= jc[off:]
+        step -= jp[off:]                  # J~_{k-1}
         jp, jc, jm = jc, jm, jp
         q = k - 1
-        cell = slot.get(q)
-        if cell is not None:
-            tab[cell] = jc[cell[1]]
+        for j, cells in slot.get(q, ()):
+            tab[j, cells] = jc[cells]
         if q == 0:
-            acc += jc
+            acc[off:] += jc[off:]
         elif q % 2 == 0:
-            acc += np.multiply(jc, 2.0, out=jm)
+            acc[off:] += np.multiply(jc[off:], 2.0, out=jm[off:])
         bound *= (k * grow + 1.0) * (1.0 + 1e-12)
         if bound > 1e250:
-            big = np.abs(jc) > 1e250
-            if big.any():
-                s = np.where(big, 1e-250, 1.0)
-                jc *= s
-                jp *= s
-                acc *= s
-                tab *= s
-            bound = max(float(np.abs(jc).max()), float(np.abs(jp).max()))
+            size = np.abs(jc[off:], out=jm[off:])
+            big = np.flatnonzero(size > 1e250)
+            if big.size:
+                size[big] *= 1e-250
+                big += off
+                jc[big] *= 1e-250
+                jp[big] *= 1e-250
+                acc[big] *= 1e-250
+                tab[:, big] *= 1e-250
+            bound = max(float(size.max()), float(np.abs(jp[off:]).max()))
     tab /= acc
     return tab
 
 
-def bessel_j_table(q_max: int, x, orders=None) -> np.ndarray:
+def bessel_j_table(q_max, x, orders=None) -> np.ndarray:
     """J_q(x) for all orders q = 0..q_max, vectorized over an array of finite
     x >= 0.
 
     With orders (integers in 0..q_max, repeats allowed) row i of the result
     is J_{orders[i]}, or J_{orders[..., i]}(x) when orders has shape
     x.shape + (r,), one sequence per x; every entry has the bits of the full
-    table.  Routes each element by (q_max, x) alone, through the Hankel
-    expansion and the upward recurrence at x >= max(16, q_max) and the
-    Miller recurrence below; this is the workhorse behind basis tables,
-    point evaluation and the zero finder.
+    table.
+
+    Stacked: q_max a 1-D sequence of non-decreasing table tops, one per row
+    of a 2-D x, and orders of shape (rows, r), one sequence per row.  Entry
+    [i, j, c] of the (rows, r, columns) result is J_{orders[i, j]}(x[i, c])
+    with the bits of bessel_j_table(q_max[i], x[i], orders=orders[i])[j].
+    One upward and one downward sweep run over each block of rows holding
+    at most _SWEEP_BLOCK arguments (or one row), writing into the result.
+
+    Routes each element by (q_max, x) alone, through the Hankel expansion
+    and the upward recurrence at x >= max(16, q_max) and the Miller
+    recurrence below; this is the workhorse behind basis tables, point
+    evaluation and the zero finder.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     if not (np.isfinite(x) & (x >= 0)).all():
         raise ValueError("bessel_j_table requires finite x >= 0")
-    wanted = np.arange(q_max + 1) if orders is None else np.asarray(orders, dtype=int)
-    per_x = wanted.ndim > 1
-    if (wanted.ndim == 0 or wanted.shape[:-1] != (x.shape if per_x else ())
-            or wanted.size == 0 or wanted.min() < 0 or wanted.max() > q_max):
-        raise ValueError("orders must be one non-empty sequence within 0..q_max, "
-                         "or one per x")
-    grid = wanted.reshape(x.size, -1).T if per_x else wanted[:, None]
-    shape, x = x.shape, x.ravel()
-    out = np.zeros((grid.shape[0], x.size))
-    tiny = x < 1e-12
-    if tiny.any():
-        out[(grid == 0) & tiny] = 1.0     # J_0(0) = 1, J_q(0) = 0 for q >= 1
-    switch = max(_UPWARD_X_MIN, q_max)
-    upward = x >= switch
-    below = ~(tiny | upward)
-    if upward.any():
-        out[:, upward] = _upward_table(grid[:, upward] if per_x else grid, x[upward])
-    if below.any():
-        out[:, below] = _miller_table(switch, grid[:, below] if per_x else grid, x[below])
-    return out.reshape((-1,) + shape)
+    tops = np.asarray(q_max)
+    stacked, per_x = tops.ndim == 1, False
+    if stacked:
+        grid = np.asarray([] if orders is None else orders, dtype=int)
+        if (tops.dtype.kind not in "iu" or x.ndim != 2 or grid.ndim != 2 or grid.size == 0
+                or not tops.size == x.shape[0] == grid.shape[0] or (np.diff(tops) < 0).any()
+                or grid.min() < 0 or (grid > tops[:, None]).any()):
+            raise ValueError("a stacked table needs non-decreasing integer tops, one row of "
+                             "x and one non-empty order sequence within 0..top per top")
+    else:
+        x = np.atleast_1d(x)
+        wanted = np.arange(q_max + 1) if orders is None else np.asarray(orders, dtype=int)
+        per_x = wanted.ndim > 1
+        if (wanted.ndim == 0 or wanted.shape[:-1] != (x.shape if per_x else ())
+                or wanted.size == 0 or wanted.min() < 0 or wanted.max() > q_max):
+            raise ValueError("orders must be one non-empty sequence within 0..q_max, "
+                             "or one per x")
+        # one row: per_x orders are (r, x.size), one column per x
+        grid = wanted.reshape(x.size, -1).T if per_x else wanted[None]
+        shape, tops, x = x.shape, tops[None], x.reshape(1, -1)
+    r, (rows, cols) = grid.shape[0] if per_x else grid.shape[1], x.shape
+    out = np.zeros((rows, r, cols))
+    step = max(1, _SWEEP_BLOCK // max(1, cols))
+    for lo in range(0, rows, step):
+        block = slice(lo, lo + step)
+        sub, held, flat = x[block], grid if per_x else grid[block], out[block].reshape(-1)
+        switch = np.maximum(_UPWARD_X_MIN, tops[block])
+        tiny = sub < 1e-12
+        upward = sub >= switch[:, None]
+        # each route takes its arguments row after row; at[a] is the flat
+        # index of argument a's slot 0 in the block's result
+        for mask in (tiny, upward, ~(tiny | upward)):
+            at = np.flatnonzero(mask)
+            if at.size == 0:
+                continue
+            counts = mask.sum(axis=1)
+            picked = held[:, at] if per_x else held
+            arg = sub.reshape(-1)[at]
+            at += at // cols * ((r - 1) * cols)
+            if mask is upward:            # written into the result as it climbs
+                slot = _slots(picked, counts, per_x)
+                climbs = (np.array([max(slot)]) if per_x
+                          else np.maximum.accumulate(held.max(axis=1)))
+                _upward_table(climbs, counts, slot, arg, flat, at, cols)
+            else:
+                if mask is tiny:          # J_0(0) = 1, J_q(0) = 0 for q >= 1
+                    tab = (picked if per_x else np.repeat(held, counts, axis=0).T) == 0
+                else:
+                    tab = _miller_table(switch, counts, _slots(picked, counts, per_x), r, arg)
+                for j, row in enumerate(tab):
+                    flat[at + j * cols] = row
+                del tab
+            del arg, at                   # before the next route allocates
+    return out if stacked else out.reshape((-1,) + shape)
 
 
 def _mcmahon_guess(n, k) -> np.ndarray:

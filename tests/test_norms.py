@@ -396,22 +396,29 @@ def test_other_p_stay_on_the_full_grid(basis_88, grid_small, p):
 
 def test_subgrid_norms_reuse_the_radial_tables(basis_88, monkeypatch):
     """besov_norm at even p synthesizes on several exact sub-grids; they
-    share the fresh grid's radial Bessel stacks, so only the n_max + 1 rows
-    of one stack are ever built."""
+    share the fresh grid's radial Bessel stack, so one stack is built, by
+    one stacked Bessel call over its n_max + 1 rows, and no sub-grid
+    rebuilds it."""
     import stokesbesov.basis
-    calls = []
-    real = stokesbesov.basis.bessel_j_table
+    builds, calls = [], []
+    real_rows, real_table = stokesbesov.basis.radial_rows, stokesbesov.basis.bessel_j_table
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+    def counted_rows(*args, **kwargs):
+        builds.append(args[1].size)
+        return real_rows(*args, **kwargs)
 
-    monkeypatch.setattr(stokesbesov.basis, "bessel_j_table", counted)
+    def counted_table(*args, **kwargs):
+        calls.append(np.asarray(args[0]).tolist())
+        return real_table(*args, **kwargs)
+
+    monkeypatch.setattr(stokesbesov.basis, "radial_rows", counted_rows)
+    monkeypatch.setattr(stokesbesov.basis, "bessel_j_table", counted_table)
     grid = build_grid(32, 128)
     f = SpectralField(basis_88, np.random.default_rng(27).standard_normal(basis_88.n_modes))
     besov_norm(f, BesovIndex(critical_index(4.0), 4.0, INF), grid)
     assert len(grid._subgrids) > 2
-    assert len(calls) == basis_88.n_max + 1
+    assert builds == [grid.radial_order]
+    assert calls == [list(range(2, basis_88.n_max + 3))]
 
 
 @pytest.mark.parametrize("p", [3.0, 4.0, 6.0, INF])

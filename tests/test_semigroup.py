@@ -153,25 +153,23 @@ def test_kernel_blocks_match_per_point_calls(basis_88):
 
 def test_kernel_matrix_memory_stays_block_sized(basis_1616):
     """kernel-gaussian's 200 pairs at (16,16): the traced allocation peak
-    stays below what each side holds whole (its radial rows and trig
-    values) plus four (block, modes, 2) arrays, which is well under the
-    2 P M 2 8 bytes of two whole mode-value arrays."""
+    stays below one side's whole radial rows, (n_max+1, 2, k_max, 200)
+    floats, since both sides are evaluated, radial rows included, a block
+    of points at a time; two whole mode-value arrays would be four times
+    that."""
     import tracemalloc
     basis = basis_1616
     xs, ys = _disk_points(38, 200), _disk_points(39, 200)
     ts = 2.0 * kernel_tail_threshold(basis) * np.arange(1.0, 6.0)
     kernel_matrix(xs[:2], ys[:2], ts, basis)         # the sign table, built once
-    n, k, m, points = basis.n_max + 1, basis.k_max, basis.n_modes, 200
-    held = 2 * 8 * points * (n * 2 * k + 2 * (n + 1))
-    blocks = 4 * 8 * 32 * m * 2
-    whole = 2 * 8 * points * m * 2
+    rows = 8 * 200 * (basis.n_max + 1) * 2 * basis.k_max
     tracemalloc.start()
     try:
         kernel_matrix(xs, ys, ts, basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < held + blocks < 0.9 * whole
+    assert peak < rows < 0.3 * 2 * 8 * 200 * basis.n_modes * 2
 
 
 def test_besov_bounded_scan(basis_88, grid_small):

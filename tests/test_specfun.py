@@ -246,6 +246,72 @@ def test_bessel_orders_rejects_out_of_range():
             bessel_j_table(4, np.array([1.0, 20.0]), orders=orders)
 
 
+def _per_order(zeros_rows, r, shifts, reach):
+    """What the stacked call builds, one call per angular order n: J at the
+    orders |n + s| of the table up to n + reach, at the arguments j_{n,k} r."""
+    return np.stack([bessel_j_table(n + reach, np.multiply.outer(zeros, r).ravel(),
+                                    orders=[abs(n + s) for s in shifts])
+                     for n, zeros in enumerate(zeros_rows)])
+
+
+def _stacked(zeros_rows, r, shifts, reach):
+    n = np.arange(zeros_rows.shape[0])
+    return bessel_j_table(n + reach, np.multiply.outer(zeros_rows, r).reshape(n.size, -1),
+                          orders=np.abs(n[:, None] + np.array(shifts)))
+
+
+# the points r = 0 and r = 1, and radii whose arguments j r start at 1e-10
+# and reach past 1e-3: far below the Miller start, they pass the overflow
+# threshold and rescale
+_EDGES = np.concatenate([[0.0, 1.0], np.geomspace(1e-10, 1e-3, 15) / J01])
+
+
+@pytest.mark.parametrize("n_max, k_max", [(0, 1), (8, 8), (16, 16), (32, 32), (64, 64)])
+def test_stacked_table_equals_per_order_calls(n_max, k_max):
+    """One stacked call over every angular order of a radial stack has the
+    bits of one call per order: the grid stack's shifts -2..2 on 128 Gauss
+    radii, the refined stack's -1, 1 on 384, point evaluation's -1, 1, the
+    normalization's 1 and the boundary traces' 0, each at the table top
+    the program uses."""
+    zeros = np.array([bessel_zeros_row(n, k_max) for n in range(n_max + 1)])
+    gauss = gauss_legendre(128).nodes
+    cases = ((range(-2, 3), 2, np.concatenate([_EDGES, gauss])),
+             ((-1, 1), 2, gauss_legendre(384).nodes),
+             ((-1, 1), 1, np.concatenate([_EDGES, gauss[::5]])),
+             ((1,), 1, _EDGES), ((0,), 0, _EDGES))
+    for shifts, reach, r in cases:
+        got = _stacked(zeros, r, shifts, reach)
+        assert got.shape == (n_max + 1, len(shifts), k_max * r.size)
+        assert np.array_equal(got, _per_order(zeros, r, shifts, reach)), (shifts, r.size)
+
+
+def test_stacked_table_blocks_change_no_bit(monkeypatch):
+    """Blocks of rows that split a stack anywhere, down to one row each,
+    give the bits of one block."""
+    zeros = np.array([bessel_zeros_row(n, 16) for n in range(17)])
+    r = np.concatenate([_EDGES[:9], np.linspace(0.05, 0.95, 9)])
+    whole = _stacked(zeros, r, range(-2, 3), 2)
+    for block in (1, 300, 1000):
+        monkeypatch.setattr(specfun, "_SWEEP_BLOCK", block)
+        assert np.array_equal(_stacked(zeros, r, range(-2, 3), 2), whole), block
+
+
+def test_stacked_table_rejects_bad_stacks():
+    x = np.array([[1.0, 20.0], [2.0, 30.0]])
+    for tops, orders in (([3, 2], [[0], [1]]),          # tops decrease
+                         ([2, 3], [[0], [4]]),          # an order above its top
+                         ([2, 3], [[0]]),               # one order row short
+                         ([2, 3, 4], [[0], [1], [2]]),  # one top too many
+                         ([2, 3], [[], []]),            # no orders
+                         ([2.0, 3.0], [[0], [1]])):     # tops not integers
+        with pytest.raises(ValueError):
+            bessel_j_table(np.array(tops), x, orders=orders)
+    with pytest.raises(ValueError):
+        bessel_j_table(np.array([2, 3]), x)             # stacks need orders
+    with pytest.raises(ValueError):
+        bessel_j_table(np.array([2]), x[0], orders=[[0]])   # x must be 2-D
+
+
 def test_gauss_legendre_midpoint():
     rule = gauss_legendre(1)
     assert rule.nodes.tolist() == [0.5]

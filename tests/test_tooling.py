@@ -13,6 +13,8 @@ package runs on numpy and the standard library alone, as pyproject
 declares; scipy and mpmath are the tests' oracles, never the code's.
 Which grid a quadrature runs on is decided in one place, PolarGrid.rule_for:
 a second caller of exact_subgrid or refined would be a second policy.
+J_n has one evaluator, bessel_j_table: a second caller of its recurrences
+would be a second one.
 """
 
 import ast
@@ -129,16 +131,18 @@ def test_package_imports_only_numpy_and_the_standard_library():
     assert sorted(foreign) == []
 
 
-def _grid_choices():
-    """(module, innermost enclosing function, method) of every call of
-    exact_subgrid or refined in the package source."""
+def _call_sites(*names):
+    """(module, innermost enclosing function, name) of every call, as f(...)
+    or x.f(...), of one of the names in the package source."""
     found = set()
 
     def scan(node, module, where):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) in (
-                    "exact_subgrid", "refined"):
-                found.add((module, where, child.func.attr))
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in names:
+                    found.add((module, where, name))
             scan(child, module, child.name if isinstance(child, ast.FunctionDef) else where)
 
     for path in PACKAGE.glob("*.py"):
@@ -147,5 +151,11 @@ def _grid_choices():
 
 
 def test_only_the_resolution_policy_picks_a_grid():
-    assert _grid_choices() == {("basis.py", "rule_for", "exact_subgrid"),
-                               ("basis.py", "rule_for", "refined")}
+    assert _call_sites("exact_subgrid", "refined") == {("basis.py", "rule_for", "exact_subgrid"),
+                                                      ("basis.py", "rule_for", "refined")}
+
+
+def test_only_bessel_j_table_runs_the_recurrences():
+    assert _call_sites("_miller_table", "_upward_table") == {
+        ("specfun.py", "bessel_j_table", "_miller_table"),
+        ("specfun.py", "bessel_j_table", "_upward_table")}
