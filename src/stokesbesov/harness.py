@@ -40,6 +40,7 @@ from .basis import (
     boundary_traces,
     build_basis,
     build_grid,
+    coeff_l2,
     curl_l2,
     load_basis,
     mode_values_at,
@@ -364,7 +365,7 @@ def generate_data(spec: DataSpec, basis: Basis, grid: PolarGrid) -> SpectralFiel
         else:
             weights = np.sqrt(basis.lam) ** (-spec.slope)
         coeffs = weights * np.random.default_rng(spec.seed).standard_normal(basis.n_modes)
-        return SpectralField(basis, coeffs * (spec.amplitude / np.linalg.norm(coeffs)))
+        return SpectralField(basis, coeffs * (spec.amplitude / coeff_l2(coeffs)))
     if spec.kind == "bump_family":
         return _bump_field(spec, basis, grid)
     raise ConfigError(f"[data] kind: unknown generator {spec.kind!r}")
@@ -511,7 +512,7 @@ class VerifyContext:
         for _ in range(count):
             c = rng.standard_normal(basis.n_modes) * np.exp(-decay * basis.lam)
             c[np.abs(c) < tiny] = 0.0
-            fields.append(SpectralField(basis, c / np.linalg.norm(c)))
+            fields.append(SpectralField(basis, c / coeff_l2(c)))
         return fields
 
 

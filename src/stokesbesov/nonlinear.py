@@ -121,7 +121,8 @@ def energy_identity_residual(u: SpectralField, tables: ModeTables) -> EnergyResi
     advection neutrality <N(u), u> = 0 and dissipation <Au, u> = ||curl u||^2
     (spectral pairing versus curl_l2's quadrature, two distinct routes)."""
     n_u = _convection_coeffs(u, tables.grid.rule_for(u, 2, u.basis.n_max))
-    advection = abs(float(np.dot(n_u, u.coeffs)))
-    pairing = float(np.dot(apply_stokes(u).coeffs, u.coeffs))
+    # summed in one thread, not by a BLAS dot that can split across threads
+    advection = abs(float(np.add.reduce(n_u * u.coeffs)))
+    pairing = float(np.add.reduce(apply_stokes(u).coeffs * u.coeffs))
     dissipation = curl_l2(u, tables.grid) ** 2
     return EnergyResidual(advection, abs(pairing - dissipation))

@@ -7,7 +7,9 @@ norms, whose angular products run on fixed blocks of refined circles.  The
 default-truncation solve integrates |u|^4 on 128 x 133 nodes, a sum long
 enough that a BLAS dot would split it across threads.  All four runs of
 each must agree byte for byte (see the README); on a mismatch across the
-counts the largest relative difference of any number is reported.
+counts the largest relative difference of any number is reported.  A
+(128, 128) coefficient norm and spectral_slope data on the (128, 128)
+basis, long enough for a BLAS dot to split, are compared the same way.
 """
 
 import math
@@ -106,6 +108,23 @@ def test_artifacts_per_blas_thread_count(tmp_path):
                 name, artifact, _rel_diff(data, per_threads[2][artifact]))
 
 
+def _printed_per_blas_thread_count(code):
+    """What a fresh interpreter running code prints at 1 and at 2 BLAS
+    threads."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    printed = []
+    for threads in (1, 2):
+        env.update(OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+                   MKL_NUM_THREADS=str(threads))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        printed.append(run.stdout)
+    return printed
+
+
 _COEFF_L2 = """
 import numpy as np
 from stokesbesov.basis import coeff_l2
@@ -118,15 +137,22 @@ def test_coeff_l2_per_blas_thread_count():
     has the same bits at 1 and 2 BLAS threads: a dot that long can be split
     across threads (OpenBLAS's np.linalg.norm of this vector moves in its
     last bit), a one-thread sum cannot."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    values = []
-    for threads in (1, 2):
-        env.update(OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
-                   MKL_NUM_THREADS=str(threads))
-        run = subprocess.run([sys.executable, "-c", _COEFF_L2], env=env,
-                             capture_output=True, text=True, timeout=60)
-        assert run.returncode == 0, run.stderr
-        values.append(run.stdout)
+    values = _printed_per_blas_thread_count(_COEFF_L2)
     assert values[0] == values[1]
+
+
+_SLOPE_DATA = """
+from stokesbesov import build_basis
+from stokesbesov.harness import DataSpec, generate_data
+f = generate_data(DataSpec(kind="spectral_slope", slope=1.0, seed=7), build_basis(128, 128), None)
+print(f.coeffs.tobytes().hex())
+"""
+
+
+def test_spectral_slope_data_per_blas_thread_count():
+    """spectral_slope data on the (128, 128) basis, 32,896 coefficients,
+    has the same bytes at 1 and 2 BLAS threads: generate_data scales the
+    seeded draw by a one-thread sum of squares, where np.linalg.norm's dot
+    moved its last bits with the thread count."""
+    data = _printed_per_blas_thread_count(_SLOPE_DATA)
+    assert data[0] == data[1]
