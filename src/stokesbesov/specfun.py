@@ -172,8 +172,8 @@ def _miller_table(switch: np.ndarray, counts: np.ndarray, slot: dict, r: int,
     """Downward-recurrence J_q(x) for arguments 0 < x below their row's
     switch max(_UPWARD_X_MIN, top), counts[i] of them from row i, switches
     non-decreasing, as a (r, x.size) table: slot j of argument a at [j, a]
-    (cells of slot, _slots).  The table is rescaled and normalized as the
-    sweep ends, so it is placed in the result afterwards.
+    (cells of slot, _slots).  The table is rescaled during the sweep and
+    normalized at its end, so it is placed in the result afterwards.
 
     A row's recurrence starts at an index set by its switch alone and each
     x is rescaled at the first step its own value passes the threshold, so
