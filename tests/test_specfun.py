@@ -296,6 +296,19 @@ def test_stacked_table_blocks_change_no_bit(monkeypatch):
         assert np.array_equal(_stacked(zeros, r, range(-2, 3), 2), whole), block
 
 
+def test_stacked_table_takes_any_orders_per_row():
+    """Rows whose highest orders fall as the tops rise, repeats and order 0,
+    over every regime (zero, rescaling, Miller and upward arguments), have
+    the bits of one call per row."""
+    tops = np.array([0, 3, 9, 9, 20, 40, 41])
+    orders = np.array([[0, 0], [3, 1], [9, 0], [2, 2], [20, 7], [1, 0], [41, 40]])
+    x = np.array([0.0, 1e-9, 1e-3, 0.7, 12.0, 15.9, 16.0, 39.5, 40.5, 41.0, 400.0])
+    x = x * np.linspace(1.0, 1.1, tops.size)[:, None]
+    got = bessel_j_table(tops, x, orders=orders)
+    for top, row, xs, table in zip(tops, orders, x, got):
+        assert np.array_equal(table, bessel_j_table(int(top), xs, orders=row)), top
+
+
 def test_stacked_table_rejects_bad_stacks():
     x = np.array([[1.0, 20.0], [2.0, 30.0]])
     for tops, orders in (([3, 2], [[0], [1]]),          # tops decrease
