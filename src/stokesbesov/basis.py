@@ -29,7 +29,8 @@ radii where one exists (PolarGrid.radial_stack); ModeTables reads it
 through the grid, so a stack replaced by a view is freed.  A stack holds
 the grid's shifts: -2 .. 2 on build_grid's grids, VELOCITY's -1 and 1 on
 the refined companion grid, which only sup sampling reads.  There is one
-Transform.sign_table per (transform, n_max, orders) for every grid.
+Transform.sign_table per (transform, n_max, orders) for every grid.  A
+ModeTables holds its grid weakly: reference counting alone frees both.
 """
 
 from __future__ import annotations
@@ -37,14 +38,15 @@ from __future__ import annotations
 import functools
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import ResolutionError
-from .specfun import (MAX_QUADRATURE_ORDER, QuadratureRule, bessel_j_table, bessel_zeros_row,
-                      gauss_legendre)
+from .specfun import (_SWEEP_BLOCK, MAX_QUADRATURE_ORDER, QuadratureRule, bessel_j_table,
+                      bessel_zeros_row, gauss_legendre)
 
 BASIS_FORMAT = "stokes-besov-basis/1"
 
@@ -359,11 +361,14 @@ class PolarGrid:
 
     def refined(self) -> "PolarGrid":
         """Companion grid REFINE_FACTOR times denser in each direction, for
-        sup-norm sampling: its radial stacks hold VELOCITY's shifts only."""
-        if self._refined is None:
-            self._refined = PolarGrid(gauss_legendre(self.radial_order * REFINE_FACTOR),
-                                      self.angular_count * REFINE_FACTOR, VELOCITY.shifts)
-        return self._refined
+        sup-norm sampling: its stacks hold VELOCITY's shifts.  Its radial rule
+        is kept, the grid cached weakly, so it lives while a caller holds it."""
+        rule, held = self._refined or (gauss_legendre(self.radial_order * REFINE_FACTOR), None)
+        companion = held and held()
+        if companion is None:
+            companion = PolarGrid(rule, self.angular_count * REFINE_FACTOR, VELOCITY.shifts)
+            self._refined = rule, weakref.ref(companion)
+        return companion
 
     def rule_for(self, f: SpectralField, power: float, order: int = 0) -> "PolarGrid":
         """The grid of every quadrature of f, picked here alone, for |u|^power
@@ -486,12 +491,17 @@ class ModeTables:
     has shape (2 (n_max+3), A): row 2m is cos(m th) and row 2m+1 is
     sin(m th), so the rows up to any angular order form a prefix.
     Coefficients enter through the padded (n, parity, k) layout; slot maps
-    mode ids into it, and the absent n = 0 sine group stays zero.
+    mode ids into it, and the absent n = 0 sine group stays zero.  Valid
+    while the grid lives: they hold it weakly and copy what they read.
     """
+
+    shift_rows = PolarGrid.shift_rows       # of the shifts copied from the grid
 
     def __init__(self, basis: Basis, grid: PolarGrid):
         self.basis = basis
-        self.grid = grid
+        self._grid, self._stacks = weakref.ref(grid), grid._radial_stacks
+        self.shifts, self.radial_order = grid.shifts, grid.radial_order
+        self._node_weights = grid.angular_weight * grid.radial_weights
         count = grid.angular_count
         # m th_i = 2 pi k / N with k = m i mod N reduced exactly in integers:
         # no entry carries the rounding of a float product m th_i, and the
@@ -508,10 +518,15 @@ class ModeTables:
         self._scale = {}
 
     @property
+    def grid(self) -> PolarGrid:
+        if (grid := self._grid()) is None:
+            raise ReferenceError("these ModeTables outlived their grid")
+        return grid
+
+    @property
     def radial(self) -> np.ndarray:
-        """PolarGrid.radial_stack, read through the grid on every use, so that
-        a stack replaced by a view of a larger one is not held twice."""
-        return self.grid._radial_stacks[self._stack_key][1]
+        """PolarGrid.radial_stack, read through the stack dict on every use."""
+        return self._stacks[self._stack_key][1]
 
     @functools.cached_property
     def velocity_envelope(self) -> np.ndarray:
@@ -520,7 +535,7 @@ class ModeTables:
         node of every grid on this radial rule, so sum_m |c_m| E_m bounds the
         velocity magnitude of the field c there."""
         b = self.basis
-        pair = self.grid.shift_rows(VELOCITY)
+        pair = self.shift_rows(VELOCITY)
         peak = np.array([np.abs(rows[pair]).sum(axis=0).max(axis=-1) for rows in self.radial])
         return np.abs(VELOCITY.scale(b)) * peak[b.angular, b.radial - 1]
 
@@ -539,7 +554,7 @@ class ModeTables:
         Orders above the highest one with a nonzero coefficient are cut off:
         profiles, sign table and angular rows are all prefix slices.
         """
-        shift_rows = self.grid.shift_rows(spec)
+        shift_rows = self.shift_rows(spec)
         table, scale = self.scatter(spec)
         a = np.zeros((self.basis.n_max + 1, 2, self.basis.k_max))
         a.reshape(-1)[self.slot] = coeffs * scale
@@ -547,8 +562,8 @@ class ModeTables:
         cut = int(live[-1]) + 1 if live.size else 0
         prof = np.matmul(a[:cut, None], self.radial[:cut, shift_rows])
         rows = min(table.shape[1], 2 * (cut + spec.shifts[-1])) if cut else 0
-        return np.matmul(table[:, :rows, :prof.size // self.grid.radial_order],
-                         prof.reshape(-1, self.grid.radial_order))
+        return np.matmul(table[:, :rows, :prof.size // self.radial_order],
+                         prof.reshape(-1, self.radial_order))
 
     def forward(self, spec: Transform, coeffs: np.ndarray, out=None) -> np.ndarray:
         """Channel values (channels, R, A) of a coefficient vector, written
@@ -560,11 +575,10 @@ class ModeTables:
         """Quadrature transpose of forward: the coefficient vector of
         sum over channels of the integral of values[c] times each mode's
         channel c."""
-        shift_rows = self.grid.shift_rows(spec)
+        shift_rows = self.shift_rows(spec)
         table, scale = self.scatter(spec)
-        grid = self.grid
         lines = np.stack([self.angular @ v.T for v in values])      # (C, rows, R)
-        lines *= grid.angular_weight * grid.radial_weights
+        lines *= self._node_weights
         prof = table.reshape(-1, table.shape[2]).T @ lines.reshape(-1, lines.shape[2])
         prof = prof.reshape(self.basis.n_max + 1, len(spec.shifts), 2, -1)
         out = np.matmul(prof, self.radial[:, shift_rows].swapaxes(-1, -2))
@@ -575,14 +589,18 @@ def radial_rows(zeros_rows: np.ndarray, r: np.ndarray, shifts, reach=None) -> np
     """J_{n+s}(j_{n,k} r) for every order n, shift s, zero and radius, shape
     (n_max+1, len(shifts), k_max, len(r)), with J_{-q} = (-1)^q J_q folded
     in.  One stacked Bessel table, row n up to order n + reach, max(shifts)
-    by default."""
+    by default, swept in its blocks of rows, each block's arguments formed
+    just before it and its values written in place."""
     shifts = np.asarray(shifts)
     reach = int(shifts.max() if reach is None else reach)
     n = np.arange(zeros_rows.shape[0])
     qs = n[:, None] + shifts
-    x = np.multiply.outer(zeros_rows, r).reshape(n.size, -1)
-    out = bessel_j_table(n + reach, x, orders=np.abs(qs))
-    out = out.reshape(qs.shape + zeros_rows.shape[1:] + (-1,))
+    out = np.empty(qs.shape + zeros_rows.shape[1:] + (r.size,))
+    flat = out.reshape(qs.shape + (-1,))
+    step = max(1, _SWEEP_BLOCK // max(1, flat.shape[-1]))
+    for rows in (slice(lo, lo + step) for lo in range(0, n.size, step)):
+        x = np.multiply.outer(zeros_rows[rows], r).reshape(flat[rows].shape[0], -1)
+        bessel_j_table(n[rows] + reach, x, orders=np.abs(qs[rows]), out=flat[rows])
     out[(qs < 0) & (qs % 2 == 1)] *= -1.0
     return out
 

@@ -633,12 +633,13 @@ def _bernstein_stat(basis: Basis, grid: PolarGrid, seed: int) -> tuple:
     kernel columns (coefficients phi_j(sqrt(lambda_m)) e_m(x0) . v) are
     the concentrated extremizers and saturate every band the same way;
     two seeded random band samples ride along as non-extremal ballast.
-    p = inf stays spectral so the sup runs on the refined grid.
+    p = inf stays spectral so the sup runs on the refined grid, held here.
     """
     bands = active_bands(basis)
     p_values = sorted({q for pair in _BERNSTEIN_PAIRS for q in pair},
                       key=lambda q: (math.isinf(q), q))
     point_vals = mode_values_at(basis, _BERNSTEIN_POINTS)   # (P, M, 2)
+    companion = grid.rule_for(SpectralField(basis, point_vals[0, :, 0]), INF)  # for all bands
     per_band = {}
     for j in bands:
         mask = _multiplier(basis, j, False)
@@ -659,6 +660,7 @@ def _bernstein_stat(basis: Basis, grid: PolarGrid, seed: int) -> tuple:
                               else lp_norm(v, grid, q))
                           for q in p_values})
         per_band[j] = norms
+    del companion                   # before the statistics allocate
     stats = {}
     band_ratios = {}
     for r, p in _BERNSTEIN_PAIRS:

@@ -12,7 +12,8 @@ three times denser in each direction; truncated fields have bounded
 gradients, so the refinement error is controlled and documented rather than
 hidden.  Only the velocity is sampled there: the refined grid's radial
 stacks hold VELOCITY's two shift rows, and gradient_lp_norm takes
-1 <= p < inf.
+1 <= p < inf.  That grid lives while a caller holds it (PolarGrid.refined):
+band_profile holds it across its bands, else each sup rebuilds its stacks.
 
 The sup of a SpectralField runs in blocks.  ModeTables.lines, the radial
 and sign stages of forward, gives per channel c and refined circle r_i the
@@ -252,6 +253,7 @@ def _aggregate(values: np.ndarray, q: float) -> float:
 def band_profile(f: SpectralField, grid: PolarGrid, p: float) -> tuple:
     """((j, ||phi_j(sqrt(A)) f||_{L^p}), ...) over the active bands; every
     block norm of f with this p aggregates it (besov_from_profile)."""
+    held = grid.rule_for(f, p)          # for p = inf one companion serves every band
     return tuple((j, lp_norm(apply_band(f, j), grid, p)) for j in active_bands(f.basis))
 
 

@@ -230,7 +230,7 @@ def _miller_table(switch: np.ndarray, counts: np.ndarray, slot: dict, r: int,
     return tab
 
 
-def bessel_j_table(q_max, x, orders=None) -> np.ndarray:
+def bessel_j_table(q_max, x, orders=None, out=None) -> np.ndarray:
     """J_q(x) for all orders q = 0..q_max, vectorized over an array of finite
     x >= 0.
 
@@ -244,7 +244,8 @@ def bessel_j_table(q_max, x, orders=None) -> np.ndarray:
     [i, j, c] of the (rows, r, columns) result is J_{orders[i, j]}(x[i, c])
     with the bits of bessel_j_table(q_max[i], x[i], orders=orders[i])[j].
     One upward and one downward sweep run over each block of rows holding
-    at most _SWEEP_BLOCK arguments (or one row), writing into the result.
+    at most _SWEEP_BLOCK arguments (or one row), writing into the result,
+    or into out, a C-contiguous float array of its shape, when given.
 
     Routes each element by (q_max, x) alone, through the Hankel expansion
     and the upward recurrence at x >= max(16, q_max) and the Miller
@@ -275,7 +276,10 @@ def bessel_j_table(q_max, x, orders=None) -> np.ndarray:
         grid = wanted.reshape(x.size, -1).T if per_x else wanted[None]
         shape, tops, x = x.shape, tops[None], x.reshape(1, -1)
     r, (rows, cols) = grid.shape[0] if per_x else grid.shape[1], x.shape
-    out = np.zeros((rows, r, cols))
+    if out is None:
+        out = np.zeros((rows, r, cols))
+    elif not (stacked and out.shape == (rows, r, cols) and out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous array of the stacked result's shape")
     step = max(1, _SWEEP_BLOCK // max(1, cols))
     for lo in range(0, rows, step):
         block = slice(lo, lo + step)

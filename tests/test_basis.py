@@ -1,7 +1,9 @@
 """Eigenbasis construction, transforms, gradients, and the cache round trip."""
 
 import dataclasses
+import gc
 import math
+import weakref
 import warnings
 
 import numpy as np
@@ -449,6 +451,49 @@ def test_radial_stack_is_a_slice_of_a_larger_one(basis_1616, basis_3232, grid_de
     assert np.array_equal(small, large[:17, :, :16])
 
 
+def test_tables_hold_their_grid_weakly(basis_88):
+    """A grid and its tables are freed by reference counting alone, with the
+    cyclic collector off; tables kept past their grid refuse to name it."""
+    grid = build_grid(16, 32)
+    tables = grid.tables(basis_88)
+    assert tables.grid is grid
+    held = weakref.ref(grid)
+    gc.disable()
+    try:
+        del grid
+        assert held() is None
+    finally:
+        gc.enable()
+    with pytest.raises(ReferenceError, match="outlived their grid"):
+        tables.grid
+    assert tables.radial.shape == (9, 5, 8, 16)     # what it copied stays readable
+
+
+def test_no_points_give_empty_rows(basis_88):
+    """An empty set of radii or points is an empty block, not an error."""
+    assert radial_rows(basis_88.zeros_rows, np.empty(0), VELOCITY.shifts).shape == (9, 2, 8, 0)
+    assert mode_values_at(basis_88, np.empty((0, 2))).shape == (0, basis_88.n_modes, 2)
+
+
+@pytest.mark.parametrize("trunc, limit", [(32, 5.5e6), (64, 6e6)])
+def test_radial_rows_transient_stays_block_sized(trunc, limit):
+    """radial_rows forms each sweep block's arguments just before the block,
+    so its allocation peak beyond the result does not grow with the stack:
+    at most 5.5 MB at (32,32) and 6 MB at (64,64) on 384 radii, where the
+    whole argument array alone is 3.2 and 12.6 MB."""
+    import tracemalloc
+    zeros = build_basis(trunc, trunc).zeros_rows
+    radii = build_grid(384, 8).radii
+    tracemalloc.start()
+    try:
+        rows = radial_rows(zeros, radii, VELOCITY.shifts, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (trunc + 1, 2, trunc, 384)
+    assert peak - rows.nbytes <= limit
+
+
 def test_radial_stacks_are_held_once_as_read_only_views(basis_88, basis_1616, monkeypatch):
     """A stack built after a smaller one on the same radii turns the smaller
     entry into a view of itself; a stack asked for after a larger one is its
@@ -567,7 +612,8 @@ def test_angular_table_reduces_the_index_exactly(basis_1616):
     """The angular table at N = 49, orders 0..18, is within 1e-15 of a
     50-digit reference: each entry is cos or sin of 2 pi ((m i) mod N) / N,
     never of a rounded product m th_i (which misses by up to 2.8e-14 here)."""
-    tables = build_grid(8, 256).exact_subgrid(48).tables(basis_1616)
+    grid = build_grid(8, 256)              # the tables are valid while it lives
+    tables = grid.exact_subgrid(48).tables(basis_1616)
     assert tables.grid.angular_count == 49
     want = oracles.mp_angular_table(basis_1616.n_max + 3, 49).reshape(-1, 49)
     assert np.max(np.abs(tables.angular - want)) <= 1e-15

@@ -1,5 +1,8 @@
 """Convection term, projection, dealiasing gates, and energy budgets."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -149,11 +152,34 @@ def test_dealiasing_passes_on_working_grid(basis_88, tables88):
 
 def test_dealiasing_fails_on_marginal_grid(basis_88):
     # (24, 26) clears the static gate but aliases the quadratic products
-    tables = build_grid(24, 26).tables(basis_88)
+    grid = build_grid(24, 26)              # the tables are valid while it lives
+    tables = grid.tables(basis_88)
     nonlinear_coeffs(_unit_random(basis_88, 48), tables)
     report = dealiasing_check(_unit_random(basis_88, 48), tables)
     assert not report.passed
     assert report.margin < 1.0
+
+
+def test_dealiasing_grid_is_freed_when_the_check_returns(basis_88, tables88, monkeypatch):
+    """The check's 1.5x grid and its tables go by reference counting alone,
+    with the cyclic collector off, when the check returns."""
+    import stokesbesov.nonlinear
+    built = []
+    real = stokesbesov.nonlinear.build_grid
+
+    def recorded(*args):
+        grid = real(*args)
+        built.append(weakref.ref(grid))
+        return grid
+
+    monkeypatch.setattr(stokesbesov.nonlinear, "build_grid", recorded)
+    gc.disable()
+    try:
+        report = dealiasing_check(_unit_random(basis_88, 47), tables88)
+        assert len(built) == 1 and built[0]() is None
+    finally:
+        gc.enable()
+    assert report.passed
 
 
 def test_dealiasing_zero_field(basis_88, tables88):
@@ -164,7 +190,8 @@ def test_dealiasing_zero_field(basis_88, tables88):
 
 
 def test_static_gate_rejects_coarse_grid(basis_88):
-    tables = build_grid(16, 64).tables(basis_88)
+    grid = build_grid(16, 64)              # the tables are valid while it lives
+    tables = grid.tables(basis_88)
     with pytest.raises(ResolutionError, match=r"grid \(16, 64\) is below the dealiasing "
                        r"margin \(needs radial >= \d+, angular >= 25\)"):
         nonlinear_coeffs(_unit_random(basis_88, 49), tables)

@@ -421,6 +421,26 @@ def test_subgrid_norms_reuse_the_radial_tables(basis_88, monkeypatch):
     assert calls == [list(range(2, basis_88.n_max + 3))]
 
 
+def test_sup_band_profile_builds_one_companion_stack(basis_88, monkeypatch):
+    """besov_norm at p = inf takes one sup per band on the refined companion,
+    which lives while a caller holds it: band_profile holds it across the
+    bands, so its stack is built once per profile, not once per band."""
+    import stokesbesov.basis
+    builds = []
+    real = stokesbesov.basis.radial_rows
+
+    def counted(zeros, r, *args):
+        builds.append(r.size)
+        return real(zeros, r, *args)
+
+    monkeypatch.setattr(stokesbesov.basis, "radial_rows", counted)
+    grid = build_grid(32, 64)
+    f = SpectralField(basis_88, np.random.default_rng(29).standard_normal(basis_88.n_modes))
+    report = besov_norm(f, BesovIndex(0.0, INF, INF), grid)
+    assert len(report.bands) > 2
+    assert builds.count(3 * grid.radial_order) == 1
+
+
 @pytest.mark.parametrize("p", [3.0, 4.0, 6.0, INF])
 def test_lp_norm_scales_by_powers_of_two(basis_88, grid_small, p):
     """X(2^k f) = 2^k X(f) for lp_norm and gradient_lp_norm (p < inf) over k
@@ -430,6 +450,7 @@ def test_lp_norm_scales_by_powers_of_two(basis_88, grid_small, p):
     crosses 2^-900 and 2^900; the rest take every 15th k."""
     f = SpectralField(basis_88, np.random.default_rng(60).standard_normal(basis_88.n_modes))
     v = synthesize(f, grid_small)
+    companion = grid_small.refined()        # held, so its stack is built once
     wide = range(-900, 901, 15)
     dense = sorted(set(wide) | set(range(-300, 301))) if p in (4.0, 6.0) else wide
     with warnings.catch_warnings():
@@ -560,6 +581,7 @@ def test_blocked_sup_equals_the_full_refined_max(trunc, shape, monkeypatch):
     import stokesbesov.norms as norms
     from stokesbesov.dyadic import _multiplier
     basis, grid = build_basis(*trunc), build_grid(*shape)
+    companion = grid.refined()              # held, so its stack is built once
     runs = []
     inner = norms._bounded_sup
 
@@ -597,33 +619,36 @@ def test_blocked_sup_equals_the_full_refined_max(trunc, shape, monkeypatch):
 def test_sup_norm_memory_stays_below_one_refined_synthesis(basis_3232, grid_default):
     import tracemalloc
     f = SpectralField(basis_3232, np.random.default_rng(71).standard_normal(basis_3232.n_modes))
-    lp_norm(f, grid_default, INF)                   # the refined grid and its tables
+    companion = grid_default.refined()              # held: it keeps its tables
+    lp_norm(f, grid_default, INF)                   # the refined grid's tables
     tracemalloc.start()
     try:
         lp_norm(f, grid_default, INF)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * np.prod(grid_default.refined().shape)
+    assert peak < 2 * 8 * np.prod(companion.shape)
 
 
 def test_first_sup_norm_holds_only_the_velocity_tables(basis_3232):
     """The first p = inf norm at (32,32) on a fresh 128 x 256 grid leaves the
     refined grid's tables behind: VELOCITY's two rows of the 384-radius
     stack (6.2 MiB) and the angular table, below 7 MiB in all, and no
-    node weights of the refined grid."""
+    node weights of the refined grid.  The companion is held across the
+    call, as a caller that samples many sups holds it."""
     import tracemalloc
     grid = build_grid(128, 256)
     f = SpectralField(basis_3232, np.random.default_rng(73).standard_normal(basis_3232.n_modes))
     tracemalloc.start()
     try:
+        companion = grid.refined()
         lp_norm(f, grid, INF)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held < 7 * 2 ** 20
-    assert "weights" not in vars(grid.refined())
-    assert grid.refined().weights.shape == grid.refined().shape     # built on first read
+    assert 6 * 2 ** 20 < held < 7 * 2 ** 20
+    assert "weights" not in vars(companion)
+    assert companion.weights.shape == companion.shape     # built on first read
 
 
 def _two_pass(norm, *parts):
@@ -644,6 +669,7 @@ def test_skipped_first_pass_keeps_every_bit(basis_88, grid_small):
     from stokesbesov.basis import coeff_l2, curl_values
     f = SpectralField(basis_88, np.random.default_rng(72).standard_normal(basis_88.n_modes))
     v = synthesize(f, grid_small)
+    companion = grid_small.refined()        # held, so its stack is built once
     sub = grid_small.exact_subgrid(2 * f.top_order())
     measures = [np.linalg.norm,
                 lambda c: np.sqrt(sub.integrate(np.square(curl_values(SpectralField(basis_88, c),

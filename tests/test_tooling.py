@@ -14,7 +14,8 @@ declares; scipy and mpmath are the tests' oracles, never the code's.
 Which grid a quadrature runs on is decided in one place, PolarGrid.rule_for:
 a second caller of exact_subgrid or refined would be a second policy.
 J_n has one evaluator, bessel_j_table: a second caller of its recurrences
-would be a second one.
+would be a second one.  Reference counting alone frees tables and grids:
+a collector call in the package would hide a reference cycle.
 """
 
 import ast
@@ -159,3 +160,17 @@ def test_only_bessel_j_table_runs_the_recurrences():
     assert _call_sites("_miller_table", "_upward_table") == {
         ("specfun.py", "bessel_j_table", "_miller_table"),
         ("specfun.py", "bessel_j_table", "_upward_table")}
+
+
+
+def test_no_collector_calls_in_the_package():
+    """Tables and grids are freed by reference counting alone (basis module
+    docstring): nothing in the package runs or tunes the cyclic collector."""
+    named = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                named |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "gc":
+                named.add(node.attr)
+    assert not named & {"collect", "disable", "set_threshold"}
