@@ -3,8 +3,8 @@
 import dataclasses
 import gc
 import math
-import weakref
 import warnings
+import weakref
 
 import numpy as np
 import pytest

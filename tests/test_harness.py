@@ -28,33 +28,6 @@ from stokesbesov.solver import Trajectory, evaluate_at
 # ---------------------------------------------------------------------------
 # config loading
 
-def test_bernstein_companion_is_built_once_and_freed_on_return(monkeypatch):
-    """_bernstein_stat holds the refined companion across its sup norms:
-    one radial_rows build on its 3R radii per statistic, and the companion
-    is gone, by reference counting alone, when the statistic returns."""
-    import stokesbesov.basis
-    from stokesbesov import build_basis, build_grid
-    from stokesbesov.harness import _bernstein_stat
-    basis, grid = build_basis(8, 8), build_grid(32, 64)
-    refined_builds = []
-    real = stokesbesov.basis.radial_rows
-
-    def counted(zeros, r, *args):
-        refined_builds.extend([r.size] if r.size == 3 * grid.radial_order else [])
-        return real(zeros, r, *args)
-
-    monkeypatch.setattr(stokesbesov.basis, "radial_rows", counted)
-    gc.disable()
-    try:
-        for seed in (3, 4):
-            stats, _ = _bernstein_stat(basis, grid, seed)
-            assert grid._refined[1]() is None          # the rule is kept, the grid not
-            assert math.isfinite(stats[(2.0, INF)][0])
-    finally:
-        gc.enable()
-    assert refined_builds == [3 * grid.radial_order] * 2
-
-
 def test_defaults():
     cfg = load_config()
     assert cfg.experiment == "verify"
@@ -529,6 +502,33 @@ def test_resolved_radius_solves_one_zero_block(empty_zero_cache, monkeypatch):
     # min(j_{3,1}, j_{0,3}), from mpmath.besseljzero
     assert _resolved_radius(2, 2) == pytest.approx(6.38016189592398, rel=1e-13)
     assert solves == [(3, 3)]
+
+
+def test_bernstein_companion_is_built_once_and_freed_on_return(monkeypatch):
+    """_bernstein_stat holds the refined companion across its sup norms:
+    one radial_rows build on its 3R radii per statistic, and the companion
+    is gone, by reference counting alone, when the statistic returns."""
+    import stokesbesov.basis
+    from stokesbesov import build_basis, build_grid
+    from stokesbesov.harness import _bernstein_stat
+    basis, grid = build_basis(8, 8), build_grid(32, 64)
+    refined_builds = []
+    real = stokesbesov.basis.radial_rows
+
+    def counted(zeros, r, *args):
+        refined_builds.extend([r.size] if r.size == 3 * grid.radial_order else [])
+        return real(zeros, r, *args)
+
+    monkeypatch.setattr(stokesbesov.basis, "radial_rows", counted)
+    gc.disable()
+    try:
+        for seed in (3, 4):
+            stats, _ = _bernstein_stat(basis, grid, seed)
+            assert grid._refined[1]() is None          # the rule is kept, the grid not
+            assert math.isfinite(stats[(2.0, INF)][0])
+    finally:
+        gc.enable()
+    assert refined_builds == [3 * grid.radial_order] * 2
 
 
 # ---------------------------------------------------------------------------

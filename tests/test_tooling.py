@@ -162,7 +162,6 @@ def test_only_bessel_j_table_runs_the_recurrences():
         ("specfun.py", "bessel_j_table", "_upward_table")}
 
 
-
 def test_no_collector_calls_in_the_package():
     """Tables and grids are freed by reference counting alone (basis module
     docstring): nothing in the package runs or tunes the cyclic collector."""
