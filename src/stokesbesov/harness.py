@@ -623,6 +623,14 @@ _BERNSTEIN_PAIRS = ((2.0, 4.0), (2.0, INF), (1.0, 2.0))
 _BERNSTEIN_POINTS = np.array([[0.35, -0.2], [-0.1, 0.6]])
 
 
+def _median(vals: np.ndarray) -> float:
+    """np.median's value and NaN propagation, from a sorted copy: np.median
+    imports numpy.ma on its first call."""
+    s = np.sort(vals)                             # NaN sorts last
+    mid = s[(s.size - 1) // 2:s.size // 2 + 1]    # the middle one or two
+    return float(s[-1] if np.isnan(s[-1]) else mid.sum() / mid.size)
+
+
 def _bernstein_stat(basis: Basis, grid: PolarGrid, seed: int) -> tuple:
     """(stats, band_ratios): stats maps each (r, p) to the (max, median) over
     bands of the normalized ratio |u_j|_p / (2^{2j(1/r - 1/p)} |u_j|_r) on
@@ -670,7 +678,7 @@ def _bernstein_stat(basis: Basis, grid: PolarGrid, seed: int) -> tuple:
             ratios[j] = max(norms[p] / (scale * norms[r])
                             for norms in per_band[j])
         vals = np.array(list(ratios.values()))
-        stats[(r, p)] = (float(vals.max()), float(np.median(vals)))
+        stats[(r, p)] = (float(vals.max()), _median(vals))
         band_ratios[(r, p)] = ratios
     return stats, band_ratios
 

@@ -531,6 +531,19 @@ def test_bernstein_companion_is_built_once_and_freed_on_return(monkeypatch):
     assert refined_builds == [3 * grid.radial_order] * 2
 
 
+@pytest.mark.parametrize("vals", [
+    [2.5], [3.0, 1.0], [0.1, 0.7, 0.2], [1e-300, 3.0, 1.5, 2.0], [1.0, 2.0, 2.0, 1.0],
+    [5.0, 5.0, 5.0], [-0.0, 0.0], [-0.0], [1.0, math.nan, 0.5, 2.0], [math.nan, 4.0, 1.0],
+    np.random.default_rng(8).standard_normal(9), np.random.default_rng(9).standard_normal(12)])
+def test_median_is_numpys_median(vals):
+    """The multiplier statistic's median has np.median's bits on odd and
+    even counts, ties and signed zeros, and its NaN when a NaN is present."""
+    from stokesbesov.harness import _median
+    vals = np.asarray(vals, dtype=float)
+    got, want = _median(vals), np.median(vals)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # CLI
 

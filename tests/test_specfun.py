@@ -342,6 +342,18 @@ def test_gauss_legendre_quadratic_exact():
     assert abs(float(rule.weights @ rule.nodes ** 2) - 1.0 / 3.0) < 1e-15
 
 
+def test_gauss_legendre_is_numpys_leggauss():
+    """The rule is numpy's leggauss mapped to (0, 1), bit for bit, at every
+    order up to 160, at the radial orders of the 1.5x and 3x grids and at
+    the config's limit."""
+    from numpy.polynomial.legendre import leggauss
+    for order in [*range(1, 161), 192, 384, 1365]:
+        rule = gauss_legendre(order)
+        x, w = leggauss(order)
+        assert rule.nodes.tobytes() == ((x + 1.0) / 2.0).tobytes(), order
+        assert rule.weights.tobytes() == (w / 2.0).tobytes(), order
+
+
 def test_gauss_legendre_rejects_bad_order():
     with pytest.raises(ValueError):
         gauss_legendre(0)

@@ -15,7 +15,9 @@ Which grid a quadrature runs on is decided in one place, PolarGrid.rule_for:
 a second caller of exact_subgrid or refined would be a second policy.
 J_n has one evaluator, bessel_j_table: a second caller of its recurrences
 would be a second one.  Reference counting alone frees tables and grids:
-a collector call in the package would hide a reference cycle.
+a collector call in the package would hide a reference cycle.  Nor does a
+run page in numpy.ma or numpy.polynomial, about 1.9 MB of modules that one
+median and one quadrature rule used to import.
 """
 
 import ast
@@ -23,6 +25,8 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -173,3 +177,61 @@ def test_no_collector_calls_in_the_package():
             elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "gc":
                 named.add(node.attr)
     assert not named & {"collect", "disable", "set_threshold"}
+
+
+_UNLOADED = ("numpy.ma", "numpy.polynomial")
+
+
+def _dotted(node):
+    """a.b.c for an attribute chain rooted at a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def test_no_numpy_median_polynomial_or_masked_arrays():
+    """np.median imports numpy.ma on its first call, and leggauss needs
+    numpy.polynomial; the package takes its median from a sorted copy and
+    its Gauss-Legendre rule from specfun, so neither module is ever paged in."""
+    banned = ("np.median", "np.ma", "np.polynomial", "numpy.median", *_UNLOADED)
+    named = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [_dotted(node)]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            named |= {(path.name, name) for name in names if name
+                      and any(name == b or name.startswith(b + ".") for b in banned)}
+    assert sorted(named) == []
+
+
+_SMALL_RUN = """
+import sys
+from stokesbesov.cli import main
+assert main(["verify", "multiplier-uniformity", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert main(["solve", "--config", sys.argv[1], "--out", sys.argv[3]]) == 0
+print(sorted(name for name in sys.modules if name in {names!r}))
+"""
+
+
+def test_a_verify_and_a_solve_load_neither_module(tmp_path):
+    """A multiplier-uniformity verify and a tiny solve, in one fresh process."""
+    ini = tmp_path / "small.ini"
+    ini.write_text("[basis]\nn_max = 8\nk_max = 8\n[grid]\nradial_order = 64\n"
+                   "angular_count = 128\n[solver]\nt_final = 0.25\nmesh_count = 4\n"
+                   "[data]\nkind = band_random\nband = 2\namplitude = 0.5\nseed = 3\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    run = subprocess.run([sys.executable, "-c", _SMALL_RUN.format(names=set(_UNLOADED)),
+                          str(ini), str(tmp_path / "verify"), str(tmp_path / "solve")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
