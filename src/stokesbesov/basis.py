@@ -45,8 +45,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ResolutionError
-from .specfun import (_SWEEP_BLOCK, MAX_QUADRATURE_ORDER, QuadratureRule, bessel_j_table,
-                      bessel_zeros_row, gauss_legendre)
+from .specfun import (MAX_QUADRATURE_ORDER, QuadratureRule, bessel_j_table, bessel_zeros_row,
+                      gauss_legendre)
 
 BASIS_FORMAT = "stokes-besov-basis/1"
 
@@ -58,6 +58,8 @@ MAX_K_MAX = 128
 REFINE_FACTOR = 3
 # the refined grid of the p = inf norms must stay within the quadrature limit
 MAX_RADIAL_ORDER = MAX_QUADRATURE_ORDER // REFINE_FACTOR
+# arguments per stacked Bessel sweep block; bounds its temporaries (radial_rows)
+_SWEEP_BLOCK = 1 << 15
 
 
 @dataclass(eq=False)
@@ -589,8 +591,16 @@ def radial_rows(zeros_rows: np.ndarray, r: np.ndarray, shifts, reach=None) -> np
     """J_{n+s}(j_{n,k} r) for every order n, shift s, zero and radius, shape
     (n_max+1, len(shifts), k_max, len(r)), with J_{-q} = (-1)^q J_q folded
     in.  One stacked Bessel table, row n up to order n + reach, max(shifts)
-    by default, swept in its blocks of rows, each block's arguments formed
-    just before it and its values written in place."""
+    by default, swept in blocks of rows holding at most _SWEEP_BLOCK
+    arguments (or one row), each block's arguments formed just before it and
+    its values written in place.
+
+    A sweep's temporaries are about seven doubles per argument, so blocks of
+    32,768 arguments keep a stack build within 1.6-2.2 MB beyond its result
+    (3.5-3.9 MB at 65,536), while each block pays the per-step call cost:
+    0.97-1.18x the time of 65,536 per build, 1.18-1.55x at 16,384.  Every
+    entry depends on its table top, order and argument alone, so the blocks
+    change no bit."""
     shifts = np.asarray(shifts)
     reach = int(shifts.max() if reach is None else reach)
     n = np.arange(zeros_rows.shape[0])

@@ -20,25 +20,20 @@ q_max <= 256 and 1e-8 <= x <= 1e4 both regimes read within about 1.2e-15
 absolute; below x = 1e-12, J_0 = 1 and J_q = 0 are taken as exact.
 
 bessel_j_table(q_max, x, orders=...) computes only the rows a caller reads,
-or only a few orders per x, and every entry is bit for bit that of the full
-table up to q_max: the bits depend on q_max, q and x alone, not on which
-orders are requested nor on which other x share the call.  So a table on a
-set of x is the column-wise join of tables on its parts.
+and every entry is bit for bit that of the full table up to q_max: the bits
+depend on q_max, q and x alone, not on which orders are requested nor on
+which other x share the call.  So a table on a set of x is the column-wise
+join of tables on its parts.
 
 Its stacked form takes one table top per row of a 2-D x, tops
 non-decreasing, and one order sequence per row, as a radial stack needs
 one per angular order.  Both recurrences are elementwise, so one downward
-and one upward sweep serve every row of a block of at most _SWEEP_BLOCK
-arguments.  The Miller start does not decrease as the top grows, so at
-each downward step the rows already started are a suffix of the block;
-the rows still climbing upward, to their highest order, are a suffix too.
-Every step runs on a slice, each argument keeps the steps and rescalings
-of its own per-order call, and a stack is the row-wise join of per-order
-tables, bit for bit.  A block's temporaries are about seven doubles per
-argument, so 32,768 arguments keep a stack build within about 2.2 MB
-beyond its result (3.5-3.9 MB at 65,536), while each block pays the
-per-step call cost: 0.97-1.18x the time of 65,536 per build, 1.18-1.55x at
-16,384.
+and one upward sweep serve every row.  The Miller start does not decrease
+as the top grows, so at each downward step the rows already started are a
+suffix of the arguments; the rows still climbing upward, to their highest
+order, are a suffix too.  Every step runs on a slice, each argument keeps
+the steps and rescalings of its own per-order call, and a stack is the
+row-wise join of per-order tables, bit for bit.
 
 The zeros j_{m,k}, m <= n, k <= K, are solved as one block.  Zeros of one
 order lie more than j_{0,2} - j_{0,1} > 3 apart, so the k-th sign change of
@@ -62,7 +57,6 @@ import numpy as np
 from .errors import NumericalError
 
 _UPWARD_X_MIN = 16.0
-_SWEEP_BLOCK = 1 << 15      # arguments per stacked sweep; bounds its temporaries (above)
 MAX_QUADRATURE_ORDER = 4096
 
 
@@ -133,17 +127,11 @@ def _hankel_coefficients(terms: int) -> np.ndarray:
 _HANKEL = _hankel_coefficients(19)
 
 
-def _slots(orders: np.ndarray, counts: np.ndarray, per_x: bool) -> dict:
+def _slots(orders: np.ndarray, counts: np.ndarray) -> dict:
     """q -> [(j, cells)]: the entries tab[j, cells] of a (r, n) sweep table
     that hold order q.  The n arguments are swept row after row, counts[i]
-    of them from row i.  With one order sequence per row (orders of shape
-    (rows, r)) the cells are a row's slice of the arguments; with one per
-    argument (per_x: one row, orders of shape (r, n)) they are index arrays."""
-    if per_x:
-        js, cols = np.divmod(np.argsort(orders, axis=None, kind="stable"), orders.shape[1])
-        qs, first = np.unique(orders[js, cols], return_index=True)
-        return {q: [(js[a:b], cols[a:b])]
-                for q, a, b in zip(qs.tolist(), first, [*first[1:], js.size])}
+    of them from row i, and orders[i] (shape (rows, r)) is row i's
+    sequence, so the cells are a row's slice of the arguments."""
     slot = {}
     end = np.cumsum(counts).tolist()
     for row, a, b in zip(orders.tolist(), [0, *end[:-1]], end):
@@ -264,18 +252,16 @@ def bessel_j_table(q_max, x, orders=None, out=None) -> np.ndarray:
     """J_q(x) for all orders q = 0..q_max, vectorized over an array of finite
     x >= 0.
 
-    With orders (integers in 0..q_max, repeats allowed) row i of the result
-    is J_{orders[i]}, or J_{orders[..., i]}(x) when orders has shape
-    x.shape + (r,), one sequence per x; every entry has the bits of the full
-    table.
+    With orders (one sequence of integers in 0..q_max, repeats allowed) row
+    i of the result is J_{orders[i]}, with the bits of the full table.
 
     Stacked: q_max a 1-D sequence of non-decreasing table tops, one per row
     of a 2-D x, and orders of shape (rows, r), one sequence per row.  Entry
     [i, j, c] of the (rows, r, columns) result is J_{orders[i, j]}(x[i, c])
     with the bits of bessel_j_table(q_max[i], x[i], orders=orders[i])[j].
-    One upward and one downward sweep run over each block of rows holding
-    at most _SWEEP_BLOCK arguments (or one row), writing into the result,
-    or into out, a C-contiguous float array of its shape, when given.
+    One upward and one downward sweep run over all the rows, writing into
+    the result, or into out, a C-contiguous float array of its shape, when
+    given.
 
     Routes each element by (q_max, x) alone, through the Hankel expansion
     and the upward recurrence at x >= max(16, q_max) and the Miller
@@ -286,7 +272,7 @@ def bessel_j_table(q_max, x, orders=None, out=None) -> np.ndarray:
     if not (np.isfinite(x) & (x >= 0)).all():
         raise ValueError("bessel_j_table requires finite x >= 0")
     tops = np.asarray(q_max)
-    stacked, per_x = tops.ndim == 1, False
+    stacked = tops.ndim == 1
     if stacked:
         grid = np.asarray([] if orders is None else orders, dtype=int)
         if (tops.dtype.kind not in "iu" or x.ndim != 2 or grid.ndim != 2 or grid.size == 0
@@ -296,51 +282,40 @@ def bessel_j_table(q_max, x, orders=None, out=None) -> np.ndarray:
                              "x and one non-empty order sequence within 0..top per top")
     else:
         x = np.atleast_1d(x)
-        wanted = np.arange(q_max + 1) if orders is None else np.asarray(orders, dtype=int)
-        per_x = wanted.ndim > 1
-        if (wanted.ndim == 0 or wanted.shape[:-1] != (x.shape if per_x else ())
-                or wanted.size == 0 or wanted.min() < 0 or wanted.max() > q_max):
-            raise ValueError("orders must be one non-empty sequence within 0..q_max, "
-                             "or one per x")
-        # one row: per_x orders are (r, x.size), one column per x
-        grid = wanted.reshape(x.size, -1).T if per_x else wanted[None]
-        shape, tops, x = x.shape, tops[None], x.reshape(1, -1)
-    r, (rows, cols) = grid.shape[0] if per_x else grid.shape[1], x.shape
+        grid = np.asarray(np.arange(q_max + 1) if orders is None else orders, dtype=int)
+        if grid.ndim != 1 or grid.size == 0 or grid.min() < 0 or grid.max() > q_max:
+            raise ValueError("orders must be one non-empty sequence within 0..q_max")
+        shape, tops, x, grid = x.shape, tops[None], x.reshape(1, -1), grid[None]
+    (rows, r), cols = grid.shape, x.shape[1]
     if out is None:
         out = np.zeros((rows, r, cols))
     elif not (stacked and out.shape == (rows, r, cols) and out.flags.c_contiguous):
         raise ValueError("out must be a C-contiguous array of the stacked result's shape")
-    step = max(1, _SWEEP_BLOCK // max(1, cols))
-    for lo in range(0, rows, step):
-        block = slice(lo, lo + step)
-        sub, held, flat = x[block], grid if per_x else grid[block], out[block].reshape(-1)
-        switch = np.maximum(_UPWARD_X_MIN, tops[block])
-        tiny = sub < 1e-12
-        upward = sub >= switch[:, None]
-        # each route takes its arguments row after row; at[a] is the flat
-        # index of argument a's slot 0 in the block's result
-        for mask in (tiny, upward, ~(tiny | upward)):
-            at = np.flatnonzero(mask)
-            if at.size == 0:
-                continue
-            counts = mask.sum(axis=1)
-            picked = held[:, at] if per_x else held
-            arg = sub.reshape(-1)[at]
-            at += at // cols * ((r - 1) * cols)
-            if mask is upward:            # written into the result as it climbs
-                slot = _slots(picked, counts, per_x)
-                climbs = (np.array([max(slot)]) if per_x
-                          else np.maximum.accumulate(held.max(axis=1)))
-                _upward_table(climbs, counts, slot, arg, flat, at, cols)
+    flat = out.reshape(-1)
+    switch = np.maximum(_UPWARD_X_MIN, tops)
+    tiny = x < 1e-12
+    upward = x >= switch[:, None]
+    # each route takes its arguments row after row; at[a] is the flat index
+    # of argument a's slot 0 in the result
+    for mask in (tiny, upward, ~(tiny | upward)):
+        at = np.flatnonzero(mask)
+        if at.size == 0:
+            continue
+        counts = mask.sum(axis=1)
+        arg = x.reshape(-1)[at]
+        at += at // cols * ((r - 1) * cols)
+        if mask is upward:                # written into the result as it climbs
+            _upward_table(np.maximum.accumulate(grid.max(axis=1)), counts,
+                          _slots(grid, counts), arg, flat, at, cols)
+        else:
+            if mask is tiny:              # J_0(0) = 1, J_q(0) = 0 for q >= 1
+                tab = np.repeat(grid, counts, axis=0).T == 0
             else:
-                if mask is tiny:          # J_0(0) = 1, J_q(0) = 0 for q >= 1
-                    tab = (picked if per_x else np.repeat(held, counts, axis=0).T) == 0
-                else:
-                    tab = _miller_table(switch, counts, _slots(picked, counts, per_x), r, arg)
-                for j, row in enumerate(tab):
-                    flat[at + j * cols] = row
-                del tab
-            del arg, at                   # before the next route allocates
+                tab = _miller_table(switch, counts, _slots(grid, counts), r, arg)
+            for j, row in enumerate(tab):
+                flat[at + j * cols] = row
+            del tab
+        del arg, at                       # before the next route allocates
     return out if stacked else out.reshape((-1,) + shape)
 
 
@@ -361,10 +336,18 @@ def _mcmahon_guess(n, k) -> np.ndarray:
 
 def _jn_with_prime(n, x: np.ndarray):
     """(J_n(x), J_n'(x)), with J_n' = (J_{n-1} - J_{n+1}) / 2 and J_{-1} = -J_1;
-    n is one order, or one order per x."""
-    n = np.asarray(n)
-    orders = np.stack([abs(n - 1), n, n + 1], axis=-1)
-    jm, jn, jp = bessel_j_table(int(n.max()) + 1, x, orders=orders)
+    n is one order, or one order per x, in any sequence.  One stacked table
+    at the top max(n) + 1 holds a row per distinct order, padded with x = 0
+    (the exact route), so each entry has the bits of a call on its x alone."""
+    n, x = (a.ravel() for a in np.broadcast_arrays(n, x))
+    qs, row, counts = np.unique(n, return_inverse=True, return_counts=True)
+    by_order = np.argsort(row, kind="stable")
+    col = np.empty_like(row)
+    col[by_order] = np.arange(n.size) - (np.cumsum(counts) - counts)[row[by_order]]
+    args = np.zeros((qs.size, counts.max()))
+    args[row, col] = x
+    jm, jn, jp = bessel_j_table(np.full(qs.size, qs[-1] + 1), args,
+                                orders=np.stack([abs(qs - 1), qs, qs + 1], axis=1))[row, :, col].T
     return jn, 0.5 * (np.where(n >= 1, jm, -jm) - jp)
 
 

@@ -11,9 +11,9 @@ import pytest
 
 import oracles
 from stokesbesov import (GridVectorField, ResolutionError, SpectralField, analyze,
-                         apply_stokes, bessel_zero, boundary_traces, build_basis, build_grid,
-                         curl_values, load_basis, lp_norm, nonlinear_coeffs, save_basis,
-                         specfun, synthesize, zero_field)
+                         apply_stokes, bessel_zero, bessel_zeros_row, boundary_traces,
+                         build_basis, build_grid, curl_values, load_basis, lp_norm,
+                         nonlinear_coeffs, save_basis, specfun, synthesize, zero_field)
 from stokesbesov.basis import (COS, CURL, GRADIENT, SIN, VELOCITY, coeff_l2, curl_l2,
                                field_gradient_values, mode_values_at, radial_rows)
 from stokesbesov.nonlinear import _convection_coeffs
@@ -493,6 +493,21 @@ def test_radial_rows_transient_stays_block_sized(trunc):
         tracemalloc.stop()
     assert rows.shape == (trunc + 1, 2, trunc, 384)
     assert peak - rows.nbytes <= 2.5e6
+
+
+def test_radial_rows_blocks_change_no_bit(monkeypatch):
+    """Blocks of rows that split a stack anywhere, down to one row each,
+    give the bits of one block, at r = 0, r = 1, rescaling arguments from
+    1e-10 and interior radii."""
+    import stokesbesov.basis as basis_mod
+    zeros = np.array([bessel_zeros_row(n, 16) for n in range(17)])
+    r = np.concatenate([[0.0, 1.0], np.geomspace(1e-10, 1e-3, 15)[:7] / J01,
+                        np.linspace(0.05, 0.95, 9)])
+    monkeypatch.setattr(basis_mod, "_SWEEP_BLOCK", 1 << 30)
+    whole = radial_rows(zeros, r, range(-2, 3))
+    for block in (1, 300, 1000):
+        monkeypatch.setattr(basis_mod, "_SWEEP_BLOCK", block)
+        assert np.array_equal(radial_rows(zeros, r, range(-2, 3)), whole), block
 
 
 def test_radial_stacks_are_held_once_as_read_only_views(basis_88, basis_1616, monkeypatch):

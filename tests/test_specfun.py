@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from stokesbesov import (NumericalError, bessel_zero, bessel_zeros_row, beta_function,
+from stokesbesov import (NumericalError, basis, bessel_zero, bessel_zeros_row, beta_function,
                          gauss_legendre, specfun)
 from stokesbesov.specfun import _jn_with_prime, bessel_j_table
 
@@ -212,15 +212,30 @@ def test_bessel_orders_rows_equal_full_table(regime):
 
 
 @pytest.mark.parametrize("regime", sorted(_ORDER_ARGS))
-def test_bessel_orders_per_x_equal_full_table(regime):
-    # one sequence of orders per x, as the zero finder asks: every entry is
-    # the full table's, bit for bit
-    x = _ORDER_ARGS[regime]
-    full = bessel_j_table(34, x)
-    orders = np.random.default_rng(5).integers(0, 35, x.shape + (3,))
-    got = bessel_j_table(34, x, orders=orders)
-    for row, picks in zip(got, np.moveaxis(orders, -1, 0)):
-        assert np.array_equal(row, np.take_along_axis(full, picks[None], axis=0)[0])
+def test_jn_with_prime_equals_per_argument_calls(regime):
+    """The zero finder's one stacked table, a row per order, has the bits of
+    one plain call per argument at the top max(n) + 1: over ragged rows in
+    random order, a one-argument row (order 40), order 0 (J_{-1} = -J_1)
+    and x = 0, with Miller and upward arguments."""
+    x = np.concatenate([_ORDER_ARGS[regime].ravel(), [0.0, 0.0, 30.0]])
+    n = np.random.default_rng(5).integers(0, 35, x.size)
+    n[-3:] = (0, 3, 40)
+    want = np.array([bessel_j_table(41, [xi], orders=(abs(ni - 1), ni, ni + 1))[:, 0]
+                     for ni, xi in zip(n, x)]).T
+    jn, prime = _jn_with_prime(n, x)
+    assert np.array_equal(jn, want[1])
+    assert np.array_equal(prime, 0.5 * (np.where(n >= 1, want[0], -want[0]) - want[2]))
+
+
+def test_jn_with_prime_takes_orders_in_any_sequence():
+    """Shuffled orders give every argument its own values, bit for bit,
+    those of the call with the orders sorted."""
+    rng = np.random.default_rng(9)
+    n = np.sort(rng.integers(0, 12, 60))
+    x = rng.uniform(0.0, 30.0, 60)
+    mixed = rng.permutation(60)
+    for got, want in zip(_jn_with_prime(n[mixed], x[mixed]), _jn_with_prime(n, x)):
+        assert np.array_equal(got, want[mixed])
 
 
 def test_bessel_orders_vs_scipy():
@@ -241,7 +256,8 @@ def test_bessel_table_rejects_bad_arguments(bad):
 
 
 def test_bessel_orders_rejects_out_of_range():
-    for orders in ([], [-1], [5], [[1, 2]]):
+    # 2-D orders with a scalar top, even one sequence per x, are refused
+    for orders in ([], [-1], [5], [[1, 2]], [[1, 2], [0, 3]], np.zeros((2, 1), int)):
         with pytest.raises(ValueError):
             bessel_j_table(4, np.array([1.0, 20.0]), orders=orders)
 
@@ -255,9 +271,16 @@ def _per_order(zeros_rows, r, shifts, reach):
 
 
 def _stacked(zeros_rows, r, shifts, reach):
+    """Stacked calls over every angular order, in blocks of rows as
+    basis.radial_rows sweeps them."""
     n = np.arange(zeros_rows.shape[0])
-    return bessel_j_table(n + reach, np.multiply.outer(zeros_rows, r).reshape(n.size, -1),
-                          orders=np.abs(n[:, None] + np.array(shifts)))
+    x = np.multiply.outer(zeros_rows, r).reshape(n.size, -1)
+    out = np.empty((n.size, len(shifts), x.shape[1]))
+    step = max(1, basis._SWEEP_BLOCK // max(1, x.shape[1]))
+    for rows in (slice(lo, lo + step) for lo in range(0, n.size, step)):
+        bessel_j_table(n[rows] + reach, x[rows], orders=np.abs(n[rows, None] + np.array(shifts)),
+                       out=out[rows])
+    return out
 
 
 # the points r = 0 and r = 1, and radii whose arguments j r start at 1e-10
@@ -268,8 +291,8 @@ _EDGES = np.concatenate([[0.0, 1.0], np.geomspace(1e-10, 1e-3, 15) / J01])
 
 @pytest.mark.parametrize("n_max, k_max", [(0, 1), (8, 8), (16, 16), (32, 32), (64, 64)])
 def test_stacked_table_equals_per_order_calls(n_max, k_max):
-    """One stacked call over every angular order of a radial stack has the
-    bits of one call per order: the grid stack's shifts -2..2 on 128 Gauss
+    """Stacked calls over the angular orders of a radial stack have the bits
+    of one call per order: the grid stack's shifts -2..2 on 128 Gauss
     radii, the refined stack's -1, 1 on 384, point evaluation's -1, 1, the
     normalization's 1 and the boundary traces' 0, each at the table top
     the program uses."""
@@ -283,17 +306,6 @@ def test_stacked_table_equals_per_order_calls(n_max, k_max):
         got = _stacked(zeros, r, shifts, reach)
         assert got.shape == (n_max + 1, len(shifts), k_max * r.size)
         assert np.array_equal(got, _per_order(zeros, r, shifts, reach)), (shifts, r.size)
-
-
-def test_stacked_table_blocks_change_no_bit(monkeypatch):
-    """Blocks of rows that split a stack anywhere, down to one row each,
-    give the bits of one block."""
-    zeros = np.array([bessel_zeros_row(n, 16) for n in range(17)])
-    r = np.concatenate([_EDGES[:9], np.linspace(0.05, 0.95, 9)])
-    whole = _stacked(zeros, r, range(-2, 3), 2)
-    for block in (1, 300, 1000):
-        monkeypatch.setattr(specfun, "_SWEEP_BLOCK", block)
-        assert np.array_equal(_stacked(zeros, r, range(-2, 3), 2), whole), block
 
 
 def test_stacked_table_takes_any_orders_per_row():

@@ -14,8 +14,10 @@ declares; scipy and mpmath are the tests' oracles, never the code's.
 Which grid a quadrature runs on is decided in one place, PolarGrid.rule_for:
 a second caller of exact_subgrid or refined would be a second policy.
 J_n has one evaluator, bessel_j_table: a second caller of its recurrences
-would be a second one.  Reference counting alone frees tables and grids:
-a collector call in the package would hide a reference cycle.  Nor does a
+would be a second one, and it sweeps what it is given in one pass:
+radial_rows alone blocks a sweep, so _SWEEP_BLOCK is named in basis only.
+Reference counting alone frees tables and grids: a collector call in the
+package would hide a reference cycle.  Nor does a
 run page in numpy.ma or numpy.polynomial, about 1.9 MB of modules that one
 median and one quadrature rule used to import.
 """
@@ -164,6 +166,19 @@ def test_only_bessel_j_table_runs_the_recurrences():
     assert _call_sites("_miller_table", "_upward_table") == {
         ("specfun.py", "bessel_j_table", "_miller_table"),
         ("specfun.py", "bessel_j_table", "_upward_table")}
+
+
+def test_only_basis_names_the_sweep_block():
+    named = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.ImportFrom, ast.Import)):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if "_SWEEP_BLOCK" in names:
+                named.add(path.name)
+    assert named == {"basis.py"}
 
 
 def test_no_collector_calls_in_the_package():
